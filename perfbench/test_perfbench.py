@@ -7,6 +7,11 @@ a second, and checks what the numbers rest on: every declared metric is
 reported with its unit and direction, tails are never below medians, a
 wrong answer counts as a failed operation, cold builds never hit the
 resource cache, and the traced incremental build still replays ``tag``.
+
+Everything that runs the benchmark runs in a child interpreter, as
+under a real run: the benchmark warms and patches process-wide state
+(urllib's shared opener, ``http.client``, signal timers, the cyclic
+collector), and the tests that share this process must see none of it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,31 @@ SECONDS = 0.8
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
+def in_child(check: str, *args) -> None:
+    """Call ``check(*args)`` of this module in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, test_perfbench; "
+         f"test_perfbench.{check}(*sys.argv[1:])", *map(str, args)],
+        cwd=HERE, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
+def tiny_run(name: str, seed: str, seconds: str, trace: str,
+             out: str) -> None:
+    run.run(name, int(seed), float(seconds), int(trace), scale=TINY,
+            out=Path(out))
+
+
+def run_isolated(name: str, seed: int, seconds: float, trace: int,
+                 out: Path) -> dict:
+    """A tiny run in a child interpreter; returns the record it saved."""
+    in_child("tiny_run", name, seed, seconds, trace, out)
+    path = out / "results" / f"{name}-seed{seed}-trace{trace}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="module")
 def out(tmp_path_factory):
     return tmp_path_factory.mktemp("perfbench")
@@ -55,7 +85,7 @@ def out(tmp_path_factory):
 def records(out):
     """(workload, trace) → the record of one tiny run."""
     return {
-        (name, trace): run.run(name, 5, SECONDS, trace, scale=TINY, out=out)
+        (name, trace): run_isolated(name, 5, SECONDS, trace, out)
         for name in run.WORKLOADS
         for trace in (0, 1)
     }
@@ -110,8 +140,12 @@ def test_tails_are_never_below_medians(records, name):
         assert summary["n"] >= 1
 
 
-def test_wrong_answers_count_as_failed_operations(out, monkeypatch):
-    workdir = out / "inject"
+def test_wrong_answers_count_as_failed_operations(out):
+    in_child("wrong_answers_count_as_failed_operations", out)
+
+
+def wrong_answers_count_as_failed_operations(out: str) -> None:
+    workdir = Path(out) / "inject"
     workdir.mkdir()
     state = workloads.setup_http(TINY, 5, workdir)
     try:
@@ -135,14 +169,18 @@ def test_wrong_answers_count_as_failed_operations(out, monkeypatch):
         data = real_bytes(taxonomy, path)
         return data + b"\n" if path.name == "rebuild.jsonl" else data
 
-    monkeypatch.setattr(workloads, "taxonomy_bytes", tampered)
+    workloads.taxonomy_bytes = tampered  # the child process is discarded
     state = workloads.setup_nightly(TINY, 5, workdir)
     phase = workloads.phase_nightly(state, 0.1)
     assert phase.failed == phase.attempted // 2 >= 1
 
 
 def test_cold_builds_miss_the_resource_cache(out):
-    state = workloads.setup_nightly(TINY, 5, out)
+    in_child("cold_builds_miss_the_resource_cache", out)
+
+
+def cold_builds_miss_the_resource_cache(out: str) -> None:
+    state = workloads.setup_nightly(TINY, 5, Path(out))
     for rep in range(2):
         result = workloads.nightly_rep(state, SpeedClock(), rep=rep,
                                        keep=True)
@@ -170,7 +208,7 @@ def test_same_seed_same_fingerprint_and_compare_refuses_others(records, out):
         untraced, traced = records[(name, 0)], records[(name, 1)]
         assert untraced["diagnostics"]["fingerprints_stable"]
         assert untraced["fingerprint"] == traced["fingerprint"]
-    other = run.run("nightly_build", 6, 0.1, 0, scale=TINY, out=out)
+    other = run_isolated("nightly_build", 6, 0.1, 0, out)
     reason = compare.incomparable(records[("nightly_build", 0)], other)
     assert reason is not None and "dump0" in reason
     assert compare.incomparable(
