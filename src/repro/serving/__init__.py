@@ -51,12 +51,14 @@ Architecture (request path, top to bottom)::
   :meth:`~repro.serving.router.ReplicatedRouter.publish_delta` ships
   each shard's *slice* of a delta by value to every remote-capable
   replica instead of a full snapshot, stamped with the target version
-  and guarded by a ``base_version`` handshake; a replica published at
-  any other version refuses with 409 and is healed — by a composed
-  catch-up chain when the store's
+  and guarded by a ``base_version`` handshake (every front runs the
+  one :func:`~repro.taxonomy.delta.publish_handshake`); a replica at
+  any other version refuses with 409 and runs its own ``resync``, the
+  ladder probes and ``swap(snapshot_path=...)`` also use: a composed
+  catch-up chain when the publisher's
   :class:`~repro.taxonomy.delta.DeltaHistory` ring covers its lag
   (``cn-probase delta-squash`` is the offline spelling of the same
-  compose), by one full-snapshot ``/admin/swap`` otherwise — so a
+  compose), one full-snapshot ``/admin/swap`` otherwise — so a
   lagging or freshly-restarted replica always rejoins.  Outcomes land
   in ``router.last_publish_report`` and the
   ``chain_catchups``/``snapshot_heals`` counters.
@@ -68,9 +70,10 @@ Architecture (request path, top to bottom)::
   handshake can tell a diverged replica from one that already holds
   the target bytes (two publishers shipping the same nightly delta
   **merge** instead of 409).  A replica the version-aware probe finds
-  alive-but-stale pulls its own catch-up chain
+  alive-but-stale runs the same ladder
   (:func:`~repro.serving.replica.resync_replica`, wire spelling
-  ``GET /admin/delta-chain``) without waiting for the next publish —
+  ``GET /admin/delta-chain``) without waiting for the next publish,
+  chain only (a probe carries no snapshot path) —
   outcomes in ``router.last_resync_report`` and the
   ``probe_resyncs``/``resync_chains``/``resync_heals`` counters.
 - **Server** (:mod:`repro.serving.server`): the JSON wire (below) plus

@@ -8,7 +8,8 @@ turns the router into a real multi-process cluster:
 :class:`~repro.serving.client.TaxonomyClient`, including the
 delta-aware replication surface (ship a per-shard-sliced
 :class:`~repro.taxonomy.delta.TaxonomyDelta` by value, handshake on
-``base_version``, heal by full snapshot when the handshake fails).
+``base_version``, and :meth:`RemoteReplica.resync` — chain, else
+full snapshot — when the handshake fails).
 
 The in-process counterpart,
 :class:`~repro.serving.router.StoreShardReplica`, lives next to the
@@ -40,10 +41,15 @@ class ReplicaBackend(Protocol):
       in-process store views can offer these; remote replicas degrade
       to per-request consistency, which per-key answers make exact);
     - the replication surface (``published_version()``,
-      ``publish_delta(...)``, ``publish_snapshot(...)``) — backends
-      exposing it receive delta publishes from
-      :meth:`~repro.serving.router.ReplicatedRouter.publish_delta`;
-      backends without it (plain read replicas over a shared store)
+      ``published_content_hash()``, ``publish_delta(...)``,
+      ``publish_snapshot(...)`` and ``resync(source, snapshot_path=)``)
+      — backends exposing it receive delta publishes from
+      :meth:`~repro.serving.router.ReplicatedRouter.publish_delta`, and
+      ``resync`` is the one repair the router calls for them: when a
+      pushed slice is refused with a 409, when
+      :meth:`~repro.serving.router.ReplicatedRouter.swap` is given a
+      snapshot path, and when a probe finds them alive but stale.
+      Backends without it (plain read replicas over a shared store)
       are updated through the store instead.
     """
 
@@ -191,10 +197,9 @@ def _resync_plan(
       + a version id (a sharded store, or a router standing in for
       one) — the chain is read straight out of the history ring.
 
-    When both content hashes are known the hash chain is authoritative:
-    a replica whose bytes are not on the source's recorded lineage is
-    *diverged*, and guessing by ordinal would chain the wrong deltas
-    onto it.  Ordinals are only consulted when a hash is missing.
+    The in-process lookup is
+    :meth:`~repro.taxonomy.delta.DeltaHistory.catch_up` — the same
+    hash-first rule the wire endpoint answers with.
     """
     fetch = getattr(source, "fetch_chain", None)
     if callable(fetch):
@@ -218,18 +223,17 @@ def _resync_plan(
         ]
         return want_version, want_hash, deltas
 
-    history = source.delta_history
     want_id = getattr(source, "published_version_id", None)
     if want_id is None:
         want_id = getattr(source, "version_id", None)
     want_version = parse_version_id(want_id)
     want_hash = source.content_hash
-    if have_hash is not None and want_hash is not None:
-        entries = history.chain_entries_by_hash(have_hash, want_hash)
-    elif have_version is not None and want_version is not None:
-        entries = history.chain_entries(have_version, want_version)
-    else:
-        entries = None
+    entries = source.delta_history.catch_up(
+        from_version=have_version,
+        from_hash=have_hash,
+        to_version=want_version,
+        to_hash=want_hash,
+    )
     if entries is None:
         return want_version, want_hash, None
     return want_version, want_hash, [entry.delta for entry in entries]
@@ -238,7 +242,9 @@ def _resync_plan(
 def resync_replica(replica, source, *, snapshot_path=None) -> dict:
     """Self-heal *replica* against *source*; returns an outcome report.
 
-    The core of probe-time auto-resync, shared by every backend kind
+    The one recovery ladder: the router runs it when a replica refuses
+    a published slice, when a swap ships a snapshot path, and at probe
+    time.  Shared by every backend kind
     (:class:`RemoteReplica` pulls over the wire, :class:`LocalReplica`
     reads the publisher's history in-process).  The replica states what
     it holds (ordinal + content hash), :func:`_resync_plan` answers

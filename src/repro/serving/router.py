@@ -21,10 +21,14 @@ process through :class:`~repro.serving.client.TaxonomyClient`
 (:meth:`ReplicatedRouter.attach_replica` adds one to a shard's
 rotation).  :meth:`ReplicatedRouter.publish_delta` keeps remote
 replicas fresh the delta-aware way: each shard's slice of the delta is
-shipped by value with a ``base_version`` handshake, a refusing replica
-is caught up by delta chain when the
-:class:`~repro.taxonomy.delta.DeltaHistory` ring covers its lag, and
-healed by a one-shot full snapshot (``/admin/swap``) otherwise.
+shipped by value with a ``base_version`` handshake.  Every repair —
+a replica refusing that slice, :meth:`ReplicatedRouter.swap` with a
+snapshot path, a probe finding a replica alive but stale — is the same
+call: the replica's own ``resync`` ladder, which catches it up by delta
+chain when the :class:`~repro.taxonomy.delta.DeltaHistory` ring covers
+its lag and otherwise heals it by a one-shot full snapshot
+(``/admin/swap``) from the snapshot path a publish or swap carries (a
+probe carries none).
 
 Consistency note: a store-backed router pins one
 :class:`~repro.serving.sharding.ShardSet` per *batch* (via the
@@ -47,7 +51,6 @@ from repro.errors import (
     APIError,
     DeltaConflictError,
     ServiceUnavailableError,
-    TaxonomyError,
 )
 from repro.obs import current_trace_id, get_hub
 from repro.obs.metrics import MetricSnapshot, Sample
@@ -59,8 +62,8 @@ from repro.serving.sharding import (
 from repro.taxonomy.delta import (
     DeltaHistory,
     bump_version,
-    compose,
     parse_version_id,
+    publish_handshake,
 )
 from repro.taxonomy.service import (
     #: The benign lookup a probe sends when the backend has no
@@ -132,6 +135,25 @@ class ReplicaState:
         }
 
 
+@dataclass(frozen=True)
+class PublishedVersion:
+    """What a storeless router last published: ordinal and content
+    hash replaced as one value, never read half-updated."""
+
+    version: int
+    content_hash: str | None = None
+
+    @property
+    def version_id(self) -> str:
+        return f"v{self.version}"
+
+
+#: A replica's resync outcome → the publish-report outcome it shows as.
+_LADDER_OUTCOMES = {
+    "aligned": "applied", "chained": "chained", "healed": "healed",
+}
+
+
 @dataclass
 class RouterStats:
     """Cumulative routing outcomes (for ``/metrics`` and tests)."""
@@ -192,8 +214,6 @@ class ReplicatedRouter(BatchedServingAPI):
         probe_after: int = 16,
         metrics: ServiceMetrics | None = None,
         base_version: int = 1,
-        auto_resync: bool = True,
-        resync_snapshot_path=None,
         hub=None,
     ) -> None:
         if not replica_sets or any(not replicas for replicas in replica_sets):
@@ -213,8 +233,8 @@ class ReplicatedRouter(BatchedServingAPI):
         self._store: ShardedSnapshotStore | None = None
         # storeless (pure-remote) routers track their own publish
         # lineage; store-backed ones defer to the store's
-        self._published_version = base_version
-        self._published_hash: str | None = None
+        self._publish_lock = threading.Lock()
+        self._published = PublishedVersion(base_version)
         self._delta_history = DeltaHistory()
         shared_metrics = metrics is not None
         self.metrics = metrics if shared_metrics else ServiceMetrics()
@@ -222,14 +242,6 @@ class ReplicatedRouter(BatchedServingAPI):
         self._owns_metrics = not shared_metrics
         self._hub = hub if hub is not None else get_hub()
         self._hub.registry.register_collector("router", self)
-        #: Probe-time self-healing: when a probe finds a replica alive
-        #: but stale and its backend can ``resync``, the router hands it
-        #: the catch-up source instead of leaving it parked for the next
-        #: publish.  ``resync_snapshot_path`` arms the snapshot
-        #: fall-back for replicas whose lag the delta ring no longer
-        #: covers.
-        self.auto_resync = auto_resync
-        self.resync_snapshot_path = resync_snapshot_path
         #: Per-replica outcomes of the last :meth:`publish_delta`
         #: (``applied`` / ``chained`` / ``healed`` / ``merged`` /
         #: ``failed``).
@@ -246,8 +258,6 @@ class ReplicatedRouter(BatchedServingAPI):
         replicas: int = 2,
         retries: int = 2,
         probe_after: int = 16,
-        auto_resync: bool = True,
-        resync_snapshot_path=None,
     ) -> "ReplicatedRouter":
         """R in-process replicas per shard over one sharded store.
 
@@ -267,8 +277,6 @@ class ReplicatedRouter(BatchedServingAPI):
             retries=retries,
             probe_after=probe_after,
             metrics=store.metrics,
-            auto_resync=auto_resync,
-            resync_snapshot_path=resync_snapshot_path,
             hub=store._hub,  # one telemetry hub per cluster
         )
         router._store = store
@@ -307,16 +315,20 @@ class ReplicatedRouter(BatchedServingAPI):
         routers (from their own publish counter) — it is the version a
         resyncing replica is asked to reach.
         """
-        if self._store is not None:
-            return self._store.version_id
-        return f"v{self._published_version}"
+        return self._published_state().version_id
 
     @property
     def content_hash(self) -> str | None:
         """The published content hash (store's, or router-local)."""
+        return self._published_state().content_hash
+
+    def _published_state(self):
+        """The published value: the store's shard set, or this
+        storeless router's own :class:`PublishedVersion`."""
         if self._store is not None:
-            return self._store.content_hash
-        return self._published_hash
+            return self._store.shard_set
+        # lint: allow[lock-discipline] atomic reference read; assigned whole
+        return self._published
 
     @property
     def delta_history(self) -> DeltaHistory:
@@ -344,9 +356,8 @@ class ReplicatedRouter(BatchedServingAPI):
         A version-reporting backend that is *behind* the published
         version joins parked (unhealthy): admitting it would mix
         taxonomy versions in the rotation.  The next
-        :meth:`publish_delta` catches it up (chain or heal) and
-        re-admits it; the version-aware probe also re-admits it once
-        it is aligned.
+        :meth:`publish_delta` or :meth:`probe` runs its resync ladder
+        (chain or heal) and re-admits it once it is aligned.
         """
         if not 0 <= shard_id < len(self._replicas):
             raise APIError(
@@ -372,13 +383,14 @@ class ReplicatedRouter(BatchedServingAPI):
 
         Local replicas are late-binding views and see the new version
         immediately.  A full snapshot cannot ship by value, so attached
-        *remote* replicas are either healed through ``/admin/swap``
-        onto *snapshot_path* (the taxonomy file, resolved by the remote
-        process) stamped with the swapped version, or — without a path
-        — taken out of the rotation as stale: the version-aware probe
-        refuses to re-admit them until a later publish heals them, so
-        a swap never leaves the rotation serving two taxonomies.
-        Per-replica outcomes land in :attr:`last_publish_report`.
+        *remote* replicas either run their own ``resync`` ladder against
+        the store with *snapshot_path* (the taxonomy file, resolved by
+        the remote process) as the heal — the same call a publish
+        refusal and a probe make — or, without a path, are taken out of
+        the rotation as stale: the version-aware probe refuses to
+        re-admit them until a later publish heals them, so a swap never
+        leaves the rotation serving two taxonomies.  Per-replica
+        outcomes land in :attr:`last_publish_report`.
         """
         if self._store is None:
             raise APIError(
@@ -395,48 +407,30 @@ class ReplicatedRouter(BatchedServingAPI):
         for shard_id, replicas in enumerate(self._replicas):
             for replica_index, state in enumerate(list(replicas)):
                 backend = state.backend
-                publish = getattr(backend, "publish_snapshot", None)
                 # anything that tracks its own published state is made
                 # stale by this swap — even a backend that can only
                 # receive deltas must at least be parked
-                if not callable(publish) and not callable(
-                    getattr(backend, "published_version", None)
-                ) and not callable(
-                    getattr(backend, "publish_delta", None)
+                if not any(
+                    callable(getattr(backend, name, None))
+                    for name in (
+                        "published_version", "publish_delta",
+                        "publish_snapshot", "resync",
+                    )
                 ):
                     continue
-                if snapshot_path is not None and callable(publish):
-                    try:
-                        publish(str(snapshot_path), version=target)
-                        outcome = "healed"
-                        with self._lock:
-                            self.stats.snapshot_heals += 1
-                            # healed = alive + aligned: re-admit (it
-                            # may have been parked by an earlier swap)
-                            was_healthy = state.healthy
-                            state.healthy = True
-                            state.skips_since_down = 0
-                        if not was_healthy:
-                            self._emit_health(state, True, "swap_heal")
-                    except Exception:
-                        self._mark_failed(state, reason="swap_heal_failed")
-                        outcome = "failed"
+                if snapshot_path is not None and callable(
+                    getattr(backend, "resync", None)
+                ):
+                    outcome = self._recover(state, snapshot_path, "swap")
                 else:
                     # stale by construction: park it (not a failure of
                     # the backend, so only the health flag moves)
-                    with self._lock:
-                        was_healthy = state.healthy
-                        state.healthy = False
-                        state.skips_since_down = 0
-                    if was_healthy:
-                        self._emit_health(state, False, "swap_stale")
+                    self._set_health(state, False, "swap_stale")
                     outcome = "stale"
                 report.append(self._publish_entry(
                     shard_id, replica_index, state.backend, outcome,
                     target, result.content_hash,
                 ))
-        self._published_version = target
-        self._published_hash = result.content_hash
         self._set_publish_report(report)
         return result
 
@@ -504,67 +498,49 @@ class ReplicatedRouter(BatchedServingAPI):
         publish propagates to every :class:`StoreShardReplica` at once
         — replicas of untouched shards keep serving the identical read
         view objects) and the store's :class:`ShardSet` is returned.
+        Storeless (pure-remote) routers version the publish themselves
+        (``base_version`` at construction, +1 per publish) and return
+        the report instead of a shard set: under their publish lock
+        they run :func:`~repro.taxonomy.delta.publish_handshake`,
+        record the history entry and advance, before any slice ships.
 
         Remote-capable backends (those exposing ``publish_delta``, the
         :class:`~repro.serving.replica.ReplicaBackend` replication
         surface) are then brought up to date the delta-aware way: each
         shard's *slice* of the delta ships by value with a
-        ``base_version`` handshake.  A replica that refuses (its
-        published version is not the delta's base) is caught up by a
-        composed delta chain when the
-        :class:`~repro.taxonomy.delta.DeltaHistory` ring covers its
-        lag; otherwise — and for a replica the chain also fails on —
-        a one-shot full-snapshot heal (``/admin/swap`` onto
-        *snapshot_path*, stamped with the target version) rejoins it.
-        A replica that cannot be healed is marked unhealthy and left to
-        the probe loop.  Per-replica outcomes land in
+        ``base_version`` handshake.  A replica that refuses runs its
+        own ``resync`` ladder — the call :meth:`probe` makes: chained
+        when the :class:`~repro.taxonomy.delta.DeltaHistory` ring
+        covers its lag, healed from *snapshot_path* otherwise, marked
+        unhealthy when neither works.  Per-replica outcomes land in
         :attr:`last_publish_report`.
-
-        Storeless (pure-remote) routers version the publish themselves
-        (``base_version`` at construction, +1 per publish) and return
-        the report instead of a shard set.
 
         *key_filter* and *version* pass through to the store publish —
         a router-fronted replica process (``serve --replicas R``)
         receives sliced, version-stamped wire publishes exactly like a
         bare store does.
         """
-        remote_capable = any(
-            callable(getattr(state.backend, "publish_delta", None))
-            for replicas in self._replicas
-            for state in replicas
-        )
-        if self._store is None and not remote_capable:
-            raise APIError(
-                "router has no backing store; apply the delta to the "
-                "shard backends directly"
-            )
         if self._store is not None:
             base = self._store.shard_set.version
-            result = self._store.publish_delta(
+            result = published = self._store.publish_delta(
                 delta,
                 key_filter=key_filter,
                 version=version,
                 base_version=base_version,
             )
-            target = result.version
-            if target == base:
-                # the store merged (it already held the delta's target
-                # bytes): nothing changed, so shipping the delta to
-                # replicas — which also hold those bytes — would only
-                # force them through pointless conflict handling
-                self._hub.emit(
-                    "delta_merge", component="router",
-                    version=f"v{target}",
-                    content_hash=result.content_hash,
-                )
-                self._set_publish_report([self._publish_entry(
-                    None, None, None, "merged",
-                    target, result.content_hash,
-                )])
-                return result
-            history = self._store.delta_history
+            # the store merged when it already held the delta's target
+            # bytes: replicas hold them too, nothing to ship
+            merged = published.version == base
         else:
+            if not any(
+                callable(getattr(state.backend, "publish_delta", None))
+                for replicas in self._replicas
+                for state in replicas
+            ):
+                raise APIError(
+                    "router has no backing store; apply the delta to the "
+                    "shard backends directly"
+                )
             if key_filter is not None:
                 # a storeless router has no store to apply a filtered
                 # slice to, and recording a full delta while claiming a
@@ -574,63 +550,50 @@ class ReplicatedRouter(BatchedServingAPI):
                     "router has no backing store to key-filter; publish "
                     "the sliced delta to the shard backends directly"
                 )
-            base = self._published_version
-            current_hash = self._published_hash
-            base_mismatch = (
-                base_version is not None and base_version != base
-            ) or (
-                delta.base_content_hash is not None
-                and current_hash is not None
-                and delta.base_content_hash != current_hash
-            )
-            if base_mismatch:
-                if (
-                    delta.new_content_hash is not None
-                    and delta.new_content_hash == current_hash
-                ):
-                    # merge: a second publisher shipped the same nightly
-                    # delta — this router already published those exact
-                    # bytes, so converge without re-shipping (replicas
-                    # that missed the first publish are resynced by the
-                    # probe loop, not by a duplicate fan-out)
-                    self._hub.emit(
-                        "delta_merge", component="router",
-                        version=f"v{base}", content_hash=current_hash,
-                    )
-                    self._set_publish_report([self._publish_entry(
-                        None, None, None, "merged", base, current_hash,
-                    )])
-                    return self.last_publish_report
-                base_label = (
-                    f"v{base_version}" if base_version is not None
-                    else "unpinned"
-                )
-                raise DeltaConflictError(
-                    f"delta base ({base_label}, "
-                    f"{delta.base_content_hash or 'unhashed'}) does not "
-                    f"match the published version v{base}",
-                    server_version=f"v{base}",
-                    server_content_hash=current_hash,
-                )
-            target = bump_version(base, version)
-            history = self._delta_history
-            # record before shipping so a refusing replica can be
-            # caught up through the ring it just missed
-            history.record(
-                base,
-                target,
-                delta,
-                base_content_hash=current_hash or delta.base_content_hash,
-                content_hash=delta.new_content_hash,
-            )
             result = None
+            with self._publish_lock:
+                current = published = self._published
+                base = current.version
+                merged = publish_handshake(
+                    current, delta, base_version, self._hub, "router"
+                ) == "merge"
+                if not merged:
+                    published = PublishedVersion(
+                        bump_version(base, version), delta.new_content_hash
+                    )
+                    # record and advance before shipping, so a refusing
+                    # replica resyncs to this publish, not the one before
+                    self._delta_history.record(
+                        base,
+                        published.version,
+                        delta,
+                        base_content_hash=(
+                            current.content_hash or delta.base_content_hash
+                        ),
+                        content_hash=delta.new_content_hash,
+                    )
+                    self._published = published
+        if merged:
+            # a cluster-level outcome: replicas that missed the first
+            # publish are resynced by the probe loop, not a re-ship
+            report = [self._publish_entry(
+                None, None, None, "merged",
+                published.version, published.content_hash,
+            )]
+        else:
+            report = self._ship(delta, base, published, snapshot_path)
+            self._hub.emit(
+                "publish", component="router",
+                from_version=f"v{base}", version=published.version_id,
+                content_hash=published.content_hash,
+            )
+        self._set_publish_report(report)
+        return result if self._store is not None else report
 
+    def _ship(self, delta, base, published, snapshot_path) -> list[dict]:
+        """Push each remote-capable replica its shard's slice."""
         report: list[dict] = []
         n_shards = self.n_shards
-        # one lagging version → one compose + one slice per shard, no
-        # matter how many replicas lag identically (a hub restart lags
-        # them all at once)
-        catchup_cache: dict = {}
         for shard_id, replicas in enumerate(self._replicas):
             sliced = None
             for replica_index, state in enumerate(list(replicas)):
@@ -640,28 +603,25 @@ class ReplicatedRouter(BatchedServingAPI):
                     continue
                 if sliced is None:
                     sliced = self._slice_for(delta, shard_id, n_shards)
-                outcome = self._replicate(
-                    state, sliced, base, target, history,
-                    shard_id, n_shards, snapshot_path, catchup_cache,
-                )
+                try:
+                    state.backend.publish_delta(
+                        sliced, base_version=f"v{base}",
+                        version=published.version,
+                    )
+                except DeltaConflictError:
+                    # the handshake refused: the replica is elsewhere
+                    outcome = self._recover(state, snapshot_path, "publish")
+                except Exception:
+                    self._mark_failed(state)
+                    outcome = "failed"
+                else:
+                    outcome = "applied"
+                    self._set_health(state, True, "publish_applied")
                 report.append(self._publish_entry(
                     shard_id, replica_index, state.backend, outcome,
-                    target,
-                    result.content_hash if result is not None
-                    else delta.new_content_hash,
+                    published.version, published.content_hash,
                 ))
-        self._published_version = target
-        self._published_hash = (
-            result.content_hash if result is not None
-            else delta.new_content_hash
-        )
-        self._hub.emit(
-            "publish", component="router",
-            from_version=f"v{base}", version=f"v{target}",
-            content_hash=self._published_hash,
-        )
-        self._set_publish_report(report)
-        return result if self._store is not None else report
+        return report
 
     @staticmethod
     def _slice_for(delta, shard_id: int, n_shards: int):
@@ -671,104 +631,39 @@ class ReplicatedRouter(BatchedServingAPI):
             lambda key: shard_for(key, n_shards) == shard_id
         )
 
-    def _replicate(
-        self, state, sliced, base, target, history,
-        shard_id, n_shards, snapshot_path, catchup_cache,
-    ) -> str:
-        """Bring one remote-capable replica to *target*; returns outcome.
-
-        A successful outcome re-admits the replica to the rotation —
-        it just proved itself alive and version-aligned (a replica may
-        be parked unhealthy purely because it joined behind or missed
-        a swap)."""
-        outcome = self._replicate_once(
-            state, sliced, base, target, history,
-            shard_id, n_shards, snapshot_path, catchup_cache,
-        )
-        if outcome in ("applied", "chained", "healed"):
-            with self._lock:
-                was_healthy = state.healthy
-                state.healthy = True
-                state.skips_since_down = 0
-            if not was_healthy:
-                self._emit_health(state, True, f"publish_{outcome}")
+    def _recover(self, state, snapshot_path, trigger: str) -> str:
+        """Run one replica's own ``resync`` ladder (the repair a publish
+        refusal and a swap heal share with :meth:`probe`); returns the
+        outcome, ``aligned`` reporting as ``applied``.  Success
+        re-admits the replica, failure parks it for the probe loop.
+        """
+        try:
+            ladder = state.backend.resync(self, snapshot_path=snapshot_path)
+            outcome = _LADDER_OUTCOMES[ladder["outcome"]]
+        except Exception:
+            self._mark_failed(state, reason=f"{trigger}_failed")
+            return "failed"
+        with self._lock:
+            if outcome == "chained":
+                self.stats.chain_catchups += 1
+            elif outcome == "healed":
+                self.stats.snapshot_heals += 1
+        self._set_health(state, True, f"{trigger}_{outcome}")
         return outcome
 
-    def _replicate_once(
-        self, state, sliced, base, target, history,
-        shard_id, n_shards, snapshot_path, catchup_cache,
-    ) -> str:
-        backend = state.backend
-        try:
-            backend.publish_delta(
-                sliced, base_version=f"v{base}", version=target
-            )
-            return "applied"
-        except DeltaConflictError as exc:
-            replica_version = parse_version_id(exc.server_version)
-        except Exception:
-            self._mark_failed(state)
-            return "failed"
-        # the handshake refused: the replica is at some other version
-        if replica_version == target:
-            return "applied"  # duplicate publish (e.g. a resent chain)
-        if replica_version is not None:
-            catchup = catchup_cache.get((replica_version, shard_id))
-            if catchup is None:
-                composed = catchup_cache.get(replica_version)
-                if composed is None:
-                    chain = history.chain(replica_version, target)
-                    if chain:
-                        try:
-                            composed = compose(chain)
-                        except TaxonomyError:
-                            # recorded deltas that don't actually chain
-                            # (independently-computed nights can agree
-                            # structurally yet disagree on scores):
-                            # catch-up is off the table, the snapshot
-                            # heal below decides — never a stack trace
-                            # out of a publish
-                            composed = None
-                        else:
-                            catchup_cache[replica_version] = composed
-                if composed is not None:
-                    catchup = self._slice_for(composed, shard_id, n_shards)
-                    catchup_cache[(replica_version, shard_id)] = catchup
-            if catchup is not None:
-                try:
-                    backend.publish_delta(
-                        catchup,
-                        base_version=f"v{replica_version}",
-                        version=target,
-                    )
-                    with self._lock:
-                        self.stats.chain_catchups += 1
-                    return "chained"
-                except Exception:
-                    pass  # fall through to the snapshot heal
-        if snapshot_path is not None and callable(
-            getattr(backend, "publish_snapshot", None)
-        ):
-            try:
-                backend.publish_snapshot(
-                    str(snapshot_path), version=target
-                )
-                with self._lock:
-                    self.stats.snapshot_heals += 1
-                return "healed"
-            except Exception:
-                pass
-        self._mark_failed(state)
-        return "failed"
+    def _set_health(self, state, healthy: bool, reason: str) -> None:
+        """Move one replica's health flag; emit only on a flip."""
+        with self._lock:
+            was_healthy = state.healthy
+            state.healthy = healthy
+            state.skips_since_down = 0
+        if healthy != was_healthy:
+            self._emit_health(state, healthy, reason)
 
     def _mark_failed(self, state, *, reason: str = "error") -> None:
         with self._lock:
-            was_healthy = state.healthy
-            state.healthy = False
             state.failures += 1
-            state.skips_since_down = 0
-        if was_healthy:
-            self._emit_health(state, False, reason)
+        self._set_health(state, False, reason)
 
     # -- health ----------------------------------------------------------------
 
@@ -780,13 +675,9 @@ class ReplicatedRouter(BatchedServingAPI):
         ]
 
     def mark_unhealthy(self, shard_id: int, replica_index: int) -> None:
-        state = self._replicas[shard_id][replica_index]
-        with self._lock:
-            was_healthy = state.healthy
-            state.healthy = False
-            state.skips_since_down = 0
-        if was_healthy:
-            self._emit_health(state, False, "operator")
+        self._set_health(
+            self._replicas[shard_id][replica_index], False, "operator"
+        )
 
     def _version_aligned(self, backend) -> bool:
         """Is a version-reporting backend at the published version?
@@ -810,24 +701,19 @@ class ReplicatedRouter(BatchedServingAPI):
         published_hash = getattr(backend, "published_content_hash", None)
         if not callable(published) and not callable(published_hash):
             return True
-        if self._store is not None:
-            expected = self._store.shard_set.version
-            expected_hash = self._store.content_hash
-        elif len(self._delta_history):
-            expected = self._published_version
-            expected_hash = self._published_hash
-        else:
+        if self._store is None and not len(self._delta_history):
             # this router never published anything (a read-only load
             # balancer over independently-managed replicas): it has no
             # basis to call any served version stale
             return True
+        expected = self._published_state()
         try:
-            if callable(published_hash) and expected_hash is not None:
+            if callable(published_hash) and expected.content_hash is not None:
                 have = published_hash()
                 if have is not None:
-                    return have == expected_hash
+                    return have == expected.content_hash
             if callable(published):
-                return parse_version_id(published()) == expected
+                return parse_version_id(published()) == expected.version
             return True
         except Exception:
             return False
@@ -837,11 +723,13 @@ class ReplicatedRouter(BatchedServingAPI):
 
         Success means alive *and* version-aligned (see
         :meth:`_version_aligned`) — a healthy-but-stale remote replica
-        stays out of the rotation.  When :attr:`auto_resync` is on and
-        the backend can ``resync``, an alive-but-stale replica pulls
-        its own catch-up chain right here (snapshot fall-back via
-        :attr:`resync_snapshot_path`) and rejoins without waiting for
-        the next publish — the self-healing half of replication.
+        stays out of the rotation.  When the backend can ``resync``, an
+        alive-but-stale replica runs its own ladder right here and
+        rejoins without waiting for the next publish — the self-healing
+        half of replication, and the same ladder a publish refusal runs.
+        A probe has no snapshot path, so a lag the delta history no
+        longer covers stays parked until a publish or a
+        ``swap(snapshot_path=…)`` heals it.
         """
         state = self._replicas[shard_id][replica_index]
         with self._lock:
@@ -857,7 +745,7 @@ class ReplicatedRouter(BatchedServingAPI):
             ok = False
         if ok:
             aligned = self._version_aligned(state.backend)
-            if not aligned and self.auto_resync:
+            if not aligned:
                 aligned = self._try_resync(shard_id, replica_index, state)
             ok = aligned
         with self._lock:
@@ -893,39 +781,25 @@ class ReplicatedRouter(BatchedServingAPI):
         """Let an alive-but-stale replica pull its own catch-up.
 
         The replica's ``resync`` drives the whole recovery — read its
-        own state, chain from this router's (or store's) delta history,
-        fall back to the snapshot at :attr:`resync_snapshot_path` —
+        own state, chain from this router's (or store's) delta history —
         so the router stays a coordinator, not a data plane.  Returns
         True when the replica ends aligned.
         """
         resync = getattr(state.backend, "resync", None)
         if not callable(resync):
             return False
-        source = self._store if self._store is not None else self
         entry = {
             "shard": shard_id,
             "replica": replica_index,
             "backend": repr(state.backend),
         }
         try:
-            result = resync(
-                source, snapshot_path=self.resync_snapshot_path
-            )
+            entry.update(resync(self, snapshot_path=None))
         except Exception as exc:
-            with self._lock:
-                self.stats.resync_failures += 1
             entry.update(outcome="failed", error=str(exc))
-            self._record_resync(entry)
-            return False
-        # a ReplicaBackend resync returns its full report dict; tolerate
-        # a bare outcome string from simpler backends
-        if isinstance(result, dict):
-            entry.update(result)
-        else:
-            entry["outcome"] = result
         outcome = entry.get("outcome")
         self._record_resync(entry)
-        ok = outcome in ("aligned", "chained", "healed")
+        ok = outcome in _LADDER_OUTCOMES
         with self._lock:
             if outcome == "chained":
                 self.stats.resync_chains += 1
@@ -1090,15 +964,8 @@ class ReplicatedRouter(BatchedServingAPI):
         router span is the whole group including pick/failover, so the
         difference reads directly as routing overhead.
         """
-        if pin is not None:
-            version, content_hash = pin.version_id, pin.content_hash
-        elif self._store is not None:
-            shard_set = self._store.shard_set
-            version, content_hash = shard_set.version_id, shard_set.content_hash
-        else:
-            version, content_hash = (
-                self.published_version_id, self._published_hash
-            )
+        published = pin if pin is not None else self._published_state()
+        version, content_hash = published.version_id, published.content_hash
         self._hub.record_span(
             trace_id, "shard", api_name, shard_seconds,
             shard=shard_id, replica=replica_index,

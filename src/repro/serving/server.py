@@ -82,22 +82,25 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         pass  # request logs stay out of test/benchmark output
 
     def _respond(self, status: int, payload: dict) -> None:
-        body = _json_bytes(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status, "application/json; charset=utf-8", _json_bytes(payload)
+        )
 
     def _error(self, status: int, message: str) -> None:
         self._respond(status, {"error": message})
 
     def _respond_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            status, "text/plain; version=0.0.4; charset=utf-8",
+            text.encode("utf-8"),
         )
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        # stop the clock before the first byte goes out: once the
+        # client can read it, the client's span (which encloses ours) may end
+        self._ready_at = perf_counter()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -150,9 +153,12 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         An ``X-Trace-Id`` header binds the trace context around the
         whole dispatch, so every span the service front records during
         this request correlates with the server span recorded here.
+        The server span ends when the response is ready, before it is
+        written, so it always nests inside the client's span.
         """
         url = urlsplit(self.path)
         trace_id = self.headers.get(TRACE_HEADER) or None
+        self._ready_at = None
         started = perf_counter()
         outcome = "ok"
         try:
@@ -170,8 +176,11 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive 500
             self._error(500, f"internal error: {exc}")
             outcome = "error"
+        ready_at = self._ready_at
+        if ready_at is None:  # defensive: every path responds via _send
+            ready_at = perf_counter()
         self.server.observe_request(
-            url.path, perf_counter() - started, outcome, trace_id
+            url.path, ready_at - started, outcome, trace_id
         )
 
     def _route_get(self, url) -> None:
@@ -333,13 +342,12 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
             version_id = self.server.service_version()
         content_hash = getattr(service, "content_hash", None)
         from_version = parse_version_id(from_ref)
-        entries = None
-        if from_version is not None:
-            to_version = parse_version_id(version_id)
-            if to_version is not None:
-                entries = history.chain_entries(from_version, to_version)
-        elif content_hash is not None:
-            entries = history.chain_entries_by_hash(from_ref, content_hash)
+        entries = history.catch_up(
+            from_version=from_version,
+            from_hash=from_ref if from_version is None else None,
+            to_version=parse_version_id(version_id),
+            to_hash=content_hash,
+        )
         payload: dict = {
             "version": version_id,
             "content_hash": content_hash,

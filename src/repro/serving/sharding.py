@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from repro.obs.clock import elapsed
 from typing import Sequence
 
-from repro.errors import APIError, DeltaConflictError, TaxonomyError
+from repro.errors import APIError, TaxonomyError
 from repro.obs import current_trace_id, get_hub
-from repro.taxonomy.delta import DeltaHistory, bump_version
+from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
 from repro.taxonomy.model import HYPONYM_ENTITY
 from repro.taxonomy.service import (
     PROBE_KEY,
@@ -392,11 +392,13 @@ class ShardedSnapshotStore(BatchedServingAPI):
         shard's slice of a larger cluster passes the cluster-level
         shard predicate so a sliced delta applies cleanly.  *version*
         stamps the new set explicitly (replication lockstep, see
-        :meth:`swap`).  *base_version* is the replication handshake,
-        checked **under the publish lock** so two concurrent publishes
-        naming the same base can never both pass: a mismatch raises
+        :meth:`swap`).  *base_version* is the replication handshake
+        (:func:`~repro.taxonomy.delta.publish_handshake`), checked
+        **under the publish lock** so two concurrent publishes naming
+        the same base can never both pass: a mismatch raises
         :class:`~repro.errors.DeltaConflictError` (the HTTP layer's
-        409) with the old set still serving.
+        409) with the old set still serving, and a delta targeting the
+        bytes already published merges, returning the current set.
 
         The swap guarantee is unchanged: the complete replacement set is
         assembled before one atomic reference assignment, readers pin
@@ -405,45 +407,10 @@ class ShardedSnapshotStore(BatchedServingAPI):
         """
         with self._lock:
             current = self._shard_set
-            base_mismatch = (
-                base_version is not None and base_version != current.version
-            ) or (
-                delta.base_content_hash is not None
-                and current.content_hash is not None
-                and delta.base_content_hash != current.content_hash
-            )
-            if base_mismatch:
-                if (
-                    delta.new_content_hash is not None
-                    and delta.new_content_hash == current.content_hash
-                ):
-                    # merge: this store already holds the exact bytes the
-                    # delta produces (a second publisher shipped the same
-                    # nightly delta) — converge instead of 409
-                    self._hub.emit(
-                        "delta_merge", component="store",
-                        version=current.version_id,
-                        content_hash=current.content_hash,
-                    )
-                    return current
-                base_label = (
-                    f"v{base_version}" if base_version is not None
-                    else "unpinned"
-                )
-                self._hub.emit(
-                    "delta_conflict", component="store",
-                    version=current.version_id,
-                    content_hash=current.content_hash,
-                    base=base_label,
-                    base_content_hash=delta.base_content_hash,
-                )
-                raise DeltaConflictError(
-                    f"delta base ({base_label}, "
-                    f"{delta.base_content_hash or 'unhashed'}) does not "
-                    f"match the published version {current.version_id}",
-                    server_version=current.version_id,
-                    server_content_hash=current.content_hash,
-                )
+            if publish_handshake(
+                current, delta, base_version, self._hub, "store"
+            ) == "merge":
+                return current
             target = bump_version(current.version, version)
             _validate_delta_base(current, delta, key_filter)
             n_shards = current.n_shards

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import TaxonomyError
+from repro.errors import DeltaConflictError, TaxonomyError
 from repro.taxonomy.model import HYPONYM_ENTITY, Entity, IsARelation
 
 if TYPE_CHECKING:
@@ -675,8 +675,8 @@ def parse_version_id(version_id: object) -> int | None:
     """``"v3"`` → 3; anything else → ``None``.
 
     The one parser for the wire's version-id spelling — the router's
-    chain-catch-up decision and the server's publish stamping must
-    never drift apart on what a version id looks like.
+    alignment check, the resync ladder and the server's publish
+    stamping must never drift apart on what a version id looks like.
     """
     if isinstance(version_id, str) and version_id.startswith("v"):
         try:
@@ -703,6 +703,63 @@ def bump_version(current: int, requested: int | None) -> int:
             f"published v{current}"
         )
     return requested
+
+
+def publish_handshake(
+    published,
+    delta: TaxonomyDelta,
+    base_version: int | None,
+    hub,
+    component: str,
+) -> str:
+    """The one merge-or-409 decision every publishing front makes.
+
+    *published* is anything with ``version``, ``version_id`` and
+    ``content_hash`` (a snapshot, a shard set, a storeless router's
+    published value); callers hold their publish lock, so two
+    concurrent publishes naming the same base can never both pass.
+    Returns ``"proceed"`` when *base_version* and the delta's
+    ``base_content_hash`` match; ``"merge"`` on a mismatch when the
+    front already holds the bytes the delta produces; otherwise raises
+    :class:`~repro.errors.DeltaConflictError` with the front's version
+    and hash.  Emits ``delta_merge`` / ``delta_conflict`` on *hub*.
+    """
+    base_mismatch = (
+        base_version is not None and base_version != published.version
+    ) or (
+        delta.base_content_hash is not None
+        and published.content_hash is not None
+        and delta.base_content_hash != published.content_hash
+    )
+    if not base_mismatch:
+        return "proceed"
+    if (
+        delta.new_content_hash is not None
+        and delta.new_content_hash == published.content_hash
+    ):
+        hub.emit(
+            "delta_merge", component=component,
+            version=published.version_id,
+            content_hash=published.content_hash,
+        )
+        return "merge"
+    base_label = (
+        f"v{base_version}" if base_version is not None else "unpinned"
+    )
+    hub.emit(
+        "delta_conflict", component=component,
+        version=published.version_id,
+        content_hash=published.content_hash,
+        base=base_label,
+        base_content_hash=delta.base_content_hash,
+    )
+    raise DeltaConflictError(
+        f"delta base ({base_label}, "
+        f"{delta.base_content_hash or 'unhashed'}) does not "
+        f"match the published version {published.version_id}",
+        server_version=published.version_id,
+        server_content_hash=published.content_hash,
+    )
 
 
 #: How many applied deltas a :class:`DeltaHistory` ring keeps.  Covers a
@@ -806,65 +863,53 @@ class DeltaHistory:
         or the versions never existed.  ``from_version == to_version``
         is the empty chain.
         """
-        entries = self.chain_entries(from_version, to_version)
+        entries = self._walk("version", from_version, to_version)
         if entries is None:
             return None
         return [entry.delta for entry in entries]
 
-    def chain_entries(
-        self, from_version: int, to_version: int
+    def catch_up(
+        self,
+        *,
+        from_version: int | None,
+        from_hash: str | None,
+        to_version: int | None,
+        to_hash: str | None,
     ) -> list[AppliedDelta] | None:
-        """Like :meth:`chain` but with full lineage records.
+        """The catch-up chain from a replica's state to the target's.
 
-        The resync path needs the per-hop version *and* content-hash
-        endpoints (to stamp its catch-up publish), not just the deltas.
+        The one rule the resync ladder and ``GET /admin/delta-chain``
+        share: content hashes when both sides have one, else ordinals
+        (a replica whose bytes are off the recorded lineage is
+        diverged, whatever its ordinal says).  ``[]`` when already
+        there, ``None`` when the ring does not cover the span.
         """
-        if from_version == to_version:
-            return []
-        by_base = {
-            entry.base_version: entry for entry in self.entries()
-        }
-        chain: list[AppliedDelta] = []
-        cursor = from_version
-        while cursor != to_version:
-            entry = by_base.get(cursor)
-            if entry is None:
-                return None
-            chain.append(entry)
-            cursor = entry.version
-            if len(chain) > len(by_base):  # defensive: lineage loop
-                return None
-        return chain
+        if from_hash is not None and to_hash is not None:
+            return self._walk("content_hash", from_hash, to_hash)
+        if from_version is not None and to_version is not None:
+            return self._walk("version", from_version, to_version)
+        return None
 
-    def chain_entries_by_hash(
-        self, from_hash: str, to_hash: str
-    ) -> list[AppliedDelta] | None:
-        """The catch-up chain between two *content hashes*.
-
-        The content-addressed twin of :meth:`chain_entries`: a
-        recovering replica knows the bytes it holds (its own
-        :meth:`~repro.taxonomy.store.Taxonomy.content_hash`) even when
-        its ordinal counter is meaningless after a restart.  Returns
-        ``None`` when the span is not covered — unstamped entries never
-        participate, so a lineage that mixes hashed and hashless
-        publishes falls back to snapshots rather than guessing.
-        """
-        if from_hash == to_hash:
+    def _walk(self, key: str, start, end) -> list[AppliedDelta] | None:
+        """Follow ``base_<key>`` → ``<key>`` hops from *start* to *end*;
+        entries missing either endpoint never participate."""
+        if start == end:
             return []
+        base_key = f"base_{key}"
         by_base = {
-            entry.base_content_hash: entry
+            getattr(entry, base_key): entry
             for entry in self.entries()
-            if entry.base_content_hash is not None
-            and entry.content_hash is not None
+            if getattr(entry, base_key) is not None
+            and getattr(entry, key) is not None
         }
         chain: list[AppliedDelta] = []
-        cursor: str | None = from_hash
-        while cursor != to_hash:
+        cursor = start
+        while cursor != end:
             entry = by_base.get(cursor)
             if entry is None:
                 return None
             chain.append(entry)
-            cursor = entry.content_hash
+            cursor = getattr(entry, key)
             if len(chain) > len(by_base):  # defensive: lineage loop
                 return None
         return chain

@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 from repro.obs.clock import elapsed
 from typing import Sequence
 
-from repro.errors import APIError, DeltaConflictError, TaxonomyError
+from repro.errors import APIError, TaxonomyError
 from repro.obs import current_trace_id, get_hub
 from repro.obs.metrics import MetricSnapshot, Sample, SummarySample, summary_quantiles
 from repro.taxonomy.api import TaxonomyAPI
-from repro.taxonomy.delta import DeltaHistory, bump_version
+from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
 from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy, TaxonomyStats
 
 #: The reserved lookup key health probes use.  Guaranteed to miss (real
@@ -504,57 +504,19 @@ class TaxonomyService(BatchedServingAPI):
         half-published state and a corrected delta can still be
         retried.
 
-        The handshake is two-layered.  A mismatched ``base_version`` —
-        or a stamped ``base_content_hash`` that differs from the
-        published bytes — normally raises
-        :class:`~repro.errors.DeltaConflictError`; but when the delta's
-        ``new_content_hash`` equals the *currently published* hash the
-        conflict is a **merge**: this front already holds the exact
-        bytes the delta produces (another publisher won the race with
-        the same nightly delta), so the publish is a no-op returning
-        the current snapshot instead of a 409.
+        *base_version* and the delta's hash stamps go through
+        :func:`~repro.taxonomy.delta.publish_handshake` under the
+        publish lock: a mismatch raises
+        :class:`~repro.errors.DeltaConflictError`, unless this front
+        already holds the exact bytes the delta produces — then the
+        publish is a **merge**, a no-op returning the current snapshot.
         """
         with self._lock:
             current = self._snapshot
-            base_mismatch = (
-                base_version is not None and base_version != current.version
-            ) or (
-                delta.base_content_hash is not None
-                and current.content_hash is not None
-                and delta.base_content_hash != current.content_hash
-            )
-            if base_mismatch:
-                # checked under the publish lock so concurrent publishes
-                # naming the same base can never both pass
-                if (
-                    delta.new_content_hash is not None
-                    and delta.new_content_hash == current.content_hash
-                ):
-                    # merge: already at the target bytes
-                    self._hub.emit(
-                        "delta_merge", component="service",
-                        version=current.version_id,
-                        content_hash=current.content_hash,
-                    )
-                    return current
-                base_label = (
-                    f"v{base_version}" if base_version is not None
-                    else "unpinned"
-                )
-                self._hub.emit(
-                    "delta_conflict", component="service",
-                    version=current.version_id,
-                    content_hash=current.content_hash,
-                    base=base_label,
-                    base_content_hash=delta.base_content_hash,
-                )
-                raise DeltaConflictError(
-                    f"delta base ({base_label}, "
-                    f"{delta.base_content_hash or 'unhashed'}) does not "
-                    f"match the published version {current.version_id}",
-                    server_version=current.version_id,
-                    server_content_hash=current.content_hash,
-                )
+            if publish_handshake(
+                current, delta, base_version, self._hub, "service"
+            ) == "merge":
+                return current
             target = bump_version(current.version, version)
             taxonomy = current.taxonomy.copy().apply_delta(delta)
             content_hash = taxonomy.content_hash()

@@ -69,36 +69,54 @@ class TestEndToEndTracing:
             )
             server = start_server(router, admin_token=ADMIN_TOKEN, hub=hub)
             try:
+                # an untraced call first: the first in-process request
+                # pays one-off client set-up, which must not be what
+                # keeps the client span longer than the server span
+                TaxonomyClient(server.url).men2ent("华仔")
                 client = TaxonomyClient(
                     server.url, admin_token=ADMIN_TOKEN,
                     trace_every=1, hub=hub,
                 )
-                client.men2ent("华仔")
-                # the server records its span *after* the response is on
-                # the wire, so the handler thread may still be finishing
-                # when this read arrives — poll briefly
+                for _ in range(20):
+                    client.men2ent("华仔")
+                client.men2ent_batch(["华仔", "周杰伦", "刘德华", "新星0"])
+                # the server records its span after writing the response,
+                # so the handler thread may still be finishing when this
+                # read arrives — poll briefly
                 full = []
                 for _ in range(100):
-                    payload = client.fetch_traces()
                     by_trace = {}
-                    for span in payload["spans"]:
-                        by_trace.setdefault(
-                            span["trace_id"], []
-                        ).append(span)
+                    for span in hub.traces.spans():
+                        by_trace.setdefault(span.trace_id, []).append(span)
                     full = [
                         spans for spans in by_trace.values()
                         if {"client", "server", "router", "shard"}
-                        <= {s["component"] for s in spans}
+                        <= {s.component for s in spans}
                     ]
-                    if full:
+                    if len(full) == 21:
                         break
                     time.sleep(0.01)
+                # one full trace read back over the wire: the authorized
+                # GET /admin/traces, spans in their as_dict form
+                wire = client.fetch_traces(
+                    trace_id=full[0][0].trace_id
+                )["spans"] if full else []
             finally:
                 server.close()
-        assert full, f"no full-path trace in {sorted(by_trace)}"
-        spans = {s["component"]: s for s in full[0]}
-        # the client measured the whole round trip; the server a subset
-        # of it; the router a subset of that; the shard lookups least
+        assert len(full) == 21, f"{len(full)} full-path traces of 21"
+        for trace in full:
+            seconds = {}
+            for span in trace:
+                seconds.setdefault(span.component, []).append(span.seconds)
+            # the client measured the whole round trip; the server a
+            # subset of it; the shard lookups (one per shard group) less
+            [client_seconds] = seconds["client"]
+            [server_seconds] = seconds["server"]
+            assert client_seconds >= server_seconds
+            assert server_seconds >= sum(seconds["shard"])
+        assert {s["trace_id"] for s in wire} == {full[0][0].trace_id}
+        spans = {s["component"]: s for s in wire}
+        assert {"client", "server", "router", "shard"} <= set(spans)
         assert spans["client"]["seconds"] >= spans["server"]["seconds"]
         assert spans["server"]["seconds"] >= spans["shard"]["seconds"]
         assert spans["shard"]["shard"] is not None

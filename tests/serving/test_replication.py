@@ -11,10 +11,15 @@ by a composed delta chain when :class:`DeltaHistory` covers its lag
 and healed by a one-shot full snapshot (``/admin/swap``) otherwise.
 """
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro.errors import DeltaConflictError
+from repro.obs import fresh_hub
 from repro.serving import (
+    LocalReplica,
     RemoteReplica,
     ReplicaBackend,
     ReplicatedRouter,
@@ -26,6 +31,7 @@ from repro.serving import (
 )
 from repro.taxonomy.delta import TaxonomyDelta
 from repro.taxonomy.model import Entity, IsARelation
+from repro.taxonomy.service import TaxonomyService
 from repro.taxonomy.store import Taxonomy
 
 ADMIN_TOKEN = "replication-test-token"
@@ -96,6 +102,24 @@ def remotes(request):
 def attach(hub, remotes):
     for shard_id, fixture in enumerate(remotes):
         hub.attach_replica(shard_id, fixture.backend)
+
+
+def make_front(kind, telemetry):
+    """One publishing front at v1 over ``make_taxonomy(0)``."""
+    if kind == "service":
+        return TaxonomyService(make_taxonomy(0), hub=telemetry)
+    store = ShardedSnapshotStore(
+        make_taxonomy(0), n_shards=N_SHARDS, hub=telemetry
+    )
+    if kind == "store":
+        return store
+    if kind == "store_router":
+        return ReplicatedRouter.from_store(store, replicas=2)
+    return ReplicatedRouter(  # storeless, over publish-capable replicas
+        [[LocalReplica(make_taxonomy(0), hub=telemetry)
+          for _ in range(2)]],
+        base_version=1, hub=telemetry,
+    )
 
 
 class TestRemoteReads:
@@ -559,10 +583,85 @@ class TestLockedHandshake:
         for _ in range(4):
             assert hub.men2ent("新星1") == ["新星1#0"]
 
+    def test_storeless_router_handshake_is_locked(self, monkeypatch):
+        # two identical publishes race on a storeless router: the second
+        # must see the first's published value and merge, never apply
+        with fresh_hub() as telemetry:
+            router = make_front("storeless_router", telemetry)
+            history = router.delta_history
+            record = history.record
+            entered, release = threading.Event(), threading.Event()
+
+            def held_record(*args, **kwargs):
+                if not entered.is_set():  # hold the first publish here
+                    entered.set()
+                    release.wait(timeout=10)
+                return record(*args, **kwargs)
+
+            monkeypatch.setattr(history, "record", held_record)
+            reports = []
+
+            def publish():
+                reports.append(
+                    router.publish_delta(nightly_delta(0), base_version=1)
+                )
+
+            first = threading.Thread(target=publish)
+            first.start()
+            assert entered.wait(timeout=10)
+            second = threading.Thread(target=publish)
+            second.start()
+            second.join(timeout=0.2)  # give it time to race the check
+            release.set()
+            first.join(timeout=10)
+            second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        outcomes = sorted(
+            tuple(entry["outcome"] for entry in report)
+            for report in reports
+        )
+        assert outcomes == [("applied", "applied"), ("merged",)]
+        assert router.version_lineage() == ["v2"]
+
+
+@pytest.mark.parametrize(
+    "kind", ["service", "store", "store_router", "storeless_router"]
+)
+def test_every_front_runs_the_same_handshake(kind):
+    """Merge on a re-sent delta, 409 on a diverged one — at every front."""
+    with fresh_hub() as telemetry:
+        front = make_front(kind, telemetry)
+        target_hash = make_taxonomy(1).content_hash()
+        front.publish_delta(nightly_delta(0), base_version=1)
+        assert front.content_hash == target_hash
+        # re-sending the applied delta merges: nothing moves
+        front.publish_delta(nightly_delta(0), base_version=1)
+        assert front.content_hash == target_hash
+        [merge] = telemetry.events.records(kind="delta_merge")
+        assert (merge["version"], merge["content_hash"]) == (
+            "v2", target_hash
+        )
+        # a stale base targeting different bytes is a clean conflict
+        diverged = TaxonomyDelta.compute(make_taxonomy(0), make_taxonomy(2))
+        with pytest.raises(DeltaConflictError) as excinfo:
+            front.publish_delta(diverged, base_version=1)
+        assert excinfo.value.server_version == "v2"
+        assert excinfo.value.server_content_hash == target_hash
+        [conflict] = telemetry.events.records(kind="delta_conflict")
+        assert conflict["version"] == "v2"
+        assert conflict["base"] == "v1"
+        assert front.content_hash == target_hash
+
 
 class TestUnchainableHistory:
     """A history whose recorded deltas don't actually chain must never
-    let a publish raise — the snapshot heal (or a failed mark) decides."""
+    let a publish raise — the snapshot heal (or a failed mark) decides.
+
+    The night published after the two unchainable rescores has its hash
+    stamps stripped, so the refusing replicas' resync ladder can only
+    take the ordinal chain v1 → v4, whose ``compose`` fails.  The same
+    night *stamped* chains by content hash, skipping the rescores.
+    """
 
     def _rescore_delta(self, old_score, new_score):
         # structural validation only checks serving-key presence, so
@@ -578,33 +677,64 @@ class TestUnchainableHistory:
             ),
         )
 
-    def test_broken_chain_falls_back_instead_of_raising(
-        self, hub, remotes, tmp_path
-    ):
+    def _publish_night(self, hub, remotes, delta, **kwargs):
         hub.publish_delta(self._rescore_delta(1.0, 2.0))  # v2
         hub.publish_delta(self._rescore_delta(5.0, 3.0))  # v3: unchains
         attach(hub, remotes)  # parked at v1
+        hub.publish_delta(delta, **kwargs)  # v4: must not raise
+        return [r["outcome"] for r in hub.last_publish_report]
+
+    @staticmethod
+    def _unstamped(delta):
+        return dataclasses.replace(
+            delta, base_content_hash=None, new_content_hash=None
+        )
+
+    def test_broken_chain_falls_back_instead_of_raising(
+        self, hub, remotes, tmp_path
+    ):
         snapshot_path = tmp_path / "current.jsonl"
         make_taxonomy(1).save(snapshot_path)
-        # publish with a heal path: compose([d1,d2,d3]) raises inside
-        # the catch-up, which must fall through to the snapshot heal
-        hub.publish_delta(
-            nightly_delta(0), snapshot_path=str(snapshot_path)
+        # compose([d1, d2, d3]) raises inside the replica's resync,
+        # which must fall through to the snapshot heal
+        outcomes = self._publish_night(
+            hub, remotes, self._unstamped(nightly_delta(0)),
+            snapshot_path=str(snapshot_path),
         )
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["healed"] * N_SHARDS
+        assert outcomes == ["healed"] * N_SHARDS
+        assert hub.stats.snapshot_heals == N_SHARDS
         for fixture in remotes:
             assert fixture.client.version()["version"] == "v4"
 
     def test_broken_chain_without_heal_path_marks_failed(
         self, hub, remotes
     ):
-        hub.publish_delta(self._rescore_delta(1.0, 2.0))
-        hub.publish_delta(self._rescore_delta(5.0, 3.0))
-        attach(hub, remotes)
-        hub.publish_delta(nightly_delta(0))  # must not raise
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["failed"] * N_SHARDS
+        outcomes = self._publish_night(
+            hub, remotes, self._unstamped(nightly_delta(0))
+        )
+        assert outcomes == ["failed"] * N_SHARDS
+        for replicas in hub.health():
+            assert replicas[1]["healthy"] is False
+
+    @pytest.mark.parametrize("with_snapshot", [False, True])
+    def test_stamped_night_chains_by_content_hash(
+        self, hub, remotes, tmp_path, with_snapshot
+    ):
+        kwargs = {}
+        if with_snapshot:
+            kwargs["snapshot_path"] = str(tmp_path / "unused.jsonl")
+        outcomes = self._publish_night(
+            hub, remotes, nightly_delta(0), **kwargs
+        )
+        assert outcomes == ["chained"] * N_SHARDS
+        assert hub.stats.chain_catchups == N_SHARDS
+        assert hub.content_hash == make_taxonomy(1).content_hash()
+        for fixture in remotes:
+            version = fixture.client.version()
+            assert version["version"] == "v4"
+            assert version["content_hash"] == hub.content_hash
+        for replicas in hub.health():
+            assert all(state["healthy"] for state in replicas)
 
 
 def test_storeless_router_refuses_key_filter(request):
