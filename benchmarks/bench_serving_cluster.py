@@ -164,17 +164,18 @@ def test_serving_cluster_benchmark(record):
         ShardedSnapshotStore(taxonomy, n_shards=4), admin_token="bench"
     )
     try:
-        client = TaxonomyClient(server.url)
-        http_single_seconds, http_single_results = _timed_singles(
-            calls[:N_HTTP_SINGLE], TaxonomyClient(server.url)
-        )
+        with TaxonomyClient(server.url) as client:
+            http_single_seconds, http_single_results = _timed_singles(
+                calls[:N_HTTP_SINGLE], client
+            )
         assert http_single_results == facade_results[:N_HTTP_SINGLE]
         _, facade_http_expected = _timed_batched(
             calls[:N_HTTP_BATCHED], facade
         )
-        http_batched_seconds, http_batched_results = _timed_batched(
-            calls[:N_HTTP_BATCHED], client
-        )
+        with TaxonomyClient(server.url) as client:
+            http_batched_seconds, http_batched_results = _timed_batched(
+                calls[:N_HTTP_BATCHED], client
+            )
         assert http_batched_results == facade_http_expected
     finally:
         server.close()

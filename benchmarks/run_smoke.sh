@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 tests + the fast perf gates to run before pushing pipeline or
+# Tier-1 tests, a dev-mode ResourceWarning gate over the serving and CLI
+# tests, + the fast perf gates to run before pushing pipeline or
 # serving changes: stage-registry overhead, parallel-vs-serial build
 # equivalence (byte-identical output + speedup trajectory), serving
 # throughput (read-optimized snapshots >= 2x the per-call-sorted path),
@@ -38,6 +39,12 @@ bench_bytes_before=0
 [ -f "$bench_json" ] && bench_bytes_before=$(wc -c < "$bench_json")
 
 python -m pytest -x -q
+# dev-mode leak gate: an unclosed socket or file in the serving and CLI
+# tests fails the run.  The pytest category goes after `-m pytest`:
+# Python's own -W cannot import pytest at start-up and drops it.
+python -X dev -W error::ResourceWarning -m pytest \
+    -W error::pytest.PytestUnraisableExceptionWarning -x -q \
+    tests/serving tests/test_cli.py
 python -m pytest -x -q benchmarks/bench_stage_overhead.py
 python -m pytest -x -q benchmarks/bench_parallel_build.py \
     benchmarks/bench_serving_throughput.py

@@ -121,33 +121,35 @@ def main() -> None:
         )
         try:
             url = wait_for_ready(ready_file, process)
-            client = TaxonomyClient(url, admin_token=ADMIN_TOKEN)
-            assert client.healthz()["version"] == "v1"
+            with TaxonomyClient(url, admin_token=ADMIN_TOKEN) as client:
+                assert client.healthz()["version"] == "v1"
 
-            delta = Taxonomy.load_delta(delta_path)
-            probe_concept = next(
-                (r.hypernym for r in delta.relations_added
-                 if r.hyponym_kind == "entity"),
-                None,
-            )
-            before = (
-                client.get_entities(probe_concept) if probe_concept else None
-            )
+                delta = Taxonomy.load_delta(delta_path)
+                probe_concept = next(
+                    (r.hypernym for r in delta.relations_added
+                     if r.hyponym_kind == "entity"),
+                    None,
+                )
+                before = (
+                    client.get_entities(probe_concept)
+                    if probe_concept else None
+                )
 
-            apply_started = time.perf_counter()
-            applied = client.apply_delta(str(delta_path))
-            apply_seconds = time.perf_counter() - apply_started
-            assert applied["applied"] and applied["version"] == "v2", applied
-            shard_versions = applied["shard_versions"]
-            assert len(shard_versions) == 4 and "v2" in shard_versions
+                apply_started = time.perf_counter()
+                applied = client.apply_delta(str(delta_path))
+                apply_seconds = time.perf_counter() - apply_started
+                assert applied["applied"], applied
+                assert applied["version"] == "v2", applied
+                shard_versions = applied["shard_versions"]
+                assert len(shard_versions) == 4 and "v2" in shard_versions
 
-            # the delta's content is actually being served now
-            if probe_concept is not None:
-                after = client.get_entities(probe_concept)
-                assert after != before or delta.is_empty
+                # the delta's content is actually being served now
+                if probe_concept is not None:
+                    after = client.get_entities(probe_concept)
+                    assert after != before or delta.is_empty
 
-            client.shutdown_server()
-            process.wait(timeout=15)
+                client.shutdown_server()
+                process.wait(timeout=15)
         finally:
             if process.poll() is None:
                 process.kill()

@@ -52,9 +52,8 @@ def main() -> None:
         server = start_server(
             router, port=0, admin_token=ADMIN_TOKEN, hub=hub
         )
+        client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
         try:
-            client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
-
             # Traffic so every family kind has samples: plain queries
             # (counters + latency summaries), a traced query (span
             # plumbing), a miss, health + admin scrapes.
@@ -68,6 +67,7 @@ def main() -> None:
             names = set(payload["metrics"])
             text = client.server_metrics_text()
         finally:
+            client.close()
             server.close()
 
     missing_families = EXPECTED_METRICS - names

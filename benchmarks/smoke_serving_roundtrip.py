@@ -114,33 +114,34 @@ def main() -> None:
         )
         try:
             url = wait_for_ready(ready_file, process)
-            client = TaxonomyClient(url, admin_token=ADMIN_TOKEN)
+            with TaxonomyClient(url, admin_token=ADMIN_TOKEN) as client:
+                # start → query
+                health = client.healthz()
+                assert health["status"] == "ok" and health["version"] == "v1"
+                assert client.men2ent(mention), "known mention must resolve"
+                query_started = time.perf_counter()
+                for _ in range(N_QUERIES):
+                    client.men2ent(mention)
+                query_seconds = time.perf_counter() - query_started
 
-            # start → query
-            health = client.healthz()
-            assert health["status"] == "ok" and health["version"] == "v1"
-            assert client.men2ent(mention), "known mention must resolve"
-            query_started = time.perf_counter()
-            for _ in range(N_QUERIES):
+                # → swap
+                swap_started = time.perf_counter()
+                swapped = client.swap(str(v2_path))
+                swap_seconds = time.perf_counter() - swap_started
+                assert swapped["version"] == "v2", swapped
+
+                # → query (new version serving, all shards republished)
+                assert client.version()["shard_versions"] == ["v2"] * 4
                 client.men2ent(mention)
-            query_seconds = time.perf_counter() - query_started
+                served = client.server_metrics()
+                assert served["swaps"] == 1
 
-            # → swap
-            swap_started = time.perf_counter()
-            swapped = client.swap(str(v2_path))
-            swap_seconds = time.perf_counter() - swap_started
-            assert swapped["version"] == "v2", swapped
-
-            # → query (new version serving, all shards republished)
-            assert client.version()["shard_versions"] == ["v2"] * 4
-            client.men2ent(mention)
-            served = client.server_metrics()
-            assert served["swaps"] == 1
-
-            # → shutdown (clean exit removes the readiness marker)
-            client.shutdown_server()
-            process.wait(timeout=15)
-            assert not ready_file.exists(), "stale ready file after shutdown"
+                # → shutdown (clean exit removes the readiness marker)
+                client.shutdown_server()
+                process.wait(timeout=15)
+                assert not ready_file.exists(), (
+                    "stale ready file after shutdown"
+                )
         finally:
             if process.poll() is None:
                 process.kill()

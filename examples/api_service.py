@@ -122,6 +122,7 @@ def main() -> None:
         client.shutdown_server()
         print("\nserver shut down over /admin/shutdown")
     finally:
+        client.close()
         server.close()
 
 

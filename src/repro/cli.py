@@ -315,20 +315,20 @@ def _cmd_delta_squash(args: argparse.Namespace) -> int:
 def _cmd_obs_dump(args: argparse.Namespace) -> int:
     from repro.serving import TaxonomyClient
 
-    client = TaxonomyClient(args.url, admin_token=args.admin_token)
-    if args.format == "text":
-        print(client.server_metrics_text(), end="")
-    else:
-        print(json.dumps(
-            client.server_metrics(), ensure_ascii=False, indent=2
-        ))
-    if args.traces:
-        if not args.admin_token:
-            print("error: --traces needs --admin-token", file=sys.stderr)
-            return 2
-        payload = client.fetch_traces(limit=args.traces)
-        for span in payload["spans"]:
-            print(json.dumps(span, ensure_ascii=False))
+    with TaxonomyClient(args.url, admin_token=args.admin_token) as client:
+        if args.format == "text":
+            print(client.server_metrics_text(), end="")
+        else:
+            print(json.dumps(
+                client.server_metrics(), ensure_ascii=False, indent=2
+            ))
+        if args.traces:
+            if not args.admin_token:
+                print("error: --traces needs --admin-token", file=sys.stderr)
+                return 2
+            payload = client.fetch_traces(limit=args.traces)
+            for span in payload["spans"]:
+                print(json.dumps(span, ensure_ascii=False))
     return 0
 
 
@@ -338,16 +338,16 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 
     from repro.serving import TaxonomyClient
 
-    client = TaxonomyClient(args.url, admin_token=args.admin_token)
     since = args.since
-    while True:
-        payload = client.fetch_events(since=since)
-        for event in payload["events"]:
-            print(json.dumps(event, ensure_ascii=False), flush=True)
-        since = max(since, payload["last_seq"])
-        if args.once:
-            return 0
-        _time.sleep(args.interval)
+    with TaxonomyClient(args.url, admin_token=args.admin_token) as client:
+        while True:
+            payload = client.fetch_events(since=since)
+            for event in payload["events"]:
+                print(json.dumps(event, ensure_ascii=False), flush=True)
+            since = max(since, payload["last_seq"])
+            if args.once:
+                return 0
+            _time.sleep(args.interval)
 
 
 def _cmd_workload_list(args: argparse.Namespace) -> int:

@@ -8,9 +8,9 @@ deployment shape, stdlib-only:
 
 Architecture (request path, top to bottom)::
 
-    TaxonomyClient          urllib SDK: batching, retries, own metrics
+    TaxonomyClient          keep-alive SDK: batching, retries, own metrics
         │  JSON over HTTP
-    ClusterHTTPServer       ThreadingHTTPServer, one thread per request
+    ClusterHTTPServer       ThreadingHTTPServer, one thread per connection
         │
     ReplicatedRouter        key→shard routing + R replicas per shard,
         │                   retry-on-failure, health marks, probes

@@ -1,4 +1,4 @@
-"""`TaxonomyClient` — the urllib-based SDK for the serving cluster.
+"""`TaxonomyClient` — the keep-alive SDK for the serving cluster.
 
 The client exposes the same canonical
 :class:`~repro.taxonomy.service.BatchedServingAPI` surface as the
@@ -10,6 +10,17 @@ transport failures and 5xx responses are retried with capped, jittered
 exponential backoff (seeded, so retry schedules are reproducible),
 while 4xx responses surface immediately as :class:`APIError` (the
 server already rejected the request; resending it cannot help).
+
+The transport is a pool of persistent ``http.client`` connections
+(HTTP/1.1 keep-alive), shared by every thread using the client: a
+call takes an idle connection, or opens one, and returns it once the
+response body is read, so the pool grows to the peak number of calls
+in flight.  An idle connection the server has closed is replaced
+before the call, which is therefore not a retry.  Each pooled
+connection holds a server thread, so :meth:`TaxonomyClient.close` (or
+a ``with`` block) ends them.  Unlike the urllib transport it replaced,
+the client does not honour the ``*_proxy`` environment variables: it
+always connects straight to *base_url*.
 
 The client keeps its own :class:`ServiceMetrics` ledger of end-to-end
 (wire-inclusive) latencies, which is what
@@ -23,12 +34,12 @@ router / shard spans that served it.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from random import Random
 from typing import Sequence
 
@@ -49,6 +60,28 @@ from repro.taxonomy.service import (
 
 #: wire api names, in the order the paper lists them (Table II)
 WIRE_API_NAMES = tuple(WIRE_API_METHODS)
+
+#: the connection class for each URL scheme the client speaks
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+#: what a failed round trip raises: socket errors and timeouts, or a
+#: broken HTTP exchange (bad status line, body cut short)
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+
+def _hung_up(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection's socket has something to read.
+
+    Between responses the server has nothing to say, so readable means
+    it closed the connection (EOF) or reset it.  ``poll``, not
+    ``select.select``, which fails on descriptors >= 1024.
+    """
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class ClientWireStats:
@@ -141,6 +174,18 @@ class TaxonomyClient(BatchedServingAPI):
                 f"backoff_seconds ({backoff_seconds})"
             )
         self._base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self._base_url)
+        self._connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+        if self._connection_class is None or not parts.netloc:
+            raise APIError(
+                f"base_url must be an http:// or https:// URL, "
+                f"got {base_url!r}"
+            )
+        self._netloc = parts.netloc
+        self._path_prefix = parts.path
+        #: idle keep-alive connections, most recently used last
+        self._idle: list[http.client.HTTPConnection] = []
+        self._pool_lock = threading.Lock()
         self._timeout = timeout
         self._retries = retries
         self._backoff_seconds = backoff_seconds
@@ -192,6 +237,70 @@ class TaxonomyClient(BatchedServingAPI):
 
     # -- transport -------------------------------------------------------------
 
+    def close(self) -> None:
+        """Close every idle pooled connection.
+
+        Each one holds a server thread until it closes.  The client
+        stays usable: a later call opens a new connection.
+        """
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "TaxonomyClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The most recently used idle connection, else a new one.
+
+        Idle connections the server has hung up on are closed and
+        skipped here, before the caller's attempt begins: a server
+        restart costs no retry, and an admin mutation (one attempt,
+        never resent) is not spent on a dead connection.  A new
+        connection connects on its first request.
+        """
+        while True:
+            with self._pool_lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _hung_up(connection):
+                return connection
+            connection.close()
+        return self._connection_class(self._netloc, timeout=self._timeout)
+
+    def _round_trip(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, str, bytes]:
+        """One HTTP exchange: ``(status, reason, body)``, body fully read.
+
+        The one place a request meets the wire.  The connection goes
+        back to the pool only after a complete response that does not
+        close it.  On any exception, a timeout included, it is closed
+        instead, since its stream position is unknown, and the
+        exception propagates (see ``_TRANSPORT_ERRORS``).
+        """
+        connection = self._connection()
+        try:
+            connection.request(
+                method, self._path_prefix + path, body=body, headers=headers
+            )
+            response = connection.getresponse()
+            payload = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._pool_lock:
+                self._idle.append(connection)
+        return response.status, response.reason, payload
+
     def _request(
         self,
         path: str,
@@ -215,7 +324,6 @@ class TaxonomyClient(BatchedServingAPI):
         instead of retried — health callers want to *read* that state,
         not throw on it.
         """
-        url = f"{self._base_url}{path}"
         headers = {"Content-Type": "application/json; charset=utf-8"}
         if trace_id is not None:
             headers[TRACE_HEADER] = trace_id
@@ -230,6 +338,7 @@ class TaxonomyClient(BatchedServingAPI):
             if body is not None
             else None
         )
+        method = "POST" if data is not None else "GET"
         attempts = (self._retries + 1) if idempotent else 1
         last_error: Exception | None = None
         for attempt in range(attempts):
@@ -242,50 +351,44 @@ class TaxonomyClient(BatchedServingAPI):
                 self.wire_stats.observe_retry(slept)
                 time.sleep(slept)
             self.wire_stats.observe_request()
-            request = urllib.request.Request(
-                url, data=data, headers=headers,
-                method="POST" if data is not None else "GET",
-            )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self._timeout
-                ) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                payload = self._error_payload(exc)
-                if degraded_ok and "error" not in payload:
-                    return payload  # a status report, not a failure
-                detail = payload.get("error", payload.get("_raw", exc))
-                if exc.code == 409:  # version handshake refused the write
-                    self.wire_stats.observe_conflict()
-                    raise DeltaConflictError(
-                        f"{path}: HTTP 409: {detail}",
-                        server_version=payload.get("version"),
-                        server_content_hash=payload.get("content_hash"),
-                    ) from exc
-                if exc.code < 500:  # the server meant it: don't retry
-                    raise APIError(
-                        f"{path}: HTTP {exc.code}: {detail}"
-                    ) from exc
-                last_error = APIError(f"{path}: HTTP {exc.code}: {detail}")
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
+                status, reason, raw = self._round_trip(
+                    method, path, data, headers
+                )
+            except _TRANSPORT_ERRORS as exc:
                 last_error = exc
+                continue
+            if 200 <= status < 300:
+                return json.loads(raw.decode("utf-8"))
+            payload = self._error_payload(raw, reason)
+            if degraded_ok and "error" not in payload:
+                return payload  # a status report, not a failure
+            detail = payload.get("error", payload.get("_raw", reason))
+            if status == 409:  # version handshake refused the write
+                self.wire_stats.observe_conflict()
+                raise DeltaConflictError(
+                    f"{path}: HTTP 409: {detail}",
+                    server_version=payload.get("version"),
+                    server_content_hash=payload.get("content_hash"),
+                )
+            if status < 500:  # the server meant it: don't retry
+                raise APIError(f"{path}: HTTP {status}: {detail}")
+            last_error = APIError(f"{path}: HTTP {status}: {detail}")
         self.wire_stats.observe_failure()
         raise APIError(
             f"{path}: no response after {attempts} attempts: {last_error}"
         ) from last_error
 
     @staticmethod
-    def _error_payload(exc: urllib.error.HTTPError) -> dict:
+    def _error_payload(raw: bytes, reason: str) -> dict:
         """The JSON body of a non-2xx response, if it has one."""
         try:
-            payload = json.loads(exc.read().decode("utf-8"))
-            if isinstance(payload, dict):
-                return payload
-            return {"_raw": str(payload)}
-        except Exception:
-            reason = exc.reason if isinstance(exc.reason, str) else str(exc)
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             return {"_raw": reason}
+        if isinstance(payload, dict):
+            return payload
+        return {"_raw": str(payload)}
 
     # -- serving hooks (BatchedServingAPI) -------------------------------------
 
@@ -353,16 +456,15 @@ class TaxonomyClient(BatchedServingAPI):
         return self._request("/metrics")
 
     def server_metrics_text(self) -> str:
-        """The server's Prometheus-style text exposition."""
-        url = f"{self._base_url}/metrics?format=text"
-        request = urllib.request.Request(url, method="GET")
+        """The server's Prometheus-style text exposition (one attempt)."""
+        path = "/metrics?format=text"
         try:
-            with urllib.request.urlopen(
-                request, timeout=self._timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise APIError(f"/metrics?format=text: {exc}") from exc
+            status, reason, raw = self._round_trip("GET", path, None, {})
+        except _TRANSPORT_ERRORS as exc:
+            raise APIError(f"{path}: {exc}") from exc
+        if not 200 <= status < 300:
+            raise APIError(f"{path}: HTTP {status}: {reason}")
+        return raw.decode("utf-8")
 
     def fetch_traces(
         self, *, limit: int | None = None, trace_id: str | None = None

@@ -4,8 +4,11 @@ A thin JSON wire over any service-shaped front (the in-process
 :class:`~repro.taxonomy.service.TaxonomyService`, a
 :class:`~repro.serving.sharding.ShardedSnapshotStore`, or a
 :class:`~repro.serving.router.ReplicatedRouter`).  One thread per
-request (:class:`ThreadingHTTPServer`), which the snapshot/shard-set
-pinning underneath is already built to serve safely.
+connection (:class:`ThreadingHTTPServer`), which the snapshot/shard-set
+pinning underneath is already built to serve safely.  Connections are
+HTTP/1.1 keep-alive, so a thread serves every request its client
+sends until the client hangs up; :meth:`ClusterHTTPServer.close` ends
+the connections still open.
 
 Endpoints (see the package docstring for the full wire format):
 
@@ -45,6 +48,7 @@ disabled (403).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
@@ -75,11 +79,25 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "cn-probase/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on the accepted socket, and every response buffered
+    #: and flushed once by ``_send``: on a keep-alive connection a
+    #: second small write would wait for the client's delayed ACK of
+    #: the first (~40 ms), and Nagle would hold a large body's tail
+    disable_nagle_algorithm = True
+    wbufsize = 1 << 16
 
     # -- plumbing --------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logs stay out of test/benchmark output
+
+    def handle_expect_100(self) -> bool:
+        # the buffered wfile would hold the interim "100 Continue" back
+        # until the final response, which the client is waiting to send
+        # the body for
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _respond(self, status: int, payload: dict) -> None:
         self._send(
@@ -104,6 +122,7 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()  # status line, headers and body: one write
 
     def _drain_body(self) -> bytes:
         """Read the request body off the socket unconditionally.
@@ -569,6 +588,9 @@ class ClusterHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.admin_token = admin_token
         self._thread: threading.Thread | None = None
+        #: accepted sockets not yet shut down, for ``close()``
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         if hub is None:
             # prefer the hub the service front already reports into, so
             # server-side spans land in the same rings as service spans
@@ -614,6 +636,16 @@ class ClusterHTTPServer(ThreadingHTTPServer):
                 outcome=outcome,
                 version=self.service_version(),
             )
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     # -- info payloads ---------------------------------------------------------
 
@@ -713,8 +745,22 @@ class ClusterHTTPServer(ThreadingHTTPServer):
             self._thread.join()
 
     def close(self) -> None:
+        """Stop serving and end every connection still open.
+
+        ``server_close()`` closes only the listening socket, and the
+        daemon handler threads are never joined: without the shutdowns
+        below a closed server keeps answering on a keep-alive
+        connection that is already open.  Each shutdown wakes its
+        handler thread with EOF, and the thread exits.
+        """
         self.shutdown()
         self.server_close()
+        with self._connections_lock:  # held: no fd reuse under our feet
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:  # its handler is closing it already
+                    pass
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -532,6 +532,7 @@ def _http_target(taxonomy, *, shards: int, replicas: int, port: int) -> RunTarge
 
     def close() -> None:
         try:
+            client.close()
             stack.__exit__(None, None, None)
         finally:
             tmp.cleanup()

@@ -62,24 +62,27 @@ def nightly_delta(generation: int = 0) -> TaxonomyDelta:
 
 
 class TestEndToEndTracing:
-    def test_one_trace_id_spans_client_server_router_shard(self):
+    def test_one_trace_id_spans_client_server_router_shard(self, connects):
         with fresh_hub() as hub:
             router = build_cluster(
                 make_taxonomy(), shards=2, replicas=2, hub=hub
             )
             server = start_server(router, admin_token=ADMIN_TOKEN, hub=hub)
+            client = TaxonomyClient(
+                server.url, admin_token=ADMIN_TOKEN,
+                trace_every=1, hub=hub,
+            )
             try:
                 # an untraced call first: the first in-process request
                 # pays one-off client set-up, which must not be what
                 # keeps the client span longer than the server span
-                TaxonomyClient(server.url).men2ent("华仔")
-                client = TaxonomyClient(
-                    server.url, admin_token=ADMIN_TOKEN,
-                    trace_every=1, hub=hub,
-                )
+                with TaxonomyClient(server.url) as warm_up:
+                    warm_up.men2ent("华仔")
+                connects_before = len(connects)
                 for _ in range(20):
                     client.men2ent("华仔")
                 client.men2ent_batch(["华仔", "周杰伦", "刘德华", "新星0"])
+                traced_connects = len(connects) - connects_before
                 # the server records its span after writing the response,
                 # so the handler thread may still be finishing when this
                 # read arrives — poll briefly
@@ -102,7 +105,11 @@ class TestEndToEndTracing:
                     trace_id=full[0][0].trace_id
                 )["spans"] if full else []
             finally:
+                client.close()
                 server.close()
+        # the 21 traced calls shared one keep-alive connection, so the
+        # span checks below cover reused-connection round trips
+        assert traced_connects == 1
         assert len(full) == 21, f"{len(full)} full-path traces of 21"
         for trace in full:
             seconds = {}
@@ -129,10 +136,10 @@ class TestEndToEndTracing:
                 build_cluster(make_taxonomy(), shards=1, hub=hub),
                 admin_token=ADMIN_TOKEN, hub=hub,
             )
+            client = TaxonomyClient(
+                server.url, admin_token=ADMIN_TOKEN, hub=hub
+            )
             try:
-                client = TaxonomyClient(
-                    server.url, admin_token=ADMIN_TOKEN, hub=hub
-                )
                 with trace_context("ambient-42"):
                     client.men2ent("华仔")
                 components = set()
@@ -145,6 +152,7 @@ class TestEndToEndTracing:
                         break
                     time.sleep(0.01)
             finally:
+                client.close()
                 server.close()
         assert {"client", "server", "shard"} <= components
 
@@ -155,10 +163,12 @@ class TestEndToEndTracing:
                 hub=hub,
             )
             try:
-                client = TaxonomyClient(server.url, trace_every=1, hub=hub)
                 from repro.taxonomy.service import PROBE_KEY
 
-                client.men2ent(PROBE_KEY)
+                with TaxonomyClient(
+                    server.url, trace_every=1, hub=hub
+                ) as client:
+                    client.men2ent(PROBE_KEY)
             finally:
                 server.close()
             # probes never mint a trace id, so no client span exists;
@@ -174,11 +184,11 @@ class TestEndToEndTracing:
                 admin_token=ADMIN_TOKEN, hub=hub,
             )
             try:
-                anonymous = TaxonomyClient(server.url)
-                with pytest.raises(APIError):
-                    anonymous.fetch_traces()
-                with pytest.raises(APIError):
-                    anonymous.fetch_events()
+                with TaxonomyClient(server.url) as anonymous:
+                    with pytest.raises(APIError):
+                        anonymous.fetch_traces()
+                    with pytest.raises(APIError):
+                        anonymous.fetch_events()
             finally:
                 server.close()
 
@@ -194,8 +204,7 @@ class TestMetricsUnderConcurrency:
             stop = threading.Event()
             failures: list[str] = []
 
-            def scrape():
-                client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+            def scrape(client):
                 last_calls = -1.0
                 while not stop.is_set():
                     try:
@@ -227,11 +236,18 @@ class TestMetricsUnderConcurrency:
                     if f"# TYPE serving_api_calls_total counter" not in text:
                         failures.append("text exposition missing counter")
 
-            readers = [threading.Thread(target=scrape) for _ in range(3)]
+            clients = [
+                TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+                for _ in range(3)
+            ]
+            readers = [
+                threading.Thread(target=scrape, args=(client,))
+                for client in clients
+            ]
             for t in readers:
                 t.start()
+            reader_client = TaxonomyClient(server.url)
             try:
-                reader_client = TaxonomyClient(server.url)
                 for generation in range(4):
                     for _ in range(20):
                         reader_client.men2ent("华仔")
@@ -240,6 +256,8 @@ class TestMetricsUnderConcurrency:
                 stop.set()
                 for t in readers:
                     t.join(timeout=30)
+                for client in clients + [reader_client]:
+                    client.close()
                 server.close()
             assert not failures, failures[:5]
 
@@ -251,12 +269,14 @@ class TestMetricsUnderConcurrency:
                 admin_token=ADMIN_TOKEN, hub=hub,
             )
             try:
-                client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
-                for _ in range(5):
-                    client.server_metrics()
-                    client.healthz()
-                client.men2ent("华仔")
-                payload = client.server_metrics()
+                with TaxonomyClient(
+                    server.url, admin_token=ADMIN_TOKEN
+                ) as client:
+                    for _ in range(5):
+                        client.server_metrics()
+                        client.healthz()
+                    client.men2ent("华仔")
+                    payload = client.server_metrics()
             finally:
                 server.close()
         families = payload["metrics"]
@@ -369,8 +389,8 @@ class TestEventLogIntegration:
                 make_taxonomy(), shards=2, replicas=2, hub=hub
             )
             server = start_server(router, admin_token=ADMIN_TOKEN, hub=hub)
+            client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
             try:
-                client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
                 router.swap(make_taxonomy(1))
                 first = client.fetch_events()
                 assert first["events"], "swap produced no events"
@@ -378,6 +398,7 @@ class TestEventLogIntegration:
                 router.swap(make_taxonomy(2))
                 second = client.fetch_events(since=cursor)
             finally:
+                client.close()
                 server.close()
         assert second["events"]
         assert all(e["seq"] > cursor for e in second["events"])
@@ -393,9 +414,9 @@ class TestMetricsPayloadCompat:
                 hub=hub,
             )
             try:
-                client = TaxonomyClient(server.url)
-                client.men2ent("华仔")
-                payload = client.server_metrics()
+                with TaxonomyClient(server.url) as client:
+                    client.men2ent("华仔")
+                    payload = client.server_metrics()
             finally:
                 server.close()
         for key in ("version", "swaps", "total_calls", "apis", "router"):

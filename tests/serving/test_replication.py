@@ -79,6 +79,7 @@ class RemoteFixture:
 
     def close(self):
         self.server.close()
+        self.client.close()
 
 
 @pytest.fixture
@@ -374,7 +375,9 @@ class TestRouterFrontedReplica:
             admin_token=ADMIN_TOKEN,
         )
         request.addfinalizer(server.close)
-        return TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+        client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+        request.addfinalizer(client.close)
+        return client
 
     def test_wire_publish_with_version_and_handshake(self, remote):
         payload = remote.apply_delta_wire(

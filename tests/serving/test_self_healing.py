@@ -126,6 +126,7 @@ class TestDeltaChainWire:
         server = start_server(service, admin_token=ADMIN_TOKEN)
         request.addfinalizer(server.close)
         client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+        request.addfinalizer(client.close)
         return service, client
 
     def test_chain_by_content_hash_covers_the_span(self, cluster):
@@ -254,6 +255,7 @@ class TestProbeTimeResync:
         server = start_server(hub_service, admin_token=ADMIN_TOKEN)
         request.addfinalizer(server.close)
         client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+        request.addfinalizer(client.close)
         client.apply_delta_wire(
             nightly_delta(0), base_version="v1", version=2
         )

@@ -1,8 +1,13 @@
 """End-to-end HTTP tests: server wire format + TaxonomyClient SDK."""
 
+import gc
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -33,6 +38,7 @@ def cluster():
     server = start_server(service, admin_token=ADMIN_TOKEN)
     client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
     yield server, client
+    client.close()
     server.close()
 
 
@@ -144,36 +150,37 @@ class TestWireErrors:
         server, _ = cluster
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/nope")
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_client_gives_up_after_retries(self):
-        client = TaxonomyClient(
+        with TaxonomyClient(
             "http://127.0.0.1:9", retries=1, backoff_seconds=0.0
-        )
-        with pytest.raises(APIError, match="after 2 attempts"):
-            client.men2ent("华仔")
+        ) as client:
+            with pytest.raises(APIError, match="after 2 attempts"):
+                client.men2ent("华仔")
 
 
 class TestAdminAuth:
     def test_wrong_token_is_401(self, cluster):
         server, _ = cluster
-        bad = TaxonomyClient(server.url, admin_token="wrong-token")
-        with pytest.raises(APIError, match="HTTP 401"):
-            bad.swap("/nonexistent.jsonl")
+        with TaxonomyClient(server.url, admin_token="wrong-token") as bad:
+            with pytest.raises(APIError, match="HTTP 401"):
+                bad.swap("/nonexistent.jsonl")
 
     def test_client_without_token_refuses_admin_calls(self, cluster):
         server, _ = cluster
-        anonymous = TaxonomyClient(server.url)
-        with pytest.raises(APIError, match="admin_token"):
-            anonymous.swap("/nonexistent.jsonl")
+        with TaxonomyClient(server.url) as anonymous:
+            with pytest.raises(APIError, match="admin_token"):
+                anonymous.swap("/nonexistent.jsonl")
 
     def test_tokenless_server_disables_admin_api(self):
         service = build_cluster(make_taxonomy(), shards=1)
         server = start_server(service)  # no admin token
         try:
-            client = TaxonomyClient(server.url, admin_token="anything")
-            with pytest.raises(APIError, match="HTTP 403"):
-                client.swap("/nonexistent.jsonl")
+            with TaxonomyClient(server.url, admin_token="anything") as client:
+                with pytest.raises(APIError, match="HTTP 403"):
+                    client.swap("/nonexistent.jsonl")
         finally:
             server.close()
 
@@ -212,14 +219,16 @@ class TestDegradedCluster:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/healthz")
         assert excinfo.value.code == 503
-        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        with excinfo.value:
+            payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert payload["status"] == "degraded"
         assert payload["unhealthy_shards"] == [0, 1]
 
     def test_client_healthz_returns_degraded_payload(self, degraded):
         server, _ = degraded
         # the SDK reports the state instead of raising on the 503
-        payload = TaxonomyClient(server.url).healthz()
+        with TaxonomyClient(server.url) as client:
+            payload = client.healthz()
         assert payload["status"] == "degraded"
         assert payload["unhealthy_shards"] == [0, 1]
 
@@ -231,15 +240,16 @@ class TestDegradedCluster:
                 f"{server.url}/v1/men2ent?q={quote('华仔')}"
             )
         assert excinfo.value.code == 503
-        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        with excinfo.value:
+            payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert "no healthy replica" in payload["error"]
 
     def test_healthz_recovers_after_probe(self, degraded):
         server, router = degraded
         assert router.probe_all() == 4
-        client = TaxonomyClient(server.url)
-        assert client.healthz()["status"] == "ok"
-        assert client.men2ent("华仔") == ["刘德华#0"]
+        with TaxonomyClient(server.url) as client:
+            assert client.healthz()["status"] == "ok"
+            assert client.men2ent("华仔") == ["刘德华#0"]
 
 
 class TestSwapRoundTrip:
@@ -265,11 +275,147 @@ class TestSwapRoundTrip:
             assert client.shutdown_server() == {"shutting_down": True}
             server.wait()  # serve loop exits after the response
         finally:
+            client.close()
             server.close()
-        with pytest.raises(APIError):
-            TaxonomyClient(
-                server.url, retries=0, backoff_seconds=0.0, timeout=1.0
-            ).men2ent("华仔")
+        with TaxonomyClient(
+            server.url, retries=0, backoff_seconds=0.0, timeout=1.0
+        ) as late:
+            with pytest.raises(APIError):
+                late.men2ent("华仔")
+
+
+class TestKeepAlive:
+    """The pooled keep-alive transport and the server that serves it."""
+
+    def test_threads_share_the_pool_without_mixing_answers(self, connects):
+        calls = [
+            ("men2ent", "华仔"), ("men2ent", "周杰伦"), ("men2ent", "无人"),
+            ("get_concepts", "刘德华#0"), ("get_concepts", "周杰伦#0"),
+            ("get_entities", "歌手"), ("get_entities", "演员"),
+        ]
+        reference = TaxonomyService(make_taxonomy())
+        expected = [getattr(reference, api)(arg) for api, arg in calls]
+        server = start_server(build_cluster(make_taxonomy(), shards=2))
+        client = TaxonomyClient(server.url)
+        wrong: list = []
+
+        def caller(offset: int) -> None:
+            # neighbouring threads make different calls at the same
+            # moment: a connection shared by two of them would hand one
+            # thread the other's answer
+            for i in range(offset, offset + 50):
+                api, argument = calls[i % len(calls)]
+                answer = getattr(client, api)(argument)
+                if answer != expected[i % len(calls)]:
+                    wrong.append((api, argument, answer))
+
+        # more threads than a small machine has cores, switched often,
+        # so calls are preempted in the middle of their round trips
+        threads = [
+            threading.Thread(target=caller, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    client.close()
+                    del client
+                    gc.collect()
+            finally:
+                server.close()
+        assert not [t for t in threads if t.is_alive()]
+        assert not wrong, wrong[:5]
+        # the pool grows to the calls in flight, never past them
+        assert 1 <= len(connects) <= len(threads)
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+
+    def test_sequential_singles_reuse_one_connection_without_stall(
+        self, connects
+    ):
+        server = start_server(build_cluster(make_taxonomy(), shards=2))
+        try:
+            with TaxonomyClient(server.url) as client:
+                started = time.perf_counter()
+                for _ in range(50):
+                    assert client.men2ent("华仔") == ["刘德华#0"]
+                elapsed = time.perf_counter() - started
+        finally:
+            server.close()
+        assert len(connects) == 1
+        # a response written as head then body waits ~40 ms on each
+        # keep-alive call for the client's delayed ACK: 2 s for 50
+        assert elapsed < 1.0, f"50 singles took {elapsed:.2f}s"
+
+    def test_restarted_server_costs_no_retry_and_one_swap(self, tmp_path):
+        servers: list = []
+
+        def restart(marker: str):
+            """Close the serving server and bind its port anew."""
+            port = 0
+            if servers:
+                port = servers[-1].server_address[1]
+                servers[-1].close()
+            servers.append(start_server(
+                build_cluster(make_taxonomy(marker), shards=1),
+                port=port, admin_token=ADMIN_TOKEN,
+            ))
+            return servers[-1]
+
+        client = TaxonomyClient(restart("歌手").url, admin_token=ADMIN_TOKEN)
+        try:
+            assert client.get_concepts("刘德华#0") == ["歌手", "演员"]
+            restart("影帝")
+            # the pooled connection the restart closed is dropped before
+            # the call, which is then not a retry
+            assert client.get_concepts("刘德华#0") == ["影帝", "演员"]
+            restart("歌神")
+            # an admin mutation gets one attempt: it must not be spent
+            # on the connection the restart closed
+            rebuilt = tmp_path / "rebuilt.jsonl"
+            make_taxonomy("影后").save(rebuilt)
+            assert client.swap(str(rebuilt))["version"] == "v2"
+            assert client.get_concepts("刘德华#0") == ["影后", "演员"]
+        finally:
+            client.close()
+            for server in servers:
+                server.close()
+        assert client.wire_stats.retries == 0
+        assert [server.service.metrics.swaps for server in servers] == [
+            0, 0, 1,
+        ]
+
+    def test_closed_server_ends_its_open_connections(self):
+        server = start_server(build_cluster(make_taxonomy(), shards=1))
+        before = set(threading.enumerate())
+        client = TaxonomyClient(server.url, retries=0, timeout=2.0)
+        try:
+            assert client.men2ent("华仔") == ["刘德华#0"]
+            handlers = [t for t in threading.enumerate() if t not in before]
+            assert handlers, "no handler thread serves the connection"
+            server.close()
+            for thread in handlers:
+                thread.join(timeout=5)
+            assert not [t for t in handlers if t.is_alive()]
+            # nothing answers any more, not even on the pooled connection
+            with pytest.raises(APIError):
+                client.men2ent("华仔")
+        finally:
+            client.close()
+            server.close()
+
+    def test_only_http_and_https_urls(self):
+        with pytest.raises(APIError, match="http:// or https://"):
+            TaxonomyClient("ftp://127.0.0.1:21")
 
 
 class TestWireFormatRaw:
@@ -333,18 +479,19 @@ class TestApplyDeltaEndpoint:
             assert client.get_entities("歌手") == []
             assert client.server_metrics()["swaps"] == 1
         finally:
+            client.close()
             server.close()
 
     def test_apply_delta_requires_auth(self, tmp_path):
         service = build_cluster(make_taxonomy("歌手"), shards=1, replicas=1)
         server = start_server(service, admin_token=ADMIN_TOKEN)
         try:
-            bad = TaxonomyClient(server.url, admin_token="wrong")
-            with pytest.raises(APIError, match="401"):
-                bad.apply_delta(str(self._delta_file(tmp_path)))
-            tokenless = TaxonomyClient(server.url)
-            with pytest.raises(APIError, match="admin_token"):
-                tokenless.apply_delta(str(self._delta_file(tmp_path)))
+            with TaxonomyClient(server.url, admin_token="wrong") as bad:
+                with pytest.raises(APIError, match="401"):
+                    bad.apply_delta(str(self._delta_file(tmp_path)))
+            with TaxonomyClient(server.url) as tokenless:
+                with pytest.raises(APIError, match="admin_token"):
+                    tokenless.apply_delta(str(self._delta_file(tmp_path)))
         finally:
             server.close()
 
@@ -366,6 +513,7 @@ class TestApplyDeltaEndpoint:
             assert client.healthz()["version"] == "v1"
             assert client.get_concepts("刘德华#0") == ["歌手", "演员"]
         finally:
+            client.close()
             server.close()
 
     def test_missing_delta_file_is_400(self, tmp_path):
@@ -377,6 +525,7 @@ class TestApplyDeltaEndpoint:
                 client.apply_delta(str(tmp_path / "nope.jsonl"))
             assert client.healthz()["version"] == "v1"
         finally:
+            client.close()
             server.close()
 
     def test_malformed_body_is_400(self, tmp_path):
@@ -391,6 +540,7 @@ class TestApplyDeltaEndpoint:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=5)
+            excinfo.value.close()
             assert excinfo.value.code == 400
         finally:
             server.close()
@@ -474,51 +624,51 @@ class TestRetrySemantics:
 
     def test_batched_read_post_is_retried_after_5xx(self, scripted):
         server = scripted({"/v1/men2ent": 1})  # first attempt 500s
-        client = TaxonomyClient(server.url, backoff_seconds=0.0)
-        assert client.men2ent_batch(["华仔", "周杰伦"]) == [[], []]
+        with TaxonomyClient(server.url, backoff_seconds=0.0) as client:
+            assert client.men2ent_batch(["华仔", "周杰伦"]) == [[], []]
         assert server.counts["/v1/men2ent"] == 2
 
     def test_single_get_is_retried_after_5xx(self, scripted):
         server = scripted({"/v1/getConcept": 1})
-        client = TaxonomyClient(server.url, backoff_seconds=0.0)
-        assert client.get_concepts("刘德华#0") == []
+        with TaxonomyClient(server.url, backoff_seconds=0.0) as client:
+            assert client.get_concepts("刘德华#0") == []
         assert server.counts["/v1/getConcept"] == 2
 
     def test_swap_is_never_resent(self, scripted):
         server = scripted({"/admin/swap": 99})  # always fails
-        client = TaxonomyClient(
+        with TaxonomyClient(
             server.url, retries=3, backoff_seconds=0.0, admin_token="t"
-        )
-        with pytest.raises(APIError, match="after 1 attempts"):
-            client.swap("/some/taxonomy.jsonl")
+        ) as client:
+            with pytest.raises(APIError, match="after 1 attempts"):
+                client.swap("/some/taxonomy.jsonl")
         assert server.counts["/admin/swap"] == 1  # one send, no retry
 
     def test_apply_delta_is_never_resent(self, scripted):
         server = scripted({"/admin/apply-delta": 99})
-        client = TaxonomyClient(
+        with TaxonomyClient(
             server.url, retries=3, backoff_seconds=0.0, admin_token="t"
-        )
-        with pytest.raises(APIError, match="after 1 attempts"):
-            client.apply_delta("/some/delta.jsonl")
+        ) as client:
+            with pytest.raises(APIError, match="after 1 attempts"):
+                client.apply_delta("/some/delta.jsonl")
         assert server.counts["/admin/apply-delta"] == 1
 
     def test_apply_delta_wire_is_never_resent(self, scripted):
         from repro.taxonomy.delta import TaxonomyDelta
 
         server = scripted({"/admin/apply-delta": 99})
-        client = TaxonomyClient(
+        with TaxonomyClient(
             server.url, retries=3, backoff_seconds=0.0, admin_token="t"
-        )
-        with pytest.raises(APIError, match="after 1 attempts"):
-            client.apply_delta_wire(
-                TaxonomyDelta(name="x"), base_version="v1"
-            )
+        ) as client:
+            with pytest.raises(APIError, match="after 1 attempts"):
+                client.apply_delta_wire(
+                    TaxonomyDelta(name="x"), base_version="v1"
+                )
         assert server.counts["/admin/apply-delta"] == 1
 
     def test_shutdown_is_never_resent(self, scripted):
         server = scripted({"/admin/shutdown": 99})
-        client = TaxonomyClient(
+        with TaxonomyClient(
             server.url, retries=3, backoff_seconds=0.0, admin_token="t"
-        )
-        with pytest.raises(APIError, match="after 1 attempts"):
-            client.shutdown_server()
+        ) as client:
+            with pytest.raises(APIError, match="after 1 attempts"):
+                client.shutdown_server()

@@ -310,6 +310,8 @@ class TestServe:
                 except Exception:
                     pass
                 thread.join(timeout=15)
+            if client is not None:
+                client.close()
         assert not thread.is_alive()
         assert exit_codes == [0]
 
