@@ -2,8 +2,9 @@
 
 Paper (six months on Aliyun): men2ent 43,896,044 calls, getConcept
 13,815,076, getEntity 25,793,372 — a 0.53 / 0.17 / 0.31 mix.  The
-workload generator replays that mix at reduced volume against the built
-taxonomy; the benchmarked unit is serving throughput.
+Table II call stream replays that mix at reduced volume against a
+``TaxonomyService`` over the built taxonomy, whose metrics ledger
+counts the calls; the benchmarked unit is serving throughput.
 """
 
 from __future__ import annotations
@@ -11,51 +12,43 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.report import format_count, format_percent, render_table
-from repro.taxonomy.api import PAPER_API_CALLS, TaxonomyAPI
-from repro.workloads import ArgumentPools, TableIICallStream
+from repro.taxonomy.api import PAPER_API_MIX
+from repro.taxonomy.service import TaxonomyService
+from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
 
 N_CALLS = 30_000
 
 
-def _serve_one(api: TaxonomyAPI, call) -> None:
-    if call.api == "men2ent":
-        api.men2ent(call.argument)
-    elif call.api == "getConcept":
-        api.get_concept(call.argument)
-    else:
-        api.get_entity(call.argument)
+def _calls(taxonomy, seed: int, n_calls: int):
+    pools = ArgumentPools.from_taxonomy(taxonomy)
+    return TableIICallStream(pools, seed=seed).generate(n_calls)
 
 
 @pytest.fixture(scope="module")
 def served(cn_probase):
-    api = TaxonomyAPI(cn_probase.taxonomy)
-    pools = ArgumentPools.from_taxonomy(cn_probase.taxonomy)
-    for call in TableIICallStream(pools, seed=2).generate(N_CALLS):
-        _serve_one(api, call)
-    return api.usage
+    service = TaxonomyService(cn_probase.taxonomy)
+    return replay_calls(service, _calls(cn_probase.taxonomy, 2, N_CALLS))
 
 
 def test_table2_benchmark(benchmark, cn_probase, served, record):
-    api = TaxonomyAPI(cn_probase.taxonomy)
-    pools = ArgumentPools.from_taxonomy(cn_probase.taxonomy)
-    calls = TableIICallStream(pools, seed=3).generate(5_000)
+    service = TaxonomyService(cn_probase.taxonomy)
+    calls = _calls(cn_probase.taxonomy, 3, 5_000)
 
     def serve() -> int:
-        for call in calls:
-            _serve_one(api, call)
-        return api.usage.total_calls
+        return replay_calls(service, calls).total_calls
 
     total = benchmark(serve)
     assert total >= 5_000
 
+    latency = {name: served.latency(name) for name in PAPER_API_MIX}
     rows = []
     for name in ("men2ent", "getConcept", "getEntity"):
         rows.append([
             name,
-            format_count(served.calls[name]),
-            format_percent(served.mix()[name]),
-            format_percent(PAPER_API_CALLS[name] / sum(PAPER_API_CALLS.values())),
-            format_percent(served.hit_rate(name)),
+            format_count(latency[name].calls),
+            format_percent(latency[name].calls / served.total_calls),
+            format_percent(PAPER_API_MIX[name]),
+            format_percent(latency[name].hit_rate),
         ])
     record(render_table(
         ["API name", "calls", "mix", "paper mix", "hit rate"],
@@ -63,7 +56,7 @@ def test_table2_benchmark(benchmark, cn_probase, served, record):
         title=f"Table II — API usage over {N_CALLS:,} replayed calls",
     ))
     # mix shape: men2ent > getEntity > getConcept, matching the paper
-    assert served.calls["men2ent"] > served.calls["getEntity"]
-    assert served.calls["getEntity"] > served.calls["getConcept"]
+    assert latency["men2ent"].calls > latency["getEntity"].calls
+    assert latency["getEntity"].calls > latency["getConcept"].calls
     for name in ("men2ent", "getConcept", "getEntity"):
-        assert served.hit_rate(name) > 0.8
+        assert latency[name].hit_rate > 0.8

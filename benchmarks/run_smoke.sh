@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 tests, a dev-mode ResourceWarning gate over the serving and CLI
-# tests, + the fast perf gates to run before pushing pipeline or
-# serving changes: stage-registry overhead, parallel-vs-serial build
+# tests, every script under examples/ run end to end, + the fast perf
+# gates to run before pushing pipeline or serving changes:
+# stage-registry overhead, parallel-vs-serial build
 # equivalence (byte-identical output + speedup trajectory), serving
 # throughput (read-optimized snapshots >= 2x the per-call-sorted path),
 # the serving cluster (sharded answers byte-identical to the unsharded
@@ -45,6 +46,11 @@ python -m pytest -x -q
 python -X dev -W error::ResourceWarning -m pytest \
     -W error::pytest.PytestUnraisableExceptionWarning -x -q \
     tests/serving tests/test_cli.py
+# the examples are the documented entry points: each must still run
+for example in examples/*.py; do
+    echo "example: $example"
+    python "$example" > /dev/null
+done
 python -m pytest -x -q benchmarks/bench_stage_overhead.py
 python -m pytest -x -q benchmarks/bench_parallel_build.py \
     benchmarks/bench_serving_throughput.py
@@ -61,7 +67,7 @@ python benchmarks/smoke_process_backend.py
 # fast single-scenario smoke through the CLI: in-process facade + a
 # live `cn-probase serve` subprocess, 4x-compressed schedule
 python -m repro.cli workload run steady_table2 --time-scale 4
-# static-analysis gate: all five invariant checkers, hard-fail on any
+# static-analysis gate: all four invariant checkers, hard-fail on any
 # finding that is neither pragma-acknowledged nor in the shipped
 # baseline; the counts land as the static_analysis trajectory section
 python -m repro.cli lint --format json --bench-json "$bench_json" \

@@ -11,7 +11,6 @@ from repro import build_cn_probase
 from repro.core.generation.neural_gen import NeuralGenConfig
 from repro.core.pipeline import PipelineConfig
 from repro.encyclopedia import SyntheticWorld
-from repro.taxonomy import TaxonomyAPI
 
 
 def main() -> None:
@@ -34,15 +33,14 @@ def main() -> None:
           f"{ {k: len(v) for k, v in result.removed_by.items()} }")
 
     # 3. Query it through the public APIs.
-    api = TaxonomyAPI(taxonomy)
     some_entity = world.entities[0]
-    senses = api.men2ent(some_entity.name)
+    senses = taxonomy.men2ent(some_entity.name)
     print(f"\nmen2ent({some_entity.name!r}) -> {senses}")
     if senses:
-        concepts = api.get_concept(senses[0])
+        concepts = taxonomy.get_concepts(senses[0])
         print(f"getConcept({senses[0]!r}) -> {concepts}")
         if concepts:
-            hyponyms = api.get_entity(concepts[0])
+            hyponyms = taxonomy.get_entities(concepts[0])
             print(f"getEntity({concepts[0]!r}) -> "
                   f"{len(hyponyms)} entities, e.g. {hyponyms[:5]}")
 

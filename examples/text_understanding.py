@@ -16,16 +16,16 @@ from repro.core.pipeline import PipelineConfig, build_cn_probase
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.coverage import qa_coverage
 from repro.eval.qa_dataset import generate_questions
-from repro.taxonomy import TaxonomyAPI
+from repro.taxonomy import Taxonomy
 
 
-def conceptualise(api: TaxonomyAPI, text: str, mention: str) -> str:
-    senses = api.men2ent(mention)
+def conceptualise(taxonomy: Taxonomy, text: str, mention: str) -> str:
+    senses = taxonomy.men2ent(mention)
     if not senses:
         return f"  {text}\n    -> no entity recognised"
     lines = [f"  {text}"]
     for page_id in senses:
-        concepts = api.get_concept(page_id)
+        concepts = taxonomy.get_concepts(page_id)
         lines.append(f"    -> {page_id}: {('、'.join(concepts)) or '(none)'}")
     return "\n".join(lines)
 
@@ -45,13 +45,12 @@ def main() -> None:
           "2.14 concepts per covered entity)\n")
 
     # Conceptualisation of individual questions.
-    api = TaxonomyAPI(taxonomy)
     print("conceptualised questions:")
     shown = 0
     for question in questions:
         if question.mention_kind != "entity":
             continue
-        print(conceptualise(api, question.text, question.mention))
+        print(conceptualise(taxonomy, question.text, question.mention))
         shown += 1
         if shown == 5:
             break
@@ -65,7 +64,7 @@ def main() -> None:
     )
     if ambiguous:
         print("\nambiguous mention:")
-        print(conceptualise(api, f"{ambiguous}是什么？", ambiguous))
+        print(conceptualise(taxonomy, f"{ambiguous}是什么？", ambiguous))
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ _LAZY_EXPORTS = {
     "diff_dumps": "repro.encyclopedia",
     "SyntheticWorld": "repro.encyclopedia",
     "Taxonomy": "repro.taxonomy",
-    "TaxonomyAPI": "repro.taxonomy",
     "TaxonomyDelta": "repro.taxonomy",
     "TaxonomyService": "repro.taxonomy",
     "ReplicatedRouter": "repro.serving",
@@ -124,7 +123,6 @@ __all__ = [
     "StageTrace",
     "SyntheticWorld",
     "Taxonomy",
-    "TaxonomyAPI",
     "TaxonomyClient",
     "TaxonomyDelta",
     "TaxonomyService",

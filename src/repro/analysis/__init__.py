@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.deprecation import DeprecationChecker
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.framework import (
     AnalysisReport,
@@ -37,7 +36,6 @@ __all__ = [
     "AnalysisReport",
     "Baseline",
     "Checker",
-    "DeprecationChecker",
     "DeterminismChecker",
     "ErrorTaxonomyChecker",
     "Finding",
@@ -52,13 +50,12 @@ __all__ = [
 
 
 def all_checkers() -> list[Checker]:
-    """The five shipped checkers, in report order."""
+    """The four shipped checkers, in report order."""
     return [
         DeterminismChecker(),
         LockDisciplineChecker(),
         PickleSafetyChecker(),
         ErrorTaxonomyChecker(),
-        DeprecationChecker(),
     ]
 
 

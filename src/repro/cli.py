@@ -79,7 +79,7 @@ fire their delta publish mid-replay and exit non-zero on any
 mixed-version answer.
 
 ``lint`` runs the :mod:`repro.analysis` checkers (determinism,
-lock-discipline, pickle-safety, error-taxonomy, deprecation) over every
+lock-discipline, pickle-safety, error-taxonomy) over every
 module of the installed package and exits 1 on any finding that is
 neither pragma-acknowledged in source nor grandfathered in the shipped
 baseline; ``--bench-json`` lands the counts as the ``static_analysis``
@@ -105,8 +105,9 @@ from repro.core.pipeline import (
 )
 from repro.core.stages import default_registry
 from repro.encyclopedia import SyntheticWorld, diff_dumps, load_dump, save_dump
-from repro.errors import ReproError
-from repro.taxonomy import Taxonomy, TaxonomyAPI
+from repro.errors import APIError, ReproError
+from repro.taxonomy import Taxonomy
+from repro.taxonomy.service import WIRE_API_METHODS
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -279,14 +280,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    if not args.argument:
+        raise APIError(f"{args.api} requires a non-empty argument")
     taxonomy = Taxonomy.load(args.taxonomy)
-    api = TaxonomyAPI(taxonomy)
-    handlers = {
-        "men2ent": api.men2ent,
-        "getConcept": api.get_concept,
-        "getEntity": api.get_entity,
-    }
-    results = handlers[args.api](args.argument)
+    results = getattr(taxonomy, WIRE_API_METHODS[args.api][0])(args.argument)
     if not results:
         print("(no results)")
         return 1
@@ -748,8 +745,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "determinism (no ambient entropy), lock-discipline "
                     "(guarded state stays guarded), pickle-safety "
                     "(nothing unpicklable crosses a process pool), "
-                    "error-taxonomy (public paths raise ReproError) and "
-                    "deprecation (internal code stays off compat shims). "
+                    "and error-taxonomy (public paths raise ReproError). "
                     "Exit 0 when clean, 1 on new findings, 2 on driver "
                     "errors (bad baseline, unknown checker).",
     )

@@ -3,10 +3,10 @@
 Every *state change* in the serving layer -- publishes, delta
 conflicts and merges, resyncs, heals, swaps, replica health
 transitions -- lands here as one append-only JSON-shaped record with a
-monotonic sequence number.  The router's ``last_publish_report`` /
-``last_resync_report`` lists survive as thin compatibility views over
-the same records; new consumers should read the log (`cn-probase obs
-tail`, ``GET /admin/events``).
+monotonic sequence number.  It is the one record of the router's
+per-replica publish outcomes (``publish_outcome``) and probe-time
+resyncs (``resync``); read it with ``cn-probase obs tail`` or
+``GET /admin/events``.
 
 The ring is bounded: eviction is strictly oldest-first, and within the
 retained window sequence numbers are contiguous by construction (one

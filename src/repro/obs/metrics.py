@@ -26,6 +26,7 @@ exist.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import weakref
@@ -180,18 +181,19 @@ def summary_quantiles(
     values: Iterable[float],
     quantiles: tuple[float, ...] = SUMMARY_QUANTILES,
 ) -> tuple[tuple[float, float], ...]:
-    """Empirical quantiles of *values* as ``((q, value), ...)``.
+    """Nearest-rank quantiles of *values* as ``((q, value), ...)``.
 
-    Sorts a copy, so a live reservoir can be passed directly; an empty
-    input yields value 0.0 at every quantile.  Monotone in ``q`` by
-    construction.
+    The value at rank ``ceil(q·n)`` (at least 1) of the sorted input,
+    so the p50 of 1..100 is 50.  Sorts a copy, so a live reservoir can
+    be passed directly; an empty input yields value 0.0 at every
+    quantile.  Monotone in ``q`` by construction.
     """
     ordered = sorted(values)
     if not ordered:
         return tuple((q, 0.0) for q in quantiles)
-    last = len(ordered) - 1
+    n = len(ordered)
     return tuple(
-        (q, ordered[min(last, int(q * len(ordered)))]) for q in quantiles
+        (q, ordered[max(1, math.ceil(q * n)) - 1]) for q in quantiles
     )
 
 

@@ -60,7 +60,7 @@ Architecture (request path, top to bottom)::
   (``cn-probase delta-squash`` is the offline spelling of the same
   compose), one full-snapshot ``/admin/swap`` otherwise — so a
   lagging or freshly-restarted replica always rejoins.  Outcomes land
-  in ``router.last_publish_report`` and the
+  in the event log (``publish_outcome`` events) and the
   ``chain_catchups``/``snapshot_heals`` counters.
 - **Content-addressed versions + probe-time auto-resync**: every
   publish from a full taxonomy stamps the canonical-bytes sha256
@@ -74,7 +74,7 @@ Architecture (request path, top to bottom)::
   (:func:`~repro.serving.replica.resync_replica`, wire spelling
   ``GET /admin/delta-chain``) without waiting for the next publish,
   chain only (a probe carries no snapshot path) —
-  outcomes in ``router.last_resync_report`` and the
+  outcomes in the event log (``resync`` events) and the
   ``probe_resyncs``/``resync_chains``/``resync_heals`` counters.
 - **Server** (:mod:`repro.serving.server`): the JSON wire (below) plus
   ``/healthz``, ``/version``, ``/metrics`` (the
@@ -84,7 +84,7 @@ Architecture (request path, top to bottom)::
 - **Client** (:mod:`repro.serving.client`): a
   :class:`~repro.serving.client.TaxonomyClient` exposing the canonical
   :class:`~repro.taxonomy.service.BatchedServingAPI` surface, so
-  ``WorkloadGenerator.run_service`` drives a remote cluster unchanged.
+  ``replay_calls`` drives a remote cluster unchanged.
 
 Wire format (all JSON, UTF-8, ``ensure_ascii=False``):
 

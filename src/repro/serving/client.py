@@ -3,8 +3,8 @@
 The client exposes the same canonical
 :class:`~repro.taxonomy.service.BatchedServingAPI` surface as the
 in-process service, so anything written against ``TaxonomyService`` —
-including :meth:`~repro.taxonomy.api.WorkloadGenerator.run_service` —
-drives a remote cluster unchanged.  Singles go over
+including :func:`~repro.workloads.runner.replay_calls` — drives a
+remote cluster unchanged.  Singles go over
 ``GET /v1/{api}?q=...``, batches over ``POST /v1/{api}``; transient
 transport failures and 5xx responses are retried with capped, jittered
 exponential backoff (seeded, so retry schedules are reproducible),
@@ -23,13 +23,12 @@ the client does not honour the ``*_proxy`` environment variables: it
 always connects straight to *base_url*.
 
 The client keeps its own :class:`ServiceMetrics` ledger of end-to-end
-(wire-inclusive) latencies, which is what
-``WorkloadGenerator.run_service`` returns when driven with a client,
-plus a :class:`ClientWireStats` retry/backoff ledger registered with
-the telemetry hub.  With ``trace_every=N`` the client mints an
-``X-Trace-Id`` for every Nth call (or propagates the ambient trace
-context) so a slow wire call can be correlated with the server /
-router / shard spans that served it.
+(wire-inclusive) latencies, which is what ``replay_calls`` returns
+when driven with a client, plus a :class:`ClientWireStats`
+retry/backoff ledger registered with the telemetry hub.  With
+``trace_every=N`` the client mints an ``X-Trace-Id`` for every Nth
+call (or propagates the ambient trace context) so a slow wire call can
+be correlated with the server / router / shard spans that served it.
 """
 
 from __future__ import annotations

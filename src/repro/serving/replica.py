@@ -19,6 +19,7 @@ mix local views and remote processes freely.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import APIError, ReproError
@@ -27,6 +28,24 @@ from repro.taxonomy.delta import TaxonomyDelta, compose, parse_version_id
 if TYPE_CHECKING:
     from repro.serving.client import TaxonomyClient
     from repro.taxonomy.store import Taxonomy
+
+
+@dataclass(frozen=True)
+class PublishedVersion:
+    """A published version: ordinal and content hash as one value.
+
+    What a replica reports it serves (one read, never half-updated) and
+    what a storeless router last published.  ``content_hash`` is
+    ``None`` when the published state was never hashed (a frozen view
+    swap), in which case callers fall back to the ordinal.
+    """
+
+    version: int
+    content_hash: str | None = None
+
+    @property
+    def version_id(self) -> str:
+        return f"v{self.version}"
 
 
 @runtime_checkable
@@ -40,8 +59,8 @@ class ReplicaBackend(Protocol):
       so a batch group never spans two published versions (only
       in-process store views can offer these; remote replicas degrade
       to per-request consistency, which per-key answers make exact);
-    - the replication surface (``published_version()``,
-      ``published_content_hash()``, ``publish_delta(...)``,
+    - the replication surface (``published()`` → a
+      :class:`PublishedVersion`, ``publish_delta(...)``,
       ``publish_snapshot(...)`` and ``resync(source, snapshot_path=)``)
       — backends exposing it receive delta publishes from
       :meth:`~repro.serving.router.ReplicatedRouter.publish_delta`, and
@@ -128,19 +147,20 @@ class RemoteReplica:
 
     # -- replication -----------------------------------------------------------
 
-    def published_version(self) -> str:
-        """The version id the remote currently serves ("v3")."""
-        return str(self._client.version().get("version"))
-
-    def published_content_hash(self) -> str | None:
-        """The content-addressed version the remote serves, if stamped.
-
-        The canonical-bytes sha256 ``/version`` advertises; ``None``
-        when the remote's published state was never hashed (a frozen
-        view swap), in which case callers fall back to ordinals.
-        """
-        value = self._client.version().get("content_hash")
-        return value if isinstance(value, str) else None
+    def published(self) -> PublishedVersion:
+        """What the remote serves, from one ``GET /version``: its
+        version and the canonical-bytes sha256 it advertises."""
+        payload = self._client.version()
+        version = parse_version_id(payload.get("version"))
+        if version is None:
+            raise APIError(
+                f"{self!r} reported a malformed version "
+                f"{payload.get('version')!r}"
+            )
+        content_hash = payload.get("content_hash")
+        if not isinstance(content_hash, str):
+            content_hash = None
+        return PublishedVersion(version, content_hash)
 
     def publish_delta(
         self,
@@ -259,14 +279,10 @@ def resync_replica(replica, source, *, snapshot_path=None) -> dict:
       *snapshot_path* → ``"healed"``; with no snapshot configured the
       failure surfaces as :class:`~repro.errors.APIError`.
     """
-    have_version_id = replica.published_version()
-    have_version = parse_version_id(have_version_id)
-    have_hash: str | None = None
-    hash_of = getattr(replica, "published_content_hash", None)
-    if callable(hash_of):
-        have_hash = hash_of()
+    have = replica.published()
+    have_version_id, have_hash = have.version_id, have.content_hash
     want_version, want_hash, deltas = _resync_plan(
-        source, have_version, have_hash
+        source, have.version, have_hash
     )
     report: dict = {
         "from_version": have_version_id,
@@ -310,8 +326,7 @@ class LocalReplica:
     """An in-process replica owning its own independent store.
 
     The fault-injection twin of :class:`RemoteReplica`: it satisfies
-    the same replication surface (``published_version`` /
-    ``published_content_hash`` / ``publish_delta`` /
+    the same replication surface (``published`` / ``publish_delta`` /
     ``publish_snapshot`` / ``resync``), but the "process" is a private
     :class:`~repro.serving.sharding.ShardedSnapshotStore` — so a chaos
     harness can kill and restart it without sockets while the router
@@ -403,11 +418,9 @@ class LocalReplica:
 
     # -- replication -----------------------------------------------------------
 
-    def published_version(self) -> str:
-        return self._store.version_id
-
-    def published_content_hash(self) -> str | None:
-        return self._store.content_hash
+    def published(self) -> PublishedVersion:
+        shard_set = self._store.shard_set
+        return PublishedVersion(shard_set.version, shard_set.content_hash)
 
     def publish_delta(
         self,

@@ -54,6 +54,7 @@ from repro.errors import (
 )
 from repro.obs import current_trace_id, get_hub
 from repro.obs.metrics import MetricSnapshot, Sample
+from repro.serving.replica import PublishedVersion
 from repro.serving.sharding import (
     _API_LOOKUPS,
     ShardedSnapshotStore,
@@ -62,13 +63,9 @@ from repro.serving.sharding import (
 from repro.taxonomy.delta import (
     DeltaHistory,
     bump_version,
-    parse_version_id,
     publish_handshake,
 )
 from repro.taxonomy.service import (
-    #: The benign lookup a probe sends when the backend has no
-    #: healthcheck() — re-exported here for compatibility (the router
-    #: was its original home).
     PROBE_KEY,
     BatchedServingAPI,
     ServiceMetrics,
@@ -133,19 +130,6 @@ class ReplicaState:
             "failures": self.failures,
             "skips_since_down": self.skips_since_down,
         }
-
-
-@dataclass(frozen=True)
-class PublishedVersion:
-    """What a storeless router last published: ordinal and content
-    hash replaced as one value, never read half-updated."""
-
-    version: int
-    content_hash: str | None = None
-
-    @property
-    def version_id(self) -> str:
-        return f"v{self.version}"
 
 
 #: A replica's resync outcome → the publish-report outcome it shows as.
@@ -242,13 +226,6 @@ class ReplicatedRouter(BatchedServingAPI):
         self._owns_metrics = not shared_metrics
         self._hub = hub if hub is not None else get_hub()
         self._hub.registry.register_collector("router", self)
-        #: Per-replica outcomes of the last :meth:`publish_delta`
-        #: (``applied`` / ``chained`` / ``healed`` / ``merged`` /
-        #: ``failed``).
-        self.last_publish_report: list[dict] = []
-        #: Recent probe-time resync outcomes (``aligned`` / ``chained``
-        #: / ``healed`` / ``failed``), newest last, bounded.
-        self.last_resync_report: list[dict] = []
 
     @classmethod
     def from_store(
@@ -390,7 +367,7 @@ class ReplicatedRouter(BatchedServingAPI):
         the rotation as stale: the version-aware probe refuses to
         re-admit them until a later publish heals them, so a swap never
         leaves the rotation serving two taxonomies.  Per-replica
-        outcomes land in :attr:`last_publish_report`.
+        outcomes land in the event log as ``publish_outcome`` events.
         """
         if self._store is None:
             raise APIError(
@@ -413,7 +390,7 @@ class ReplicatedRouter(BatchedServingAPI):
                 if not any(
                     callable(getattr(backend, name, None))
                     for name in (
-                        "published_version", "publish_delta",
+                        "published", "publish_delta",
                         "publish_snapshot", "resync",
                     )
                 ):
@@ -431,7 +408,8 @@ class ReplicatedRouter(BatchedServingAPI):
                     shard_id, replica_index, state.backend, outcome,
                     target, result.content_hash,
                 ))
-        self._set_publish_report(report)
+        for entry in report:
+            self._hub.emit("publish_outcome", **entry)
         return result
 
     # -- publish reporting / event plumbing -------------------------------------
@@ -454,13 +432,6 @@ class ReplicatedRouter(BatchedServingAPI):
             "version": f"v{version}" if isinstance(version, int) else version,
             "content_hash": content_hash,
         }
-
-    def _set_publish_report(self, report: list[dict]) -> None:
-        """Publish outcomes land in the event log; the attribute is the
-        compatibility view over the same records."""
-        self.last_publish_report = report
-        for entry in report:
-            self._hub.emit("publish_outcome", **entry)
 
     def _locate(self, state) -> tuple[int | None, int | None]:
         for shard_id, replicas in enumerate(self._replicas):
@@ -512,8 +483,8 @@ class ReplicatedRouter(BatchedServingAPI):
         own ``resync`` ladder — the call :meth:`probe` makes: chained
         when the :class:`~repro.taxonomy.delta.DeltaHistory` ring
         covers its lag, healed from *snapshot_path* otherwise, marked
-        unhealthy when neither works.  Per-replica outcomes land in
-        :attr:`last_publish_report`.
+        unhealthy when neither works.  Per-replica outcomes land in the
+        event log as ``publish_outcome`` events.
 
         *key_filter* and *version* pass through to the store publish —
         a router-fronted replica process (``serve --replicas R``)
@@ -587,7 +558,8 @@ class ReplicatedRouter(BatchedServingAPI):
                 from_version=f"v{base}", version=published.version_id,
                 content_hash=published.content_hash,
             )
-        self._set_publish_report(report)
+        for entry in report:
+            self._hub.emit("publish_outcome", **entry)
         return result if self._store is not None else report
 
     def _ship(self, delta, base, published, snapshot_path) -> list[dict]:
@@ -687,9 +659,8 @@ class ReplicatedRouter(BatchedServingAPI):
         answers its healthcheck happily while serving stale answers —
         re-admitting it would mix taxonomy versions in the rotation.
         It stays parked until a publish or a probe-time resync heals
-        it.  Backends without a ``published_version`` (in-process store
-        views) are always aligned: they read the store's current shard
-        set.
+        it.  Backends without ``published()`` (in-process store views)
+        are always aligned: they read the store's current shard set.
 
         When both sides advertise a content hash the comparison is
         content-addressed: byte-equality of the served taxonomy, immune
@@ -697,9 +668,8 @@ class ReplicatedRouter(BatchedServingAPI):
         with the right bytes but its own counter).  Otherwise it falls
         back to the ordinal lockstep check.
         """
-        published = getattr(backend, "published_version", None)
-        published_hash = getattr(backend, "published_content_hash", None)
-        if not callable(published) and not callable(published_hash):
+        published = getattr(backend, "published", None)
+        if not callable(published):
             return True
         if self._store is None and not len(self._delta_history):
             # this router never published anything (a read-only load
@@ -708,15 +678,12 @@ class ReplicatedRouter(BatchedServingAPI):
             return True
         expected = self._published_state()
         try:
-            if callable(published_hash) and expected.content_hash is not None:
-                have = published_hash()
-                if have is not None:
-                    return have == expected.content_hash
-            if callable(published):
-                return parse_version_id(published()) == expected.version
-            return True
+            have = published()
         except Exception:
             return False
+        if have.content_hash is not None and expected.content_hash is not None:
+            return have.content_hash == expected.content_hash
+        return have.version == expected.version
 
     def probe(self, shard_id: int, replica_index: int) -> bool:
         """Probe one replica; on success it rejoins the rotation.
@@ -773,10 +740,6 @@ class ReplicatedRouter(BatchedServingAPI):
                     recovered += 1
         return recovered
 
-    #: How many probe-time resync outcomes :attr:`last_resync_report`
-    #: keeps (newest last) — observability, not an audit log.
-    _RESYNC_REPORT_SIZE = 64
-
     def _try_resync(self, shard_id: int, replica_index: int, state) -> bool:
         """Let an alive-but-stale replica pull its own catch-up.
 
@@ -798,7 +761,7 @@ class ReplicatedRouter(BatchedServingAPI):
         except Exception as exc:
             entry.update(outcome="failed", error=str(exc))
         outcome = entry.get("outcome")
-        self._record_resync(entry)
+        self._hub.emit("resync", **entry)
         ok = outcome in _LADDER_OUTCOMES
         with self._lock:
             if outcome == "chained":
@@ -811,12 +774,6 @@ class ReplicatedRouter(BatchedServingAPI):
                 self.stats.resync_failures += 1
         # trust, then verify: the replica must actually report aligned
         return ok and self._version_aligned(state.backend)
-
-    def _record_resync(self, entry: dict) -> None:
-        with self._lock:
-            self.last_resync_report.append(entry)
-            del self.last_resync_report[: -self._RESYNC_REPORT_SIZE]
-        self._hub.emit("resync", **entry)
 
     # -- routing ---------------------------------------------------------------
 

@@ -705,11 +705,12 @@ class ClusterHTTPServer(ThreadingHTTPServer):
 
     def metrics_payload(self) -> dict:
         metrics = self.service.metrics
+        apis = metrics.as_dict()  # one locked read: total_calls agrees
         payload = {
             "version": self.service_version(),
             "swaps": metrics.swaps,
-            "total_calls": metrics.total_calls,
-            "apis": metrics.as_dict(),
+            "total_calls": sum(entry["calls"] for entry in apis.values()),
+            "apis": apis,
         }
         stats = getattr(self.service, "stats", None)
         health = getattr(self.service, "health", None)

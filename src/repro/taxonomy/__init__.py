@@ -8,8 +8,7 @@ paper's three public APIs need (Table II):
 - ``getConcept`` entity → hypernym list,
 - ``getEntity``  concept → hyponym list.
 
-:class:`~repro.taxonomy.api.TaxonomyAPI` wraps the store with usage
-accounting so the Table II experiment can be regenerated, and
+:mod:`~repro.taxonomy.api` keeps the Table II call mix, and
 :class:`~repro.taxonomy.service.TaxonomyService` is the production
 facade on top: immutable versioned snapshots with atomic
 swap-on-rebuild, batched API variants and per-API latency accounting.
@@ -29,7 +28,6 @@ from repro.taxonomy.store import (
     Taxonomy,
     TaxonomyStats,
 )
-from repro.taxonomy.api import APIUsage, TaxonomyAPI, WorkloadGenerator
 from repro.taxonomy.delta import TaxonomyDelta, load_delta, save_delta
 from repro.taxonomy.service import (
     ServiceMetrics,
@@ -38,7 +36,6 @@ from repro.taxonomy.service import (
 )
 
 __all__ = [
-    "APIUsage",
     "TaxonomyDelta",
     "load_delta",
     "save_delta",
@@ -53,8 +50,6 @@ __all__ = [
     "SOURCE_TAG",
     "ReadOptimizedTaxonomy",
     "Taxonomy",
-    "TaxonomyAPI",
     "TaxonomyGraph",
     "TaxonomyStats",
-    "WorkloadGenerator",
 ]

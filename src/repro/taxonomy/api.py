@@ -1,23 +1,17 @@
-"""Serving layer: the paper's three public APIs with usage accounting.
+"""The paper's three public APIs, as Table II counts them.
 
 Table II of the paper reports per-API call counts after six months on
-Aliyun (men2ent 43.9M, getConcept 13.8M, getEntity 25.8M).
-:class:`TaxonomyAPI` serves the three lookups and counts what it serves.
-
-Workload *generation* has moved to :mod:`repro.workloads` (declarative
-scenarios, deterministic schedules, an open-loop runner).
-:class:`WorkloadGenerator` remains as a deprecated shim over
-:class:`~repro.workloads.sampling.TableIICallStream` so historical
-seeded call streams stay reproducible.
+Aliyun (men2ent 43.9M, getConcept 13.8M, getEntity 25.8M).  The
+lookups themselves are methods of the taxonomy
+(:class:`~repro.taxonomy.store.Taxonomy` and its frozen
+:class:`~repro.taxonomy.store.ReadOptimizedTaxonomy`), served with
+validation and accounting by every front of
+:class:`~repro.taxonomy.service.BatchedServingAPI`.  This module keeps
+the call mix the workload library samples from
+(:class:`~repro.workloads.sampling.TableIICallStream`).
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass, field
-
-from repro.errors import APIError
-from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 
 # Call mix from Table II, normalised.
 PAPER_API_CALLS = {
@@ -29,205 +23,3 @@ _TOTAL_PAPER_CALLS = sum(PAPER_API_CALLS.values())
 PAPER_API_MIX = {
     name: count / _TOTAL_PAPER_CALLS for name, count in PAPER_API_CALLS.items()
 }
-
-
-@dataclass
-class APIUsage:
-    """Per-API call, hit and unknown-argument counters.
-
-    ``unknown`` counts requests the workload *intended* to miss —
-    generated out-of-taxonomy arguments (including draws from an empty
-    pool, which historically surfaced as the silent constant ``"空"``
-    and were never counted anywhere).
-    """
-
-    calls: dict[str, int] = field(
-        default_factory=lambda: {"men2ent": 0, "getConcept": 0, "getEntity": 0}
-    )
-    hits: dict[str, int] = field(
-        default_factory=lambda: {"men2ent": 0, "getConcept": 0, "getEntity": 0}
-    )
-    unknown: dict[str, int] = field(
-        default_factory=lambda: {"men2ent": 0, "getConcept": 0, "getEntity": 0}
-    )
-
-    def record(self, api: str, hit: bool) -> None:
-        if api not in self.calls:
-            known = ", ".join(sorted(self.calls))
-            raise APIError(f"unknown API {api!r}; known APIs: {known}")
-        self.calls[api] += 1
-        if hit:
-            self.hits[api] += 1
-
-    def record_unknown(self, api: str) -> None:
-        """Count one generated unknown (intended-miss) argument."""
-        if api not in self.unknown:
-            known = ", ".join(sorted(self.unknown))
-            raise APIError(f"unknown API {api!r}; known APIs: {known}")
-        self.unknown[api] += 1
-
-    @property
-    def total_calls(self) -> int:
-        return sum(self.calls.values())
-
-    @property
-    def total_unknown(self) -> int:
-        return sum(self.unknown.values())
-
-    def hit_rate(self, api: str) -> float:
-        calls = self.calls[api]
-        return self.hits[api] / calls if calls else 0.0
-
-    def mix(self) -> dict[str, float]:
-        total = self.total_calls
-        if total == 0:
-            return {name: 0.0 for name in self.calls}
-        return {name: count / total for name, count in self.calls.items()}
-
-
-class TaxonomyAPI:
-    """The three public APIs of CN-Probase (Table II).
-
-    Works over any store exposing the three lookups — the mutable
-    :class:`Taxonomy` or a frozen
-    :class:`~repro.taxonomy.store.ReadOptimizedTaxonomy` (what the
-    serving snapshots use).
-    """
-
-    def __init__(self, taxonomy: "Taxonomy | ReadOptimizedTaxonomy") -> None:
-        self._taxonomy = taxonomy
-        self.usage = APIUsage()
-
-    def men2ent(self, mention: str) -> list[str]:
-        """mention → disambiguated entity page_ids."""
-        if not mention:
-            raise APIError("men2ent requires a non-empty mention")
-        result = self._taxonomy.men2ent(mention)
-        self.usage.record("men2ent", bool(result))
-        return result
-
-    def get_concept(self, page_id: str) -> list[str]:
-        """entity → hypernym list."""
-        if not page_id:
-            raise APIError("getConcept requires a non-empty entity id")
-        result = self._taxonomy.get_concepts(page_id)
-        self.usage.record("getConcept", bool(result))
-        return result
-
-    def get_entity(self, concept: str) -> list[str]:
-        """concept → hyponym (entity) list."""
-        if not concept:
-            raise APIError("getEntity requires a non-empty concept")
-        result = self._taxonomy.get_entities(concept)
-        self.usage.record("getEntity", bool(result))
-        return result
-
-    def reset_usage(self) -> None:
-        self.usage = APIUsage()
-
-
-@dataclass(frozen=True)
-class APICall:
-    """One workload request: API name + argument.
-
-    ``expected_miss`` marks generated out-of-taxonomy arguments (the
-    workload intended this request to miss); it defaults to ``False``
-    so historical two-field constructions keep working.
-    """
-
-    api: str
-    argument: str
-    expected_miss: bool = False
-
-
-class WorkloadGenerator:
-    """Deprecated: use :mod:`repro.workloads` instead.
-
-    Thin shim over :class:`~repro.workloads.sampling.TableIICallStream`
-    with argument pools drawn from the taxonomy
-    (:meth:`~repro.workloads.sampling.ArgumentPools.from_taxonomy`).
-    RNG consumption is identical to the historical generator, so the
-    same seed produces the same call stream (asserted by the test
-    suite) — with one deliberate fix: an empty argument pool now
-    yields a seeded unknown marker counted in the usage ledger instead
-    of the silent constant ``"空"``.
-
-    New code wants :class:`~repro.workloads.spec.Scenario` +
-    :func:`~repro.workloads.schedule.compile_schedule` +
-    :func:`~repro.workloads.runner.run_schedule` (open-loop, measured),
-    or :func:`~repro.workloads.runner.replay_calls` for a plain
-    closed-loop replay.
-    """
-
-    def __init__(
-        self,
-        taxonomy: Taxonomy,
-        seed: int = 0,
-        mix: dict[str, float] | None = None,
-        miss_rate: float = 0.05,
-    ) -> None:
-        warnings.warn(
-            "WorkloadGenerator is deprecated; use repro.workloads "
-            "(Scenario/compile_schedule/run_schedule, or "
-            "TableIICallStream for a plain seeded stream) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.workloads.sampling import (
-            ArgumentPools,
-            TableIICallStream,
-        )
-
-        if not 0.0 <= miss_rate <= 1.0:
-            raise APIError(f"miss_rate must be a probability, got {miss_rate}")
-        mix = dict(mix) if mix is not None else dict(PAPER_API_MIX)
-        if abs(sum(mix.values()) - 1.0) > 1e-6:
-            raise APIError(f"API mix must sum to 1, got {mix}")
-        self._stream = TableIICallStream(
-            ArgumentPools.from_taxonomy(taxonomy),
-            seed=seed,
-            mix=mix,
-            miss_rate=miss_rate,
-        )
-
-    def generate(self, n_calls: int) -> list[APICall]:
-        if n_calls <= 0:
-            raise APIError(f"n_calls must be positive, got {n_calls}")
-        return [
-            APICall(call.api, call.argument, call.expected_miss)
-            for call in self._stream.generate(n_calls)
-        ]
-
-    def run(self, api: TaxonomyAPI, n_calls: int) -> APIUsage:
-        """Generate and serve *n_calls* requests; returns the usage ledger.
-
-        Intended misses (unknown-argument draws, including empty-pool
-        draws) are counted in the ledger's ``unknown`` column.
-        """
-        for call in self.generate(n_calls):
-            if call.api == "men2ent":
-                api.men2ent(call.argument)
-            elif call.api == "getConcept":
-                api.get_concept(call.argument)
-            else:
-                api.get_entity(call.argument)
-            if call.expected_miss:
-                api.usage.record_unknown(call.api)
-        return api.usage
-
-    def run_service(self, service, n_calls: int, batch_size: int = 1):
-        """Replay *n_calls* requests against a service-shaped front.
-
-        *service* is anything exposing the canonical
-        :class:`~repro.taxonomy.service.BatchedServingAPI` surface with a
-        ``metrics`` ledger.  Delegates to
-        :func:`repro.workloads.runner.replay_calls`; returns the
-        service's cumulative metrics ledger.
-        """
-        if batch_size < 1:
-            raise APIError(f"batch_size must be >= 1, got {batch_size}")
-        from repro.workloads.runner import replay_calls
-
-        return replay_calls(
-            service, self.generate(n_calls), batch_size=batch_size
-        )

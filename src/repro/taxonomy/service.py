@@ -2,8 +2,7 @@
 
 The paper's deployment serves tens of millions of calls (Table II)
 while the taxonomy behind them is periodically rebuilt.
-:class:`TaxonomyService` decouples the two concerns that
-:class:`~repro.taxonomy.api.TaxonomyAPI` fuses:
+:class:`TaxonomyService` keeps the two concerns apart:
 
 - requests are served from an immutable :class:`TaxonomySnapshot` with
   a version id; a rebuild is published with :meth:`TaxonomyService.swap`,
@@ -19,22 +18,19 @@ while the taxonomy behind them is periodically rebuilt.
   ``men2ent`` / ``get_concepts`` / ``get_entities``, batched variants
   ``men2ent_batch`` / ``get_concepts_batch`` / ``get_entities_batch``
   that pin one snapshot for the whole batch and answer
-  position-for-position, plus deprecated PR-1 aliases (``get_concept``,
-  ``get_entity``, and the plural-name-as-batch spelling) kept for
-  compatibility — the same mixin the :mod:`repro.serving` cluster
-  (sharded store, replica router, HTTP client) implements;
-- every call is measured: per-API call/hit counts, wall-clock and a
-  recent-window latency reservoir land in a :class:`ServiceMetrics`
-  ledger that survives snapshot swaps and reports p50/p95/p99 tail
-  latency, which is what the workload generator, the API-service
-  example and the cluster's ``/metrics`` endpoint report.
+  position-for-position — the same mixin the :mod:`repro.serving`
+  cluster (sharded store, replica router, HTTP client) implements;
+- every call is validated once and measured once: per-API call/hit
+  counts, wall-clock and a recent-window latency reservoir land in a
+  :class:`ServiceMetrics` ledger that survives snapshot swaps and
+  reports p50/p95/p99 tail latency, which is what the workload runner,
+  the API-service example and the cluster's ``/metrics`` endpoint
+  report.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from repro.obs.clock import elapsed
@@ -42,8 +38,13 @@ from typing import Sequence
 
 from repro.errors import APIError, TaxonomyError
 from repro.obs import current_trace_id, get_hub
-from repro.obs.metrics import MetricSnapshot, Sample, SummarySample, summary_quantiles
-from repro.taxonomy.api import TaxonomyAPI
+from repro.obs.metrics import (
+    RESERVOIR_SIZE,
+    MetricSnapshot,
+    Sample,
+    SummarySample,
+    summary_quantiles,
+)
 from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
 from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy, TaxonomyStats
 
@@ -57,8 +58,8 @@ PROBE_KEY = "__probe__"
 #: quantile estimation.  A bounded ring buffer: tail latency is a
 #: recent-window property (a spike six hours ago should not dominate
 #: today's p99), and production traffic is unbounded so the ledger must
-#: not grow with it.
-LATENCY_RESERVOIR_SIZE = 2048
+#: not grow with it.  The registry's summaries keep the same window.
+LATENCY_RESERVOIR_SIZE = RESERVOIR_SIZE
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,12 @@ class TaxonomySnapshot:
     """One immutable published version of the taxonomy.
 
     ``read_view`` is the frozen :class:`ReadOptimizedTaxonomy` the
-    snapshot's API answers from; ``taxonomy`` keeps the full store for
-    closure queries and persistence.  The wrapped :class:`TaxonomyAPI`
-    carries the snapshot's own usage ledger, so per-version serving
-    statistics remain separable from the service's cumulative metrics.
+    snapshot's lookups answer from; ``taxonomy`` keeps the full store
+    for closure queries and persistence.
     """
 
     version: int
     taxonomy: Taxonomy
-    api: TaxonomyAPI
     read_view: ReadOptimizedTaxonomy
     #: sha256 of the canonical saved bytes — the content-addressed
     #: version id probes and the publish handshake converge on.
@@ -87,7 +85,6 @@ class TaxonomySnapshot:
         return cls(
             version=version,
             taxonomy=taxonomy,
-            api=TaxonomyAPI(read_view),
             read_view=read_view,
             content_hash=taxonomy.content_hash(),
         )
@@ -146,19 +143,18 @@ class APILatency:
     def quantiles(self, *qs: float) -> tuple[float, ...]:
         """Several nearest-rank quantiles from one sorted snapshot.
 
-        The reservoir is copied before sorting so a concurrent
-        ``observe`` from another serving thread cannot mutate the deque
-        mid-iteration, and ``/metrics`` pays one sort per API instead
-        of one per percentile.
+        The rank rule is :func:`~repro.obs.metrics.summary_quantiles`',
+        so the JSON ``apis`` block and the registry summary report the
+        same values.  The reservoir is copied before sorting so a
+        concurrent ``observe`` from another serving thread cannot
+        mutate the deque mid-iteration, and ``/metrics`` pays one sort
+        per API instead of one per percentile.
         """
         for q in qs:
             if not 0.0 < q <= 1.0:
                 raise APIError(f"quantile must be in (0, 1], got {q}")
-        ordered = sorted(tuple(self._samples))
-        if not ordered:
-            return tuple(0.0 for _ in qs)
         return tuple(
-            ordered[max(1, math.ceil(q * len(ordered))) - 1] for q in qs
+            value for _, value in summary_quantiles(tuple(self._samples), qs)
         )
 
     @property
@@ -198,7 +194,8 @@ class ServiceMetrics:
 
     @property
     def total_calls(self) -> int:
-        return sum(entry.calls for entry in self.per_api.values())
+        with self._lock:  # observe() may be inserting a new API
+            return sum(entry.calls for entry in self.per_api.values())
 
     def as_dict(self) -> dict[str, dict[str, float | int]]:
         with self._lock:  # consistent snapshot vs concurrent observe()
@@ -266,7 +263,7 @@ class ServiceMetrics:
 #: :class:`~repro.taxonomy.store.Taxonomy` /
 #: :class:`~repro.taxonomy.store.ReadOptimizedTaxonomy`, so the same
 #: mapping routes at every layer (store shard, router, HTTP server,
-#: client, workload generator) — keep it the single source of truth.
+#: client, workload runner) — keep it the single source of truth.
 WIRE_API_METHODS = {
     "men2ent": ("men2ent", "men2ent_batch"),
     "getConcept": ("get_concepts", "get_concepts_batch"),
@@ -288,51 +285,32 @@ class BatchedServingAPI:
     where ``api_name`` is one of the paper's wire names (``men2ent`` /
     ``getConcept`` / ``getEntity``).
 
-    Naming: the store (:class:`~repro.taxonomy.store.Taxonomy`) always
-    said ``get_concepts`` / ``get_entities`` — one key in, plural
-    results out — while the PR-1 service said ``get_concept`` /
-    ``get_entity`` for the same call and used the plural names for the
-    batched variants.  The canonical surface resolves that:
+    The single names match the lookups of
+    :class:`~repro.taxonomy.store.Taxonomy` — one key in, plural results
+    out:
 
     - singles: ``men2ent`` / ``get_concepts`` / ``get_entities``
-      (one string argument each),
+      (one non-empty string argument each; anything else, a list
+      included, raises :class:`~repro.errors.APIError`),
     - batches: ``men2ent_batch`` / ``get_concepts_batch`` /
-      ``get_entities_batch`` (a sequence of strings each),
-    - deprecated, kept for compatibility: ``get_concept`` /
-      ``get_entity`` singles, and calling ``get_concepts`` /
-      ``get_entities`` with a sequence (the PR-1 batch spelling) — both
-      emit :class:`DeprecationWarning` and delegate.
+      ``get_entities_batch`` (a sequence of strings each).
     """
 
-    # -- canonical singles -----------------------------------------------------
+    # -- singles ---------------------------------------------------------------
 
     def men2ent(self, mention: str) -> list[str]:
         """Disambiguated entity page_ids for one mention surface."""
         return self._single("men2ent", self._checked("men2ent", mention))
 
     def get_concepts(self, page_id: str) -> list[str]:
-        """Direct hypernyms of one entity (the getConcept API).
-
-        Passing a sequence instead of a string is the deprecated PR-1
-        batch spelling and delegates to :meth:`get_concepts_batch`.
-        """
-        if not isinstance(page_id, str):
-            self._warn_batch_spelling("get_concepts", "get_concepts_batch")
-            return self.get_concepts_batch(page_id)
+        """Direct hypernyms of one entity (the getConcept API)."""
         return self._single("getConcept", self._checked("getConcept", page_id))
 
     def get_entities(self, concept: str) -> list[str]:
-        """Entity hyponyms of one concept (the getEntity API).
-
-        Passing a sequence instead of a string is the deprecated PR-1
-        batch spelling and delegates to :meth:`get_entities_batch`.
-        """
-        if not isinstance(concept, str):
-            self._warn_batch_spelling("get_entities", "get_entities_batch")
-            return self.get_entities_batch(concept)
+        """Entity hyponyms of one concept (the getEntity API)."""
         return self._single("getEntity", self._checked("getEntity", concept))
 
-    # -- canonical batches -----------------------------------------------------
+    # -- batches ---------------------------------------------------------------
 
     def men2ent_batch(self, mentions: Sequence[str]) -> list[list[str]]:
         """``men2ent`` for every mention, answered from one version."""
@@ -350,19 +328,7 @@ class BatchedServingAPI:
             "getEntity", self._checked_batch("getEntity", concepts)
         )
 
-    # -- deprecated aliases ----------------------------------------------------
-
-    def get_concept(self, page_id: str) -> list[str]:
-        """Deprecated PR-1 spelling of :meth:`get_concepts` (single)."""
-        self._warn_alias("get_concept", "get_concepts")
-        return self.get_concepts(page_id)
-
-    def get_entity(self, concept: str) -> list[str]:
-        """Deprecated PR-1 spelling of :meth:`get_entities` (single)."""
-        self._warn_alias("get_entity", "get_entities")
-        return self.get_entities(concept)
-
-    # -- validation + warning helpers -----------------------------------------
+    # -- validation ------------------------------------------------------------
 
     @staticmethod
     def _checked(api_name: str, argument: str) -> str:
@@ -384,23 +350,6 @@ class BatchedServingAPI:
             )
         return [cls._checked(api_name, argument) for argument in arguments]
 
-    @staticmethod
-    def _warn_alias(old: str, new: str) -> None:
-        warnings.warn(
-            f"{old}() is deprecated; use {new}()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @staticmethod
-    def _warn_batch_spelling(name: str, batch_name: str) -> None:
-        warnings.warn(
-            f"calling {name}() with a sequence is deprecated; "
-            f"use {batch_name}()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
     # -- hooks -----------------------------------------------------------------
 
     def _single(self, api_name: str, argument: str) -> list[str]:
@@ -413,7 +362,7 @@ class BatchedServingAPI:
 
 
 class TaxonomyService(BatchedServingAPI):
-    """Facade over :class:`TaxonomyAPI`: versioned, batched, measured."""
+    """Serve a taxonomy's read view: versioned, batched, measured."""
 
     def __init__(
         self, taxonomy: Taxonomy, *, version: int = 1, hub=None
@@ -542,7 +491,6 @@ class TaxonomyService(BatchedServingAPI):
             snapshot = TaxonomySnapshot(
                 version=target,
                 taxonomy=taxonomy,
-                api=TaxonomyAPI(read_view),
                 read_view=read_view,
                 content_hash=content_hash,
             )
@@ -565,16 +513,10 @@ class TaxonomyService(BatchedServingAPI):
 
     # -- internals -------------------------------------------------------------
 
-    _API_METHODS = {
-        "men2ent": "men2ent",
-        "getConcept": "get_concept",
-        "getEntity": "get_entity",
-    }
-
     def _serve(
         self, snapshot: TaxonomySnapshot, api_name: str, argument: str
     ) -> list[str]:
-        call = getattr(snapshot.api, self._API_METHODS[api_name])
+        call = getattr(snapshot.read_view, WIRE_API_METHODS[api_name][0])
         if argument == PROBE_KEY:
             # health-probe traffic: serve it (a probe exercises the real
             # lookup path) but keep it out of the latency ledgers

@@ -47,9 +47,10 @@ Quickstart::
 
 or from the shell: ``cn-probase workload list | compile | run``.
 
-The deprecated :class:`~repro.taxonomy.api.WorkloadGenerator` is now a
-thin shim over :class:`~repro.workloads.sampling.TableIICallStream`
-(same seed → same call stream).
+For a plain seeded call stream without a schedule,
+:class:`~repro.workloads.sampling.TableIICallStream` draws Table II
+calls one at a time and :func:`~repro.workloads.runner.replay_calls`
+serves them closed-loop.
 """
 
 from __future__ import annotations

@@ -337,13 +337,9 @@ class FaultyReplica:
 
     # -- replication surface ---------------------------------------------------
 
-    def published_version(self) -> str:
-        self._gate("published_version")
-        return self._inner.published_version()
-
-    def published_content_hash(self) -> str | None:
-        self._gate("published_content_hash")
-        return self._inner.published_content_hash()
+    def published(self):
+        self._gate("published")
+        return self._inner.published()
 
     def publish_delta(self, delta, *, base_version=None, version=None):
         self._gate("publish_delta")
@@ -362,10 +358,10 @@ class FaultyReplica:
     # -- fault-free inspection (reports, not the wire) -------------------------
 
     def inner_version(self) -> str:
-        return self._inner.published_version()
+        return self._inner.published().version_id
 
     def inner_content_hash(self) -> str | None:
-        return self._inner.published_content_hash()
+        return self._inner.published().content_hash
 
 
 @dataclass

@@ -395,8 +395,9 @@ def replay_calls(front, calls, *, batch_size: int = 1):
     :class:`~repro.taxonomy.service.BatchedServingAPI` surface — the
     in-process service, the sharded store, the replica router or the
     HTTP client.  *calls* is any iterable of objects with ``api`` and
-    ``argument`` attributes (:class:`~repro.workloads.sampling.SampledCall`
-    or the legacy ``APICall``).  With ``batch_size > 1`` requests are
+    ``argument`` attributes (e.g.
+    :class:`~repro.workloads.sampling.SampledCall`).  With
+    ``batch_size > 1`` requests are
     buffered per API and served through the ``*_batch`` variants, the
     way a real gateway amortises round trips.  Returns the front's
     cumulative ``metrics`` ledger when it has one.

@@ -5,12 +5,12 @@ state, no wall clock — because the schedule compiler's contract is that
 the same ``(Scenario, seed)`` always produces byte-identical output
 (a lint test enforces it package-wide).
 
-:class:`TableIICallStream` is the exact generation algorithm the
-deprecated :class:`~repro.taxonomy.api.WorkloadGenerator` used — same
-RNG consumption order, so the shim's call stream is reproducible here
-call for call — with one deliberate fix: an empty argument pool no
-longer yields the constant ``"空"`` (which silently under-counted
-misses) but a seeded unknown-mention marker flagged ``expected_miss``.
+:class:`TableIICallStream` is the repo's original workload generation
+algorithm — same RNG consumption order, so historical seeded streams
+are reproducible call for call — with one deliberate fix: an empty
+argument pool no longer yields the constant ``"空"`` (which silently
+under-counted misses) but a seeded unknown-mention marker flagged
+``expected_miss``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class ArgumentPools:
 
     @classmethod
     def from_taxonomy(cls, taxonomy) -> "ArgumentPools":
-        """Pools drawn from a built store (what the legacy shim samples).
+        """Pools drawn from a built store.
 
         One pass over one materialisation of ``relations()`` collects
         all three pools — the taxonomy can hold millions of relations,
@@ -169,15 +169,15 @@ class SampledCall:
 
 
 class TableIICallStream:
-    """The legacy one-at-a-time request stream, seeded and mix-weighted.
+    """The one-at-a-time Table II request stream, seeded and mix-weighted.
 
-    RNG consumption per call is exactly the deprecated generator's:
+    RNG consumption per call is exactly the original generator's:
     one ``choices`` for the API, one ``random()`` for the miss gate,
-    then either ``randint`` (miss) or ``choice`` (pool draw) — so the
-    :class:`~repro.taxonomy.api.WorkloadGenerator` shim reproduces its
-    historical streams bit for bit.  The one behavioural change: when
-    a pool is empty the stream emits a seeded unknown marker flagged
-    ``expected_miss`` instead of the silent constant ``"空"``.
+    then either ``randint`` (miss) or ``choice`` (pool draw) — so
+    historical seeded streams reproduce bit for bit.  The one
+    behavioural change: when a pool is empty the stream emits a seeded
+    unknown marker flagged ``expected_miss`` instead of the silent
+    constant ``"空"``.
     """
 
     def __init__(

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    DeprecationChecker,
     DeterminismChecker,
     ErrorTaxonomyChecker,
     LockDisciplineChecker,
@@ -226,37 +225,3 @@ class TestErrorTaxonomy:
             "if sys.version_info < (3, 9):\n"
             "    raise RuntimeError('needs 3.9')\n"
         )) == []
-
-
-class TestDeprecation:
-    def test_flags_workload_generator_import(self):
-        messages = check(DeprecationChecker(), (
-            "from repro.taxonomy import WorkloadGenerator\n"
-        ))
-        assert len(messages) == 1
-        assert "WorkloadGenerator" in messages[0]
-
-    def test_flags_deprecated_alias_calls_only(self):
-        messages = check(DeprecationChecker(), (
-            "def drive(api, name):\n"
-            "    api.get_concept(name)\n"
-            "    handler = api.get_concept\n"
-        ))
-        # the call flags; the bare attribute reference (dispatch table)
-        # does not
-        assert len(messages) == 1
-        assert ".get_concept()" in messages[0]
-
-    def test_canonical_accessors_pass(self):
-        assert check(DeprecationChecker(), (
-            "def drive(api, name):\n"
-            "    api.concept_of(name)\n"
-            "    api.entities_of(name)\n"
-        )) == []
-
-    def test_shim_modules_are_exempt_by_path(self):
-        source = "def drive(api, n):\n    return api.get_concept(n)\n"
-        assert check(DeprecationChecker(), source,
-                     rel="taxonomy/api.py") == []
-        assert len(check(DeprecationChecker(), source,
-                         rel="serving/router.py")) == 1

@@ -22,20 +22,19 @@ def violating_tree(tmp_path):
 
 
 def test_shipped_tree_is_clean(capsys):
-    # the acceptance bar: all five checkers over the installed package,
+    # the acceptance bar: all four checkers over the installed package,
     # exit 0 — pragmas and the shipped baseline account for everything
     assert main(["lint"]) == 0
     out = capsys.readouterr().out
     assert "0 new finding(s)" in out
 
 
-def test_shipped_tree_json_reports_all_five_checkers(capsys):
+def test_shipped_tree_json_reports_all_four_checkers(capsys):
     assert main(["lint", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings_new"] == 0
-    assert set(payload["checkers"]) >= {
-        "determinism", "lock-discipline", "pickle-safety",
-        "error-taxonomy", "deprecation",
+    assert set(payload["checkers"]) == {
+        "determinism", "lock-discipline", "pickle-safety", "error-taxonomy",
     }
     assert payload["modules_scanned"] > 50
 
@@ -61,6 +60,9 @@ def test_select_limits_the_checkers(violating_tree, capsys):
     assert main(["lint", "--path", str(violating_tree),
                  "--select", "lock-discipline,pickle-safety"]) == 0
     assert main(["lint", "--select", "nonsense"]) == 2
+    assert "unknown checker id" in capsys.readouterr().err
+    # the deprecation checker went with the shims it guarded
+    assert main(["lint", "--select", "deprecation"]) == 2
     assert "unknown checker id" in capsys.readouterr().err
 
 

@@ -7,9 +7,8 @@ Covers the observability acceptance gates end to end:
 - ``/metrics`` stays consistent under concurrent readers while
   publishes swap snapshots underneath (no torn counters, every summary
   monotone in its quantiles);
-- every ``last_publish_report`` entry — including the ``merged``
-  outcome — carries one normalized schema, mirrored into the
-  structured event log;
+- every ``publish_outcome`` event — including the ``merged``
+  outcome — carries one normalized schema;
 - the event log captures publishes, swaps, health transitions and
   resyncs with contiguous sequence numbers.
 """
@@ -305,16 +304,27 @@ def storeless_router(hub):
     return ReplicatedRouter(replicas, base_version=1, hub=hub)
 
 
+def logged_entries(hub, since: int) -> list[dict]:
+    """The ``publish_outcome`` records logged after *since*, without the
+    log's own ``seq``/``ts``/``kind`` envelope."""
+    return [
+        {k: v for k, v in record.items() if k not in ("seq", "ts", "kind")}
+        for record in hub.events.records(kind="publish_outcome", since=since)
+    ]
+
+
 class TestPublishReportSchema:
     def test_all_entries_share_one_schema_including_merged(self):
-        """Satellite 1: the merged entry matches the per-replica shape."""
+        """The merged entry matches the per-replica shape."""
         with fresh_hub() as hub:
             router = storeless_router(hub)
             delta = nightly_delta()
+            since = hub.events.last_seq
             router.publish_delta(delta, base_version=1, version=2)
-            first = list(router.last_publish_report)
+            first = logged_entries(hub, since)
+            since = hub.events.last_seq
             router.publish_delta(delta, base_version=1, version=2)
-            merged = list(router.last_publish_report)
+            merged = logged_entries(hub, since)
         assert len(first) == 2  # one entry per replica
         for entry in first + merged:
             assert set(entry) == REPORT_SCHEMA, entry
@@ -336,8 +346,9 @@ class TestPublishReportSchema:
             router = ReplicatedRouter.from_store(store, replicas=2)
             delta = nightly_delta()
             router.publish_delta(delta, base_version=1, version=2)
+            since = hub.events.last_seq
             router.publish_delta(delta, base_version=1, version=2)
-            merged = list(router.last_publish_report)
+            merged = logged_entries(hub, since)
         assert [e["outcome"] for e in merged] == ["merged"]
         assert set(merged[0]) == REPORT_SCHEMA
 

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.errors import DeltaConflictError
-from repro.obs import fresh_hub
+from repro.obs import fresh_hub, get_hub
 from repro.serving import (
     LocalReplica,
     RemoteReplica,
@@ -100,6 +100,16 @@ def remotes(request):
     return fixtures
 
 
+def logged_outcomes(since: int) -> list[str]:
+    """Outcomes of the ``publish_outcome`` events logged after *since*."""
+    return [
+        record["outcome"]
+        for record in get_hub().events.records(
+            kind="publish_outcome", since=since
+        )
+    ]
+
+
 def attach(hub, remotes):
     for shard_id, fixture in enumerate(remotes):
         hub.attach_replica(shard_id, fixture.backend)
@@ -158,11 +168,11 @@ class TestDeltaShipping:
     ):
         attach(hub, remotes)
         delta = nightly_delta(0)
+        since = get_hub().events.last_seq
         result = hub.publish_delta(delta)
         assert result.version == 2  # the store's shard set
         # every remote-capable replica got its slice and is at v2
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["applied"] * N_SHARDS
+        assert logged_outcomes(since) == ["applied"] * N_SHARDS
         for fixture in remotes:
             assert fixture.client.version()["version"] == "v2"
         # and answers keys *it owns* exactly like the new build
@@ -182,9 +192,9 @@ class TestDeltaShipping:
     def test_second_night_chains_on_the_first(self, hub, remotes):
         attach(hub, remotes)
         hub.publish_delta(nightly_delta(0))
+        since = get_hub().events.last_seq
         hub.publish_delta(nightly_delta(1))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["applied"] * N_SHARDS
+        assert logged_outcomes(since) == ["applied"] * N_SHARDS
         for fixture in remotes:
             assert fixture.client.version()["version"] == "v3"
         assert hub.version_lineage() == ["v2", "v3"]
@@ -197,9 +207,9 @@ class TestDeltaShipping:
         attach(hub, remotes)
         # night 2: the handshake refuses (replicas are at v1, base is
         # v2) and the router composes the missed chain from history
+        since = get_hub().events.last_seq
         hub.publish_delta(nightly_delta(1))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["chained"] * N_SHARDS
+        assert logged_outcomes(since) == ["chained"] * N_SHARDS
         assert hub.stats.chain_catchups == N_SHARDS
         assert hub.stats.snapshot_heals == 0
         reference = make_taxonomy(2)
@@ -222,11 +232,11 @@ class TestDeltaShipping:
         attach(hub, remotes)
         snapshot_path = tmp_path / "current.jsonl"
         make_taxonomy(3).save(snapshot_path)
+        since = get_hub().events.last_seq
         hub.publish_delta(
             nightly_delta(2), snapshot_path=str(snapshot_path)
         )
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["healed"] * N_SHARDS
+        assert logged_outcomes(since) == ["healed"] * N_SHARDS
         assert hub.stats.snapshot_heals == N_SHARDS
         reference = make_taxonomy(3)
         for fixture in remotes:
@@ -235,9 +245,9 @@ class TestDeltaShipping:
             assert fixture.client.men2ent("新星2") == \
                 reference.men2ent("新星2")
         # the next night applies cleanly again — the replica rejoined
+        since = get_hub().events.last_seq
         hub.publish_delta(nightly_delta(3))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["applied"] * N_SHARDS
+        assert logged_outcomes(since) == ["applied"] * N_SHARDS
 
     def test_refusing_replica_without_heal_path_is_marked_failed(
         self, hub, remotes
@@ -245,9 +255,9 @@ class TestDeltaShipping:
         hub.publish_delta(nightly_delta(0))
         hub.swap(make_taxonomy(2))  # break the chain
         attach(hub, remotes)
+        since = get_hub().events.last_seq
         hub.publish_delta(nightly_delta(2))  # no snapshot_path
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["failed"] * N_SHARDS
+        assert logged_outcomes(since) == ["failed"] * N_SHARDS
         # the stale replicas left the rotation; local replicas serve
         health = hub.health()
         for replicas in health:
@@ -434,9 +444,9 @@ class TestSwapWithRemotes:
         self, hub, remotes
     ):
         attach(hub, remotes)
+        since = get_hub().events.last_seq
         hub.swap(make_taxonomy(2))  # no snapshot_path: cannot ship it
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["stale"] * N_SHARDS
+        assert logged_outcomes(since) == ["stale"] * N_SHARDS
         # the remotes are out of the rotation…
         for replicas in hub.health():
             assert replicas[1]["healthy"] is False
@@ -452,9 +462,9 @@ class TestSwapWithRemotes:
         attach(hub, remotes)
         snapshot_path = tmp_path / "rebuilt.jsonl"
         make_taxonomy(2).save(snapshot_path)
+        since = get_hub().events.last_seq
         hub.swap(make_taxonomy(2), snapshot_path=str(snapshot_path))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["healed"] * N_SHARDS
+        assert logged_outcomes(since) == ["healed"] * N_SHARDS
         reference = make_taxonomy(2)
         for fixture in remotes:
             assert fixture.client.version()["version"] == "v2"
@@ -496,9 +506,9 @@ class TestVersionAlignedAdmission:
         for _ in range(4):
             assert hub.men2ent("新星0") == ["新星0#0"]
         # the next publish catches them up by chain and re-admits them
+        since = get_hub().events.last_seq
         hub.publish_delta(nightly_delta(1))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["chained"] * N_SHARDS
+        assert logged_outcomes(since) == ["chained"] * N_SHARDS
         for replicas in hub.health():
             assert all(state["healthy"] for state in replicas)
         for _ in range(4):  # both rotation slots serve v3 now
@@ -576,9 +586,9 @@ class TestLockedHandshake:
             assert replicas[1]["healthy"] is False
         snapshot_path = tmp_path / "rebuilt.jsonl"
         make_taxonomy(2).save(snapshot_path)
+        since = get_hub().events.last_seq
         hub.swap(make_taxonomy(2), snapshot_path=str(snapshot_path))
-        assert [r["outcome"] for r in hub.last_publish_report] == \
-            ["healed"] * N_SHARDS
+        assert logged_outcomes(since) == ["healed"] * N_SHARDS
         # healed replicas rejoin the rotation immediately — no probe
         # round-trip needed
         for replicas in hub.health():
@@ -684,8 +694,9 @@ class TestUnchainableHistory:
         hub.publish_delta(self._rescore_delta(1.0, 2.0))  # v2
         hub.publish_delta(self._rescore_delta(5.0, 3.0))  # v3: unchains
         attach(hub, remotes)  # parked at v1
+        since = get_hub().events.last_seq
         hub.publish_delta(delta, **kwargs)  # v4: must not raise
-        return [r["outcome"] for r in hub.last_publish_report]
+        return logged_outcomes(since)
 
     @staticmethod
     def _unstamped(delta):

@@ -13,8 +13,10 @@ import threading
 import pytest
 
 from repro.errors import APIError, DeltaConflictError
+from repro.obs import get_hub
 from repro.serving import (
     LocalReplica,
+    RemoteReplica,
     ReplicatedRouter,
     ShardedSnapshotStore,
     TaxonomyClient,
@@ -76,8 +78,8 @@ class TestResyncLadder:
         report = resync_replica(replica, source)
         assert report["outcome"] == "chained"
         assert report["hops"] == 2
-        assert replica.published_version() == "v3"
-        assert replica.published_content_hash() == source.content_hash
+        assert replica.published().version_id == "v3"
+        assert replica.published().content_hash == source.content_hash
         assert replica.men2ent("新星1") == ["新星1#0"]
 
     def test_evicted_ring_without_snapshot_refuses_loudly(self):
@@ -87,7 +89,7 @@ class TestResyncLadder:
         with pytest.raises(APIError, match="not covered"):
             resync_replica(replica, source)
         # the failed resync must leave the replica serving its old state
-        assert replica.published_version() == "v1"
+        assert replica.published().version_id == "v1"
 
     def test_evicted_ring_heals_through_the_snapshot(self, tmp_path):
         publishes = DELTA_HISTORY_SIZE + 2
@@ -97,8 +99,8 @@ class TestResyncLadder:
         replica = LocalReplica(make_taxonomy(0))
         report = resync_replica(replica, source, snapshot_path=snapshot)
         assert report["outcome"] == "healed"
-        assert replica.published_version() == f"v{publishes + 1}"
-        assert replica.published_content_hash() == source.content_hash
+        assert replica.published().version_id == f"v{publishes + 1}"
+        assert replica.published().content_hash == source.content_hash
 
     def test_resync_is_content_addressed_not_ordinal(self):
         # a replica whose ordinal matches the source but whose *bytes*
@@ -112,7 +114,7 @@ class TestResyncLadder:
         # correct outcome
         with pytest.raises(APIError, match="not covered"):
             resync_replica(replica, source)
-        assert replica.published_content_hash() == (
+        assert replica.published().content_hash == (
             make_taxonomy(5).content_hash()
         )
 
@@ -142,6 +144,24 @@ class TestDeltaChainWire:
         [hop] = payload["deltas"]
         assert hop["base_version"] == "v1"
         assert hop["base_content_hash"] == base_hash
+
+    def test_stale_remote_resync_reads_its_version_once(
+        self, cluster, monkeypatch
+    ):
+        service, client = cluster  # the remote replica, stale at v1
+        source = advanced_store(1)  # the publisher, at v2
+        reads = []
+        version = client.version
+
+        def counted_version():
+            reads.append("/version")
+            return version()
+
+        monkeypatch.setattr(client, "version", counted_version)
+        report = resync_replica(RemoteReplica(client), source)
+        assert report["outcome"] == "chained"
+        assert reads == ["/version"]  # one read: ordinal and hash
+        assert service.content_hash == source.content_hash
 
     def test_chain_by_version_id_and_uncovered_hash(self, cluster):
         service, client = cluster
@@ -243,12 +263,15 @@ class TestProbeTimeResync:
         stale = LocalReplica(make_taxonomy(0), name="stale")
         router.attach_replica(0, stale)
         assert router.health()[0][-1]["healthy"] is False  # parked
+        events = get_hub().events
+        since = events.last_seq
         assert router.probe(0, 2) is True
         assert router.stats.probe_resyncs == 1
         assert router.stats.resync_chains == 1
-        assert stale.published_content_hash() == router.content_hash
-        assert router.last_resync_report[-1]["outcome"] == "chained"
-        assert router.last_resync_report[-1]["hops"] == 1
+        assert stale.published().content_hash == router.content_hash
+        [resync] = events.records(kind="resync", since=since)
+        assert resync["outcome"] == "chained"
+        assert resync["hops"] == 1
 
     def test_wire_source_resync_uses_the_chain_endpoint(self, request):
         hub_service = build_cluster(make_taxonomy(0), shards=1)
@@ -266,5 +289,5 @@ class TestProbeTimeResync:
         report = resync_replica(replica, client)  # source speaks HTTP
         assert report["outcome"] == "chained"
         assert report["hops"] == 2
-        assert replica.published_version() == "v3"
-        assert replica.published_content_hash() == hub_service.content_hash
+        assert replica.published().version_id == "v3"
+        assert replica.published().content_hash == hub_service.content_hash

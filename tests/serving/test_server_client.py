@@ -98,12 +98,16 @@ class TestQueries:
             ["刘德华#0", "周杰伦#0"], [],
         ]
 
-    def test_deprecated_spellings_work_over_the_wire(self, cluster):
-        _, client = cluster
-        with pytest.deprecated_call():
-            assert client.get_concept("刘德华#0") == ["歌手", "演员"]
-        with pytest.deprecated_call():
-            assert client.get_entities(["歌手"]) == [["刘德华#0", "周杰伦#0"]]
+    def test_list_passed_to_a_single_is_refused_before_sending(
+        self, cluster
+    ):
+        server, client = cluster
+        sent = client.metrics.total_calls
+        served = server.service.metrics.total_calls
+        with pytest.raises(APIError, match="non-empty string"):
+            client.get_entities(["歌手"])
+        assert client.metrics.total_calls == sent
+        assert server.service.metrics.total_calls == served
 
     def test_client_keeps_its_own_ledger(self, cluster):
         _, client = cluster

@@ -130,14 +130,11 @@ class TestAnswerIdentity:
         assert store.men2ent_batch(mentions) == \
             reference.men2ent_batch(mentions)
 
-    def test_deprecated_aliases_served(self, taxonomy, reference):
+    def test_list_passed_to_a_single_is_refused(self, taxonomy):
         store = ShardedSnapshotStore(taxonomy, n_shards=2)
-        with pytest.deprecated_call():
-            assert store.get_concept("实体1#0") == \
-                reference.get_concepts("实体1#0")
-        with pytest.deprecated_call():
-            assert store.get_entities(["概念1"]) == \
-                reference.get_entities_batch(["概念1"])
+        with pytest.raises(APIError, match="non-empty string"):
+            store.get_entities(["概念1"])
+        assert store.metrics.total_calls == 0
 
 
 class TestValidationAndMetrics:

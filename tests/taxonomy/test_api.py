@@ -1,15 +1,15 @@
-"""Tests for the serving APIs and workload generator."""
+"""Tests for the paper's three public APIs and the Table II call stream."""
+
+import random
 
 import pytest
 
-from repro.errors import APIError
-from repro.taxonomy.api import (
-    PAPER_API_MIX,
-    TaxonomyAPI,
-    WorkloadGenerator,
-)
+from repro.errors import APIError, WorkloadError
+from repro.taxonomy.api import PAPER_API_MIX
 from repro.taxonomy.model import Entity, IsARelation
+from repro.taxonomy.service import TaxonomyService
 from repro.taxonomy.store import Taxonomy
+from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
 
 
 @pytest.fixture
@@ -25,55 +25,47 @@ def taxonomy():
 
 @pytest.fixture
 def api(taxonomy):
-    return TaxonomyAPI(taxonomy)
+    return TaxonomyService(taxonomy)
+
+
+def stream(taxonomy, **kwargs):
+    return TableIICallStream(ArgumentPools.from_taxonomy(taxonomy), **kwargs)
+
+
+def total_hits(metrics):
+    return sum(metrics.latency(name).hits for name in PAPER_API_MIX)
 
 
 class TestAPIs:
+    """The three lookups, served and counted by one front."""
+
     def test_men2ent(self, api):
         assert api.men2ent("华仔") == ["刘德华#0"]
 
     def test_get_concept(self, api):
-        assert api.get_concept("刘德华#0") == ["歌手", "演员"]
+        assert api.get_concepts("刘德华#0") == ["歌手", "演员"]
 
     def test_get_entity(self, api):
-        assert api.get_entity("歌手") == ["刘德华#0", "周杰伦#0"]
+        assert api.get_entities("歌手") == ["刘德华#0", "周杰伦#0"]
 
     def test_empty_arguments_rejected(self, api):
-        with pytest.raises(APIError):
-            api.men2ent("")
-        with pytest.raises(APIError):
-            api.get_concept("")
-        with pytest.raises(APIError):
-            api.get_entity("")
+        for call in (api.men2ent, api.get_concepts, api.get_entities):
+            with pytest.raises(APIError):
+                call("")
+        assert api.metrics.total_calls == 0
 
     def test_usage_counting(self, api):
         api.men2ent("华仔")
         api.men2ent("无人")
-        api.get_concept("刘德华#0")
-        assert api.usage.calls["men2ent"] == 2
-        assert api.usage.hits["men2ent"] == 1
-        assert api.usage.total_calls == 3
-        assert api.usage.hit_rate("men2ent") == 0.5
-
-    def test_reset_usage(self, api):
-        api.men2ent("华仔")
-        api.reset_usage()
-        assert api.usage.total_calls == 0
-
-    def test_mix(self, api):
-        api.men2ent("华仔")
-        api.get_entity("歌手")
-        mix = api.usage.mix()
-        assert mix["men2ent"] == 0.5
-        assert mix["getEntity"] == 0.5
-
-    def test_empty_mix(self, api):
-        assert api.usage.mix()["men2ent"] == 0.0
+        api.get_concepts("刘德华#0")
+        men2ent = api.metrics.latency("men2ent")
+        assert (men2ent.calls, men2ent.hits) == (2, 1)
+        assert api.metrics.total_calls == 3
+        assert men2ent.hit_rate == 0.5
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestWorkload:
-    """The deprecated shim: same streams as before, now counted misses."""
+    """The Table II stream, replayed against a service."""
 
     def test_paper_mix_sums_to_one(self):
         assert sum(PAPER_API_MIX.values()) == pytest.approx(1.0)
@@ -82,45 +74,29 @@ class TestWorkload:
         assert PAPER_API_MIX["men2ent"] > PAPER_API_MIX["getEntity"]
         assert PAPER_API_MIX["getEntity"] > PAPER_API_MIX["getConcept"]
 
-    def test_shim_emits_deprecation_warning(self, taxonomy):
-        with pytest.warns(DeprecationWarning, match="repro.workloads"):
-            WorkloadGenerator(taxonomy, seed=1)
-
-    def test_generated_mix_matches_paper(self, taxonomy, api):
-        generator = WorkloadGenerator(taxonomy, seed=1)
-        usage = generator.run(api, 4000)
-        mix = usage.mix()
+    def test_generated_mix_matches_paper(self, taxonomy):
+        calls = stream(taxonomy, seed=1).generate(4000)
         for name, expected in PAPER_API_MIX.items():
-            assert mix[name] == pytest.approx(expected, abs=0.03)
+            share = sum(call.api == name for call in calls) / len(calls)
+            assert share == pytest.approx(expected, abs=0.03)
 
     def test_hit_rate_high_for_low_miss(self, taxonomy, api):
-        generator = WorkloadGenerator(taxonomy, seed=2, miss_rate=0.0)
-        usage = generator.run(api, 500)
-        for name in usage.calls:
-            if usage.calls[name]:
-                assert usage.hit_rate(name) == 1.0
-        assert usage.total_unknown == 0
+        calls = stream(taxonomy, seed=2, miss_rate=0.0).generate(500)
+        assert not any(call.expected_miss for call in calls)
+        metrics = replay_calls(api, calls)
+        assert metrics.total_calls == 500
+        for name in PAPER_API_MIX:
+            latency = metrics.latency(name)
+            if latency.calls:
+                assert latency.hit_rate == 1.0
 
     def test_deterministic(self, taxonomy):
-        a = WorkloadGenerator(taxonomy, seed=3).generate(100)
-        b = WorkloadGenerator(taxonomy, seed=3).generate(100)
+        a = stream(taxonomy, seed=3).generate(100)
+        b = stream(taxonomy, seed=3).generate(100)
         assert a == b
-
-    def test_same_stream_as_new_package(self, taxonomy):
-        """The shim IS TableIICallStream: same seed, same stream."""
-        from repro.workloads import ArgumentPools, TableIICallStream
-
-        shim = WorkloadGenerator(taxonomy, seed=9).generate(200)
-        stream = TableIICallStream(
-            ArgumentPools.from_taxonomy(taxonomy), seed=9
-        ).generate(200)
-        assert [(c.api, c.argument, c.expected_miss) for c in shim] == \
-            [(c.api, c.argument, c.expected_miss) for c in stream]
 
     def test_same_stream_as_legacy_algorithm(self, taxonomy):
         """RNG consumption matches the historical generator bit for bit."""
-        import random
-
         pools = {
             "men2ent": sorted(
                 m for e in ("刘德华#0", "周杰伦#0")
@@ -140,37 +116,37 @@ class TestWorkload:
             else:
                 argument = rng.choice(pools[api_name])
             legacy.append((api_name, argument))
-        shim = WorkloadGenerator(taxonomy, seed=7).generate(300)
-        assert [(c.api, c.argument) for c in shim] == legacy
+        calls = stream(taxonomy, seed=7).generate(300)
+        assert [(c.api, c.argument) for c in calls] == legacy
 
     def test_empty_pool_yields_counted_unknown(self):
-        """The old silent-"空" path: now a seeded, ledger-counted miss."""
+        """The old silent-"空" path: now a seeded, flagged miss."""
         empty = Taxonomy()
-        calls = WorkloadGenerator(empty, seed=6, miss_rate=0.0).generate(80)
+        calls = stream(empty, seed=6, miss_rate=0.0).generate(80)
         assert all(call.expected_miss for call in calls)
         assert all(call.argument != "空" for call in calls)
         assert len({call.argument for call in calls}) > 1  # seeded, varied
-        target = TaxonomyAPI(empty)
-        usage = WorkloadGenerator(empty, seed=6).run(target, 80)
-        assert usage.total_calls == 80
-        assert usage.total_unknown == 80
+        metrics = replay_calls(TaxonomyService(empty), calls)
+        assert metrics.total_calls == 80
+        assert total_hits(metrics) == 0
 
     def test_intended_misses_counted_in_ledger(self, taxonomy, api):
-        generator = WorkloadGenerator(taxonomy, seed=8, miss_rate=0.5)
-        usage = generator.run(api, 400)
-        assert 100 < usage.total_unknown < 300  # ~half the stream
-        for name, count in usage.unknown.items():
-            assert count <= usage.calls[name]
+        calls = stream(taxonomy, seed=8, miss_rate=0.5).generate(400)
+        misses = sum(call.expected_miss for call in calls)
+        assert 100 < misses < 300  # ~half the stream
+        metrics = replay_calls(api, calls)
+        # every intended miss missed, every pool draw hit
+        assert total_hits(metrics) == len(calls) - misses
 
     def test_invalid_miss_rate(self, taxonomy):
-        with pytest.raises(APIError):
-            WorkloadGenerator(taxonomy, miss_rate=1.5)
+        with pytest.raises(WorkloadError):
+            stream(taxonomy, miss_rate=1.5)
 
     def test_invalid_mix(self, taxonomy):
-        with pytest.raises(APIError):
-            WorkloadGenerator(taxonomy, mix={"men2ent": 0.5, "getConcept": 0.2,
-                                             "getEntity": 0.2})
+        with pytest.raises(WorkloadError):
+            stream(taxonomy, mix={"men2ent": 0.5, "getConcept": 0.2,
+                                  "getEntity": 0.2})
 
-    def test_invalid_call_count(self, taxonomy, api):
-        with pytest.raises(APIError):
-            WorkloadGenerator(taxonomy).run(api, 0)
+    def test_invalid_call_count(self, taxonomy):
+        with pytest.raises(WorkloadError):
+            stream(taxonomy).generate(0)

@@ -93,7 +93,6 @@ class TestSnapshotServesReadView:
         service = TaxonomyService(taxonomy)
         snapshot = service.snapshot
         assert isinstance(snapshot.read_view, ReadOptimizedTaxonomy)
-        assert snapshot.api._taxonomy is snapshot.read_view
 
     def test_served_answers_frozen_at_publish(self, taxonomy):
         service = TaxonomyService(taxonomy)

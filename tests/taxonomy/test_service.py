@@ -1,11 +1,19 @@
 """Tests for the versioned serving facade (repro.taxonomy.service)."""
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro.errors import APIError, WorkloadError
-from repro.taxonomy.api import APIUsage
 from repro.taxonomy.model import Entity, IsARelation
-from repro.taxonomy.service import APILatency, TaxonomyService
+from repro.taxonomy.service import (
+    APILatency,
+    BatchedServingAPI,
+    ServiceMetrics,
+    TaxonomyService,
+    TaxonomySnapshot,
+)
 from repro.taxonomy.store import Taxonomy
 from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
 
@@ -57,9 +65,29 @@ class TestSingleCalls:
             service.men2ent("")
         assert service.metrics.total_calls == 0
 
-    def test_snapshot_usage_still_kept(self, service):
-        service.men2ent("华仔")
-        assert service.snapshot.api.usage.calls["men2ent"] == 1
+    def test_single_is_checked_once_and_observed_once(
+        self, service, monkeypatch
+    ):
+        checked, observed = [], []
+        check, observe = BatchedServingAPI._checked, service.metrics.observe
+
+        def counting_check(api_name, argument):
+            checked.append(api_name)
+            return check(api_name, argument)
+
+        def counting_observe(api_name, seconds, hit):
+            observed.append(api_name)
+            observe(api_name, seconds, hit)
+
+        monkeypatch.setattr(
+            BatchedServingAPI, "_checked", staticmethod(counting_check)
+        )
+        monkeypatch.setattr(service.metrics, "observe", counting_observe)
+        assert service.get_concepts("刘德华#0") == ["歌手", "演员"]
+        assert checked == observed == ["getConcept"]
+        # the snapshot carries the read view, no second ledger
+        fields = {field.name for field in dataclasses.fields(TaxonomySnapshot)}
+        assert "api" not in fields
 
 
 class TestBatchedCalls:
@@ -105,20 +133,6 @@ class TestSnapshots:
         service.swap(rebuilt)
         service.men2ent("华仔")
         assert service.metrics.latency("men2ent").calls == 2
-        # per-snapshot ledger restarted with the new version
-        assert service.snapshot.api.usage.calls["men2ent"] == 1
-
-
-class TestUsageValidation:
-    def test_unknown_api_raises_with_known_list(self):
-        usage = APIUsage()
-        with pytest.raises(APIError, match="getConcept, getEntity, men2ent"):
-            usage.record("bogus", True)
-
-    def test_known_api_still_counts(self):
-        usage = APIUsage()
-        usage.record("men2ent", True)
-        assert usage.calls["men2ent"] == 1
 
 
 class TestLatencyQuantiles:
@@ -162,6 +176,41 @@ class TestLatencyQuantiles:
         assert latency.max_seconds == 10.0
         assert latency.calls == 2 * LATENCY_RESERVOIR_SIZE
 
+    def test_json_and_registry_quantiles_agree(self):
+        """``/metrics`` reports one sample set once: the JSON ``apis``
+        block and the registry summary use one rank rule."""
+        metrics = ServiceMetrics()
+        for ms in range(1, 101):
+            metrics.observe("men2ent", ms / 1000.0, hit=True)
+        entry = metrics.as_dict()["men2ent"]
+        [summary] = [
+            family for family in metrics.metric_samples()
+            if family.name == "serving_api_latency_seconds"
+        ]
+        [sample] = summary.samples
+        assert dict(sample.quantiles) == {
+            0.5: entry["p50_seconds"],
+            0.95: entry["p95_seconds"],
+            0.99: entry["p99_seconds"],
+        }
+        assert entry["p50_seconds"] == pytest.approx(0.050)
+
+    def test_total_calls_reads_under_the_ledger_lock(self):
+        """``observe`` inserts new APIs under the lock; a ``total_calls``
+        summing the dict bare could see it change size mid-iteration."""
+        metrics = ServiceMetrics()
+        metrics.observe("men2ent", 0.001, hit=True)
+        totals = []
+        with metrics._lock:
+            reader = threading.Thread(
+                target=lambda: totals.append(metrics.total_calls)
+            )
+            reader.start()
+            reader.join(timeout=0.1)
+            assert reader.is_alive() and totals == []
+        reader.join(timeout=10)
+        assert totals == [1]
+
     def test_as_dict_surfaces_tail_latency(self, service):
         service.men2ent("华仔")
         entry = service.metrics.as_dict()["men2ent"]
@@ -171,7 +220,7 @@ class TestLatencyQuantiles:
 
 
 class TestCanonicalNaming:
-    """get_concepts/get_entities singles + *_batch, with deprecated aliases."""
+    """get_concepts/get_entities singles + their *_batch forms."""
 
     def test_canonical_singles(self, service):
         assert service.get_concepts("刘德华#0") == ["歌手", "演员"]
@@ -185,20 +234,13 @@ class TestCanonicalNaming:
             ["刘德华#0", "周杰伦#0"], [],
         ]
 
-    def test_deprecated_single_aliases_warn_and_delegate(self, service):
-        with pytest.deprecated_call():
-            assert service.get_concept("刘德华#0") == \
-                service.get_concepts("刘德华#0")
-        with pytest.deprecated_call():
-            assert service.get_entity("歌手") == service.get_entities("歌手")
-
-    def test_deprecated_batch_spelling_warns_and_delegates(self, service):
-        with pytest.deprecated_call():
-            assert service.get_concepts(["刘德华#0"]) == \
-                service.get_concepts_batch(["刘德华#0"])
-        with pytest.deprecated_call():
-            assert service.get_entities(["歌手"]) == \
-                service.get_entities_batch(["歌手"])
+    def test_list_passed_to_a_single_is_refused(self, service):
+        for single in (
+            service.men2ent, service.get_concepts, service.get_entities
+        ):
+            with pytest.raises(APIError, match="non-empty string"):
+                single(["刘德华#0"])
+        assert service.metrics.total_calls == 0
 
     def test_canonical_batch_rejects_single_string(self, service):
         with pytest.raises(APIError, match="sequence"):

@@ -99,6 +99,13 @@ class TestQuery:
         assert code == 0
         assert "人物" in capsys.readouterr().out
 
+    def test_empty_argument_exits_2(self, artefacts, capsys):
+        _, taxonomy_path = artefacts
+        for api in ("men2ent", "getConcept", "getEntity"):
+            code = main(["query", "--taxonomy", str(taxonomy_path), api, ""])
+            assert code == 2
+            assert "non-empty" in capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_subcommand_exits(self):

@@ -336,18 +336,21 @@ class TestFailureInjection:
         assert len(result.taxonomy) == 0
 
     def test_workload_generator_on_empty_taxonomy(self):
-        import warnings
-
-        from repro.taxonomy.api import TaxonomyAPI, WorkloadGenerator
+        from repro.taxonomy.service import TaxonomyService
+        from repro.workloads import (
+            ArgumentPools,
+            TableIICallStream,
+            replay_calls,
+        )
 
         taxonomy = Taxonomy()
-        api = TaxonomyAPI(taxonomy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            usage = WorkloadGenerator(taxonomy, seed=1).run(api, 50)
-        assert usage.total_calls == 50  # misses, but no crashes
-        # every empty-pool draw is a counted unknown, not a silent "空"
-        assert usage.total_unknown == 50
+        calls = TableIICallStream(
+            ArgumentPools.from_taxonomy(taxonomy), seed=1
+        ).generate(50)
+        # every empty-pool draw is a flagged unknown, not a silent "空"
+        assert all(call.expected_miss for call in calls)
+        metrics = replay_calls(TaxonomyService(taxonomy), calls)
+        assert metrics.total_calls == 50  # misses, but no crashes
 
     def test_filters_on_empty_relation_lists(self):
         from repro.core.verification.incompatible import (

@@ -84,7 +84,7 @@ class TestFaultyReplica:
         for call in (
             lambda: replica.men2ent("华仔"),
             replica.healthcheck,
-            replica.published_version,
+            replica.published,
             lambda: replica.resync(None),
             replica.pinned,
         ):
@@ -99,21 +99,21 @@ class TestFaultyReplica:
             lambda: LocalReplica(make_taxonomy(next(generations))),
             name="r0",
         )
-        base_hash = replica.published_content_hash()
+        base_hash = replica.published().content_hash
         from repro.taxonomy.delta import TaxonomyDelta
 
         delta = TaxonomyDelta.compute(make_taxonomy(0), make_taxonomy(1))
         replica.publish_delta(delta, base_version="v1", version=2)
-        assert replica.published_version() == "v2"
+        assert replica.published().version_id == "v2"
         # a partition keeps the state it had
         replica.isolate()
         replica.reconnect()
-        assert replica.published_version() == "v2"
+        assert replica.published().version_id == "v2"
         # a process death loses it: back to the base snapshot, stale
         replica.kill()
         replica.restart()
-        assert replica.published_version() == "v1"
-        assert replica.published_content_hash() == base_hash
+        assert replica.published().version_id == "v1"
+        assert replica.published().content_hash == base_hash
         assert replica.events == [
             "isolate", "reconnect", "kill", "restart",
         ]
