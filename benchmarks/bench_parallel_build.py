@@ -35,8 +35,7 @@ from repro.core.pipeline import (
     ResourceCache,
 )
 from repro.encyclopedia import SyntheticWorld
-from repro.eval.report import render_table
-from repro.workloads.report import merge_bench_entry
+from repro.eval.report import merge_bench_entry, render_table
 
 N_ENTITIES = 1_200
 WORKERS = 4
@@ -50,7 +49,7 @@ BENCH_JSON = OUT_DIR / "BENCH_parallel.json"
 def merge_bench_json(key: str, payload: dict) -> None:
     """Merge one bench's section into BENCH_parallel.json.
 
-    Delegates to :func:`repro.workloads.report.merge_bench_entry`:
+    Delegates to :func:`repro.eval.report.merge_bench_entry`:
     the parent directory is created if missing and the update is
     atomic (temp file + ``os.replace``), so a crashed bench can never
     leave a truncated perf trajectory behind.

@@ -13,24 +13,22 @@
 # swap -> query -> shutdown, and build -> diff -> incremental rebuild
 # -> /admin/apply-delta), plus the delta-chain contract (composed
 # chain = one-by-one chain = cold rebuild, byte-identical; one
-# composed publish beats N nightly publishes), plus the workload
-# scenario suite (all 10 built-in repro.workloads scenarios open-loop
-# against the in-process facade, publish-under-load additionally over
-# live HTTP, the chaos pair over a fault-injected replica cluster —
-# zero mixed-version answers and full hash convergence throughout),
-# plus the self-healing chaos smoke (kill -> publish -> restart ->
-# probe-time auto-resync -> byte-identical content hashes), the
-# telemetry overhead gate (unified registry + trace hook within 5% of
-# the un-instrumented in-process hot path), the exposition-parity
-# smoke (every metric in the JSON /metrics payload must appear in the
-# Prometheus text rendering, and vice versa), the process-backend
-# smoke (CLI build with --backend processes byte-identical to serial,
-# sidecar records the backend), a fast single-scenario CLI smoke, and
-# the static-analysis gate (`cn-probase lint`: every repro.analysis
-# checker over every package, zero non-baselined findings).  The perf
-# numbers land in benchmarks/out/BENCH_parallel.json so future PRs
-# have a trajectory to regress against — the final check fails the run
-# if that file did not grow.
+# composed publish beats N nightly publishes), plus the self-healing
+# chaos smoke (kill -> publish -> restart -> probe-time auto-resync ->
+# byte-identical content hashes), the telemetry overhead gate (unified
+# registry + trace hook within 5% of the un-instrumented in-process hot
+# path), the exposition-parity smoke (every metric in the JSON /metrics
+# payload must appear in the Prometheus text rendering, and vice
+# versa), the process-backend smoke (CLI build with --backend processes
+# byte-identical to serial, sidecar records the backend), and the
+# static-analysis gate (`cn-probase lint`: every repro.analysis checker
+# over every package, zero non-baselined findings).  Zero
+# mixed-version answers and chaos convergence under faults are checked
+# by the model-based state machine in tier-1
+# (tests/serving/test_model_machine.py).  The perf numbers land in
+# benchmarks/out/BENCH_parallel.json so future PRs have a trajectory to
+# regress against — the final check fails the run if that file did not
+# grow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -57,16 +55,12 @@ python -m pytest -x -q benchmarks/bench_parallel_build.py \
 python -m pytest -x -q benchmarks/bench_serving_cluster.py
 python -m pytest -x -q benchmarks/bench_incremental_build.py
 python -m pytest -x -q benchmarks/bench_delta_chain.py
-python -m pytest -x -q benchmarks/bench_workload_scenarios.py
 python -m pytest -x -q benchmarks/bench_obs_overhead.py
 python benchmarks/smoke_serving_roundtrip.py
 python benchmarks/smoke_incremental_roundtrip.py
 python benchmarks/smoke_chaos_replication.py
 python benchmarks/smoke_metrics_parity.py
 python benchmarks/smoke_process_backend.py
-# fast single-scenario smoke through the CLI: in-process facade + a
-# live `cn-probase serve` subprocess, 4x-compressed schedule
-python -m repro.cli workload run steady_table2 --time-scale 4
 # static-analysis gate: all four invariant checkers, hard-fail on any
 # finding that is neither pragma-acknowledged nor in the shipped
 # baseline; the counts land as the static_analysis trajectory section
@@ -83,22 +77,6 @@ path, before = sys.argv[1], int(sys.argv[2])
 assert os.path.exists(path), f"{path} was never written"
 size = os.path.getsize(path)
 data = json.load(open(path, encoding="utf-8"))
-scenarios = data.get("workload_scenarios", {})
-expected = {
-    "steady_table2", "zipf_hot", "burst", "batch_heavy",
-    "adversarial_miss", "publish_under_load", "multi_tenant",
-    "churn_world", "replica_chaos", "dual_publisher",
-}
-missing = expected - set(scenarios)
-assert not missing, f"scenarios missing from {path}: {sorted(missing)}"
-untraced = sorted(
-    f"{name}@{target}"
-    for name, targets in scenarios.items() if name in expected
-    for target, entry in targets.items() if not entry.get("per_hop")
-)
-assert not untraced, (
-    f"scenarios without a per-hop trace breakdown: {untraced}"
-)
 assert "obs_overhead" in data, "telemetry overhead gate never ran"
 backends = data.get("parallel_build", {}).get("backends", {})
 missing_backends = {

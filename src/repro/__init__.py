@@ -35,13 +35,11 @@ The package is organised as one subpackage per subsystem:
   :class:`~repro.serving.client.TaxonomyClient` SDK — all behind the
   same canonical serving surface as the in-process facade
   (``cn-probase serve <taxonomy> --shards N --replicas R``).
-- :mod:`repro.workloads` — the declarative scenario factory and load
-  harness: frozen :class:`~repro.workloads.spec.Scenario` specs
-  compiled to byte-deterministic call schedules and replayed open-loop
-  against any serving front (in-process, sharded, replicated or a
-  live HTTP cluster) with p50/p95/p99, schedule lateness and a
-  mixed-version audit for publishes under load
-  (``cn-probase workload list | compile | run``).
+- :mod:`repro.workloads` — seeded inputs for serving measurements and
+  chaos tests: :class:`~repro.workloads.spec.WorldSpec` worlds and
+  their churned nightly dumps, the Table-II call stream with
+  closed-loop replay against any serving front, and a fault-injected
+  replica cluster.
 - :mod:`repro.baselines` — Chinese WikiTaxonomy, Bigcilin and Probase-Tran.
 - :mod:`repro.eval` — precision sampling, QA coverage and report rendering.
 
@@ -82,13 +80,7 @@ _LAZY_EXPORTS = {
     "TaxonomyClient": "repro.serving",
     "build_cluster": "repro.serving",
     "start_server": "repro.serving",
-    "Scenario": "repro.workloads",
-    "TrafficSpec": "repro.workloads",
     "WorldSpec": "repro.workloads",
-    "compile_schedule": "repro.workloads",
-    "get_scenario": "repro.workloads",
-    "prepare_scenario": "repro.workloads",
-    "run_scenario": "repro.workloads",
 }
 
 
@@ -117,7 +109,6 @@ __all__ = [
     "PipelineConfig",
     "PreviousBuild",
     "ReplicatedRouter",
-    "Scenario",
     "ShardedSnapshotStore",
     "StageRegistry",
     "StageTrace",
@@ -126,16 +117,11 @@ __all__ = [
     "TaxonomyClient",
     "TaxonomyDelta",
     "TaxonomyService",
-    "TrafficSpec",
     "WorldSpec",
     "build_cluster",
     "build_cn_probase",
-    "compile_schedule",
     "default_registry",
     "diff_dumps",
-    "get_scenario",
-    "prepare_scenario",
-    "run_scenario",
     "start_server",
     "__version__",
 ]

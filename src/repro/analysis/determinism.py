@@ -1,9 +1,9 @@
 """Determinism checker: no ambient entropy outside sanctioned modules.
 
-The backbone contracts — same ``(Scenario, seed)`` → byte-identical
-schedule, same dump → byte-identical taxonomy at any backend × worker
-count, deterministic trace/event ids — all die quietly the first time
-a module reaches for ambient entropy.  This checker walks every module
+The backbone contracts — same seed → the same world and call stream,
+same dump → byte-identical taxonomy at any backend × worker count,
+deterministic trace/event ids — all die quietly the first time a
+module reaches for ambient entropy.  This checker walks every module
 and forbids:
 
 - any use of the ``random`` module other than ``random.Random`` /
@@ -16,11 +16,11 @@ and forbids:
   ``def f(now=time.time())`` time-dependent-default trap).
 
 Exemptions are keyed on **package-relative paths**, never bare
-filenames — an unrelated ``runner.py`` in a future package must not
-silently inherit the workload dispatcher's clock exemption.  Every
-entry carries the reason it is allowed to touch the clock; everything
-else imports :mod:`repro.obs.clock` (timestamps / durations) or
-:func:`repro.workloads.runner.wall_sleep` (sleeping) instead.
+filenames — an unrelated ``server.py`` in a future package must not
+silently inherit the HTTP server's clock exemption.  Every entry
+carries the reason it is allowed to touch the clock; everything else
+imports :mod:`repro.obs.clock` (timestamps / durations) or takes a
+sleep hook from its caller instead.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ ENTROPY_MODULES = frozenset({"time", "datetime", "uuid", "secrets"})
 
 #: package-relative path → why that module may touch the clock.
 CLOCK_EXEMPT: Mapping[str, str] = {
-    "workloads/runner.py":
-        "the open-loop dispatcher measures real wall time and sleeps "
-        "to schedule timestamps (wall_sleep is the sanctioned hook)",
     "obs/clock.py":
         "the one sanctioned timestamp hook every other module imports",
     "core/pipeline.py":

@@ -1,7 +1,7 @@
 """The checker framework: parsed-module index, findings, baselines.
 
-Every invariant this reproduction sells — byte-identical schedules from
-``(Scenario, seed)``, byte-identical builds at any backend × worker
+Every invariant this reproduction sells — the same seeded worlds and
+call streams, byte-identical builds at any backend × worker
 count, zero mixed-version answers under chaos — is held by a coding
 convention (seeded RNGs, ``with self._lock:`` blocks, picklable
 payloads, :class:`~repro.errors.ReproError` subclasses).  This module
@@ -12,7 +12,7 @@ rules:
   ``src/repro`` parsed **once** into a shared AST index all checkers
   walk, each module addressed by its package-relative posix path
   (``"serving/router.py"``), never its bare filename — so an unrelated
-  ``runner.py`` in a future package can never inherit another module's
+  ``server.py`` in a future package can never inherit another module's
   exemption.
 - :class:`Checker` — the plug-in protocol: an ``id``, a
   ``description``, and ``check(module) -> findings``.

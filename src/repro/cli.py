@@ -21,10 +21,6 @@ Usage::
     cn-probase query --taxonomy taxonomy.jsonl getEntity 歌手
     cn-probase serve taxonomy.jsonl --shards 4 --replicas 2 --port 8321 \
         --admin-token s3cret
-    cn-probase workload list
-    cn-probase workload compile zipf_hot --out zipf_hot.schedule.jsonl
-    cn-probase workload run                      # all 8, service + http
-    cn-probase workload run publish_under_load --target http --time-scale 2
     cn-probase lint
     cn-probase lint --format json --select lock-discipline,determinism
 
@@ -66,17 +62,6 @@ writes ``{"pid": ..., "host": ..., "port": ...}`` JSON once the socket
 is accepting (``--port 0`` picks a free port) and removes it on clean
 shutdown — readers validate the pid so a stale file from a crashed
 server never passes for readiness.
-
-``workload`` surfaces the :mod:`repro.workloads` harness: ``list`` the
-eight built-in scenarios, ``compile`` one to a deterministic
-timestamped schedule (same scenario + seed → byte-identical JSONL —
-the printed sha256 proves it), and ``run`` replays scenarios open-loop
-against serving targets (default: the in-process facade *and* a live
-``cn-probase serve`` subprocess over HTTP), printing per-API
-p50/p95/p99 + schedule lateness and appending per-scenario entries to
-``benchmarks/out/BENCH_parallel.json``.  Publish-under-load scenarios
-fire their delta publish mid-replay and exit non-zero on any
-mixed-version answer.
 
 ``lint`` runs the :mod:`repro.analysis` checkers (determinism,
 lock-discipline, pickle-safety, error-taxonomy) over every
@@ -347,91 +332,6 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
             _time.sleep(args.interval)
 
 
-def _cmd_workload_list(args: argparse.Namespace) -> int:
-    from repro.workloads import builtin_scenarios
-
-    print(f"{'scenario':<20} {'seed':>4} {'calls':>6}  description")
-    for scenario in builtin_scenarios():
-        print(f"{scenario.name:<20} {scenario.seed:>4} "
-              f"{scenario.traffic.n_calls:>6}  {scenario.description}")
-    return 0
-
-
-def _cmd_workload_compile(args: argparse.Namespace) -> int:
-    import hashlib
-    from dataclasses import replace
-
-    from repro.workloads import get_scenario, save_schedule
-    from repro.workloads.schedule import compile_schedule, dumps_schedule
-    from repro.workloads.sampling import ArgumentPools
-
-    scenario = get_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    world = scenario.world.build_world(scenario.seed)
-    schedule = compile_schedule(scenario, ArgumentPools.from_world(world))
-    save_schedule(schedule, args.out)
-    digest = hashlib.sha256(
-        dumps_schedule(schedule).encode("utf-8")
-    ).hexdigest()
-    print(f"compiled {scenario.name} (seed {scenario.seed}): "
-          f"{schedule.n_events} events / {schedule.n_calls} calls "
-          f"over {schedule.duration_s:.2f}s")
-    print(f"wrote {args.out} (sha256 {digest[:16]}...; same scenario + "
-          "seed always reproduces these exact bytes)")
-    return 0
-
-
-def _cmd_workload_run(args: argparse.Namespace) -> int:
-    from repro.workloads import (
-        append_scenario_entry,
-        builtin_scenarios,
-        get_scenario,
-        prepare_scenario,
-        render_run_report,
-        run_scenario,
-    )
-
-    targets = args.target or ["service", "http"]
-    if args.scenarios:
-        scenarios = [get_scenario(name) for name in args.scenarios]
-    else:
-        scenarios = list(builtin_scenarios())
-    print(f"running {len(scenarios)} scenario(s) against "
-          f"{len(targets)} target(s): {', '.join(targets)}")
-    failures: list[str] = []
-    for scenario in scenarios:
-        prepared = prepare_scenario(scenario)
-        for kind in targets:
-            report = run_scenario(
-                prepared, kind,
-                workers=args.workers, time_scale=args.time_scale,
-            )
-            print()
-            print(render_run_report(report))
-            for action in report.actions:
-                if action.error is not None:
-                    failures.append(
-                        f"{scenario.name}@{kind}: action "
-                        f"{action.label!r} failed: {action.error}"
-                    )
-            if report.audit and report.audit["mixed_answers"]:
-                failures.append(
-                    f"{scenario.name}@{kind}: "
-                    f"{report.audit['mixed_answers']} mixed-version answers"
-                )
-            if not args.no_bench:
-                append_scenario_entry(args.bench_json, report)
-    if not args.no_bench:
-        print(f"\nappended {len(scenarios) * len(targets)} "
-              f"scenario entries to {args.bench_json}")
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         Baseline,
@@ -470,7 +370,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"wrote {len(report.findings)} finding(s) as "
               f"{args.write_baseline}")
     if args.bench_json:
-        from repro.workloads.report import merge_bench_entry
+        from repro.eval.report import merge_bench_entry
 
         payload = report.as_dict()
         payload.pop("findings")  # the trajectory tracks counts, not sites
@@ -682,61 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
     squash.add_argument("-o", "--out", required=True,
                         help="where to write the composed delta JSONL")
     squash.set_defaults(func=_cmd_delta_squash)
-
-    workload = sub.add_parser(
-        "workload",
-        help="named workload scenarios: list, compile, replay",
-        description="The repro.workloads harness from the shell: list the "
-                    "built-in scenarios, compile one to a deterministic "
-                    "timestamped schedule (same scenario + seed -> "
-                    "byte-identical JSONL), or replay scenarios open-loop "
-                    "against serving targets with p50/p95/p99, schedule "
-                    "lateness and a mixed-version audit for "
-                    "publish-under-load.",
-    )
-    workload_sub = workload.add_subparsers(dest="workload_cmd", required=True)
-
-    workload_list = workload_sub.add_parser(
-        "list", help="list the built-in scenarios"
-    )
-    workload_list.set_defaults(func=_cmd_workload_list)
-
-    workload_compile = workload_sub.add_parser(
-        "compile", help="compile a scenario to a schedule JSONL"
-    )
-    workload_compile.add_argument("scenario", help="scenario name")
-    workload_compile.add_argument("--out", required=True,
-                                  help="where to write the schedule JSONL")
-    workload_compile.add_argument("--seed", type=int, default=None,
-                                  help="override the scenario's seed")
-    workload_compile.set_defaults(func=_cmd_workload_compile)
-
-    workload_run = workload_sub.add_parser(
-        "run", help="replay scenarios against serving targets"
-    )
-    workload_run.add_argument(
-        "scenarios", nargs="*", metavar="SCENARIO",
-        help="scenario names (default: every built-in scenario)")
-    workload_run.add_argument(
-        "--target", action="append", default=None,
-        choices=["service", "sharded", "router", "http"],
-        help="serving target kind (repeatable; default: service and "
-             "http — the in-process facade and a live cn-probase serve "
-             "subprocess)")
-    workload_run.add_argument("--workers", type=int, default=8,
-                              help="dispatcher worker threads (default: 8)")
-    workload_run.add_argument(
-        "--time-scale", type=float, default=1.0, metavar="X",
-        help="compress the schedule X-fold (same request sequence, "
-             "shorter wall clock; default: 1.0)")
-    workload_run.add_argument(
-        "--bench-json", default="benchmarks/out/BENCH_parallel.json",
-        metavar="PATH",
-        help="perf trajectory JSON to append per-scenario entries to "
-             "(default: benchmarks/out/BENCH_parallel.json)")
-    workload_run.add_argument("--no-bench", action="store_true",
-                              help="do not write the perf trajectory")
-    workload_run.set_defaults(func=_cmd_workload_run)
 
     lint = sub.add_parser(
         "lint",

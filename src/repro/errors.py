@@ -38,7 +38,7 @@ class APIError(ReproError):
 
 
 class WorkloadError(ReproError):
-    """Raised on invalid workload scenario specs, schedules or runs."""
+    """Raised on invalid workload specs, call streams or fault specs."""
 
 
 class TelemetryError(ReproError):

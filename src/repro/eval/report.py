@@ -1,13 +1,19 @@
-"""Plain-text table rendering for benchmark output.
+"""Benchmark output: plain-text tables and the perf trajectory file.
 
 The benchmarks print tables shaped exactly like the paper's (Table I,
 Table II); this renderer keeps columns aligned for CJK-free numeric
-cells and pads header/label columns.
+cells and pads header/label columns.  :func:`merge_bench_entry` lands
+each bench's section in the shared ``BENCH_parallel.json``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
 from typing import Sequence
+
+from repro.errors import ReproError
 
 
 def _display_width(text: str) -> int:
@@ -52,3 +58,29 @@ def format_count(value: int) -> str:
 
 def format_percent(value: float) -> str:
     return f"{value:.1%}"
+
+
+def merge_bench_entry(path: str | Path, key: str, payload: dict) -> dict:
+    """Atomically merge ``{key: payload}`` into the JSON file at *path*.
+
+    Returns the merged document.  Missing parent directories are
+    created, and the update is written to a temp file in the same
+    directory and moved into place with ``os.replace``, so a crashed
+    benchmark can never leave a truncated JSON behind for the next run
+    to choke on.  An existing file that is not a JSON object raises
+    rather than being silently clobbered.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    data: dict = {}
+    if target.exists():
+        data = json.loads(target.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ReproError(f"{target} does not hold a JSON object")
+    data[key] = payload
+    temp = target.with_name(target.name + ".tmp")
+    temp.write_text(
+        json.dumps(data, ensure_ascii=False, indent=2), encoding="utf-8"
+    )
+    os.replace(temp, target)
+    return data

@@ -13,8 +13,8 @@ One `TelemetryHub` bundles the three surfaces every component shares:
   records of every serving-layer state change.
 
 A process-global default hub (`get_hub`) keeps wiring zero-config;
-components capture their hub at construction, so tests and the
-workload runner isolate themselves with `fresh_hub()`.
+components capture their hub at construction, so tests and benches
+isolate themselves with `fresh_hub()`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ numbers.
 
 Trace ids are minted without RNG or clock access (`TraceIdSource` is a
 pair of monotonic counters), so traced runs stay byte-reproducible
-under the workload harness's determinism lint.
+under the package-wide determinism lint.
 """
 
 from __future__ import annotations

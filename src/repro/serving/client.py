@@ -3,7 +3,7 @@
 The client exposes the same canonical
 :class:`~repro.taxonomy.service.BatchedServingAPI` surface as the
 in-process service, so anything written against ``TaxonomyService`` —
-including :func:`~repro.workloads.runner.replay_calls` — drives a
+including :func:`~repro.workloads.sampling.replay_calls` — drives a
 remote cluster unchanged.  Singles go over
 ``GET /v1/{api}?q=...``, batches over ``POST /v1/{api}``; transient
 transport failures and 5xx responses are retried with capped, jittered
@@ -217,8 +217,8 @@ class TaxonomyClient(BatchedServingAPI):
     def _trace_id_for(self, argument: str | None) -> str | None:
         """The trace id this call should carry, minting when sampled.
 
-        An ambient trace context (the workload runner wrapping a timed
-        action) always wins — the minting counter doesn't advance, so
+        An ambient trace context (a caller wrapping its calls in
+        ``trace_context``) always wins — the minting counter doesn't advance, so
         sampling cadence is driven by untraced calls only.  Probes are
         never traced.
         """
@@ -392,6 +392,13 @@ class TaxonomyClient(BatchedServingAPI):
     # -- serving hooks (BatchedServingAPI) -------------------------------------
 
     def _single(self, api_name: str, argument: str) -> list[str]:
+        return self.query(api_name, argument)["results"]
+
+    def query(self, api_name: str, argument: str) -> dict:
+        """One single read's whole response: its ``results`` list and
+        the ``version`` that answered it (``api_name`` is a wire name,
+        e.g. ``"getConcept"``).  The singles return just the results.
+        """
         query = urllib.parse.urlencode({"q": argument})
         trace_id = self._trace_id_for(argument)
         started = time.perf_counter()
@@ -408,7 +415,7 @@ class TaxonomyClient(BatchedServingAPI):
                 outcome="hit" if results else "miss",
                 version=payload.get("version"),
             )
-        return results
+        return payload
 
     def _batch(
         self, api_name: str, arguments: Sequence[str]

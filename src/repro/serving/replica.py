@@ -47,6 +47,19 @@ class PublishedVersion:
     def version_id(self) -> str:
         return f"v{self.version}"
 
+    def matches(self, published) -> bool:
+        """Is this the same version as *published* (anything with
+        ``version`` and ``content_hash``)?
+
+        The router's alignment rule: content-addressed when both sides
+        advertise a hash — byte-equality of the served taxonomy, immune
+        to ordinal drift — else the ordinal lockstep check.
+        """
+        theirs = published.content_hash
+        if self.content_hash is not None and theirs is not None:
+            return self.content_hash == theirs
+        return self.version == published.version
+
 
 @runtime_checkable
 class ReplicaBackend(Protocol):
@@ -56,9 +69,16 @@ class ReplicaBackend(Protocol):
 
     - ``healthcheck() -> bool`` — probed instead of a benign lookup;
     - ``pinned()`` / ``pinned_in(shard_set)`` — snapshot pinning hooks
-      so a batch group never spans two published versions (only
-      in-process store views can offer these; remote replicas degrade
-      to per-request consistency, which per-key answers make exact);
+      for backends that report no version (in-process store views), so
+      a batch group never spans two published versions;
+    - ``versioned_reader()`` — for backends that track their own
+      published version (:class:`LocalReplica`, :class:`RemoteReplica`):
+      a lookup ``(api_name, argument) -> (result, version)`` for one
+      batch group, each answer naming the version it came from.  The
+      router refuses a group answered from two versions (a remote whose
+      per-argument GETs straddled a publish), or from one older than
+      the router last saw the replica hold (it restarted stale), and
+      fails it over;
     - the replication surface (``published()`` → a
       :class:`PublishedVersion`, ``publish_delta(...)``,
       ``publish_snapshot(...)`` and ``resync(source, snapshot_path=)``)
@@ -139,6 +159,26 @@ class RemoteReplica:
 
     def get_entities(self, concept: str) -> list[str]:
         return self._client.get_entities(concept)
+
+    def versioned_reader(self):
+        """Reads for one batch group, each with the version it came from.
+
+        The version is the ``version`` field every read response
+        already carries, so this costs no extra round trip.  Each
+        argument is its own GET: a group can straddle a publish, which
+        the router sees as two versions.
+        """
+        return self._read
+
+    def _read(self, api_name: str, argument: str) -> tuple[list[str], int]:
+        payload = self._client.query(api_name, argument)
+        version = parse_version_id(payload.get("version"))
+        if version is None:
+            raise APIError(
+                f"{self!r} answered with a malformed version "
+                f"{payload.get('version')!r}"
+            )
+        return payload["results"], version
 
     # -- health ----------------------------------------------------------------
 
@@ -329,7 +369,7 @@ class LocalReplica:
     the same replication surface (``published`` / ``publish_delta`` /
     ``publish_snapshot`` / ``resync``), but the "process" is a private
     :class:`~repro.serving.sharding.ShardedSnapshotStore` — so a chaos
-    harness can kill and restart it without sockets while the router
+    test can kill and restart it without sockets while the router
     replicates to it exactly as it would to a remote.  Like a remote,
     it shares *nothing* with its peers: a publish that never reaches it
     leaves it genuinely stale until the handshake or a resync heals it.
@@ -369,7 +409,7 @@ class LocalReplica:
 
     @property
     def store(self):
-        """The private store (chaos harnesses inspect it directly)."""
+        """The private store (chaos tests inspect it directly)."""
         return self._store
 
     @property
@@ -401,15 +441,19 @@ class LocalReplica:
     def get_entities(self, concept: str) -> list[str]:
         return self._store.get_entities(concept)
 
-    def pinned(self):
-        """One snapshot view for a whole batch group (swap-proof).
+    def versioned_reader(self):
+        """Pin one shard set for a whole batch group; every answer
+        reports that set's version.
 
-        Without this hook the router serves a group lookup-by-lookup
-        against the live store, and a publish landing mid-group would
-        tear the batch across versions — the exact torn read the
-        serving layer promises away.
+        The pin keeps a publish landing mid-group from tearing the
+        batch across versions; the version lets the router refuse a
+        replica that restarted from its base snapshot.
         """
-        return self._store.shard_set.shards[0].read_view
+        shard_set = self._store.shard_set
+        shard, version = shard_set.shards[0], shard_set.version
+        return lambda api_name, argument: (
+            shard.lookup(api_name, argument), version
+        )
 
     # -- health ----------------------------------------------------------------
 

@@ -34,16 +34,22 @@ Consistency note: a store-backed router pins one
 :class:`~repro.serving.sharding.ShardSet` per *batch* (via the
 ``pinned_in()`` backend hook), so a batched response never mixes
 versions even when a swap lands between shard groups — the same
-guarantee the store itself gives.  Backends without ``pinned_in`` (e.g.
-truly remote replicas) degrade to per-group pinning: answers within a
-shard group are still never torn, but cross-shard atomicity would need
-cross-node coordination the wire protocol does not carry.
+guarantee the store itself gives.  Backends that track their own
+version (local and remote replicas) answer through
+``versioned_reader()``, every answer naming the version it came from:
+a group answered from two versions (a remote's per-argument GETs
+straddling a publish) or from a version older than the router last
+saw that replica hold (it restarted from its base snapshot) is
+refused and fails over.  Answers *across* shard groups of such a
+router may still come from both sides of a publish in flight:
+cross-shard atomicity would need cross-node coordination the wire
+protocol does not carry.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from repro.obs.clock import elapsed
 from typing import Sequence
 
@@ -63,6 +69,7 @@ from repro.serving.sharding import (
 from repro.taxonomy.delta import (
     DeltaHistory,
     bump_version,
+    parse_version_id,
     publish_handshake,
 )
 from repro.taxonomy.service import (
@@ -117,12 +124,26 @@ class StoreShardReplica:
 
 @dataclass
 class ReplicaState:
-    """Router-side health bookkeeping for one replica backend."""
+    """Router-side health bookkeeping for one replica backend.
+
+    ``versioned_reader`` is the backend's hook when it reports the
+    version each answer came from (looked up once, when the router
+    takes the backend on), else None.  ``version`` is the ordinal the
+    router last saw such a replica hold — after a publish it applied, a
+    repair, or a probe; its answers from an older version are stale.
+    """
 
     backend: object
     healthy: bool = True
     failures: int = 0
     skips_since_down: int = 0
+    versioned_reader: object = field(default=None, init=False)
+    version: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        self.versioned_reader = getattr(
+            self.backend, "versioned_reader", None
+        )
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -340,7 +361,8 @@ class ReplicatedRouter(BatchedServingAPI):
             raise APIError(
                 f"no shard {shard_id} (router has {len(self._replicas)})"
             )
-        state = ReplicaState(backend, healthy=self._version_aligned(backend))
+        state = ReplicaState(backend)
+        state.healthy = self._version_aligned(state)
         with self._lock:
             self._replicas[shard_id].append(state)
             replica_index = len(self._replicas[shard_id]) - 1
@@ -588,6 +610,8 @@ class ReplicatedRouter(BatchedServingAPI):
                     outcome = "failed"
                 else:
                     outcome = "applied"
+                    with self._lock:
+                        state.version = published.version
                     self._set_health(state, True, "publish_applied")
                 report.append(self._publish_entry(
                     shard_id, replica_index, state.backend, outcome,
@@ -615,7 +639,13 @@ class ReplicatedRouter(BatchedServingAPI):
         except Exception:
             self._mark_failed(state, reason=f"{trigger}_failed")
             return "failed"
+        # an aligned replica already held the target bytes, at its own
+        # ordinal; a repaired one was stamped with the target's
+        held = ladder[
+            "from_version" if ladder["outcome"] == "aligned" else "to_version"
+        ]
         with self._lock:
+            state.version = parse_version_id(held) or 0
             if outcome == "chained":
                 self.stats.chain_catchups += 1
             elif outcome == "healed":
@@ -651,7 +681,7 @@ class ReplicatedRouter(BatchedServingAPI):
             self._replicas[shard_id][replica_index], False, "operator"
         )
 
-    def _version_aligned(self, backend) -> bool:
+    def _version_aligned(self, state) -> bool:
         """Is a version-reporting backend at the published version?
 
         Probes gate on this: a remote replica that missed a publish
@@ -662,13 +692,13 @@ class ReplicatedRouter(BatchedServingAPI):
         it.  Backends without ``published()`` (in-process store views)
         are always aligned: they read the store's current shard set.
 
-        When both sides advertise a content hash the comparison is
-        content-addressed: byte-equality of the served taxonomy, immune
-        to ordinal drift (a replica healed through an out-of-band swap
-        with the right bytes but its own counter).  Otherwise it falls
-        back to the ordinal lockstep check.
+        The comparison is :meth:`PublishedVersion.matches`: content
+        hashes when both sides advertise one (immune to ordinal drift,
+        e.g. a replica healed through an out-of-band swap with the right
+        bytes but its own counter), else ordinals.  An aligned replica's
+        ordinal becomes the floor its answers are checked against.
         """
-        published = getattr(backend, "published", None)
+        published = getattr(state.backend, "published", None)
         if not callable(published):
             return True
         if self._store is None and not len(self._delta_history):
@@ -681,9 +711,11 @@ class ReplicatedRouter(BatchedServingAPI):
             have = published()
         except Exception:
             return False
-        if have.content_hash is not None and expected.content_hash is not None:
-            return have.content_hash == expected.content_hash
-        return have.version == expected.version
+        if not have.matches(expected):
+            return False
+        with self._lock:
+            state.version = have.version
+        return True
 
     def probe(self, shard_id: int, replica_index: int) -> bool:
         """Probe one replica; on success it rejoins the rotation.
@@ -711,7 +743,7 @@ class ReplicatedRouter(BatchedServingAPI):
         except Exception:
             ok = False
         if ok:
-            aligned = self._version_aligned(state.backend)
+            aligned = self._version_aligned(state)
             if not aligned:
                 aligned = self._try_resync(shard_id, replica_index, state)
             ok = aligned
@@ -732,10 +764,23 @@ class ReplicatedRouter(BatchedServingAPI):
         return ok
 
     def probe_all(self) -> int:
-        """Probe every unhealthy replica; returns how many recovered."""
+        """Probe every unhealthy replica; returns how many recovered.
+
+        Healthy version-reporting replicas are checked too: one can
+        restart from its base snapshot without failing a call, and
+        until a read refuses it nothing else notices.  One found behind
+        the published version is parked and probed like the rest, so
+        its probe resyncs it.
+        """
         recovered = 0
         for shard_id, replicas in enumerate(self._replicas):
             for replica_index, state in enumerate(replicas):
+                if (
+                    state.healthy
+                    and state.versioned_reader is not None
+                    and not self._version_aligned(state)
+                ):
+                    self._set_health(state, False, "stale")
                 if not state.healthy and self.probe(shard_id, replica_index):
                     recovered += 1
         return recovered
@@ -773,7 +818,7 @@ class ReplicatedRouter(BatchedServingAPI):
             else:
                 self.stats.resync_failures += 1
         # trust, then verify: the replica must actually report aligned
-        return ok and self._version_aligned(state.backend)
+        return ok and self._version_aligned(state)
 
     # -- routing ---------------------------------------------------------------
 
@@ -841,10 +886,12 @@ class ReplicatedRouter(BatchedServingAPI):
         The replica is pinned for the whole group — against *pin* (the
         shard set a batch captured up front) via the backend's
         ``pinned_in()`` hook when both exist, else via its ``pinned()``
-        hook — so a concurrent swap cannot tear the group.  A replica
-        failure marks it unhealthy and the *entire* group fails over to
-        the next one; metrics are only recorded for the replica that
-        answered.
+        hook — so a concurrent swap cannot tear the group.  A
+        version-reporting replica answers through its
+        ``versioned_reader`` instead (see :meth:`_read_versioned`).  A
+        replica failure marks it unhealthy and the *entire* group fails
+        over to the next one; metrics are only recorded for the replica
+        that answered.
         """
         lookup_name = _API_LOOKUPS[api_name]
         attempts = self._retries + 1
@@ -859,24 +906,27 @@ class ReplicatedRouter(BatchedServingAPI):
             state = self._replicas[shard_id][index]
             with self._lock:
                 self.stats.attempts += 1
-            pinned_in = getattr(state.backend, "pinned_in", None)
-            pinned = getattr(state.backend, "pinned", None)
             try:
-                # resolving the pin is the first wire round-trip to the
-                # replica — a failure here is a replica failure and must
-                # fail over, not escape the group
-                if pin is not None and pinned_in is not None:
-                    target = pinned_in(pin)
-                elif pinned is not None:
-                    target = pinned()
+                if state.versioned_reader is not None:
+                    served = self._read_versioned(state, api_name, arguments)
                 else:
-                    target = state.backend
-                call = getattr(target, lookup_name)
-                served: list[tuple[list[str], float]] = []
-                for argument in arguments:
-                    started = elapsed()
-                    result = call(argument)
-                    served.append((result, elapsed() - started))
+                    # resolving the pin is the first wire round-trip to
+                    # the replica — a failure here is a replica failure
+                    # and must fail over, not escape the group
+                    pinned_in = getattr(state.backend, "pinned_in", None)
+                    pinned = getattr(state.backend, "pinned", None)
+                    if pin is not None and pinned_in is not None:
+                        target = pinned_in(pin)
+                    elif pinned is not None:
+                        target = pinned()
+                    else:
+                        target = state.backend
+                    call = getattr(target, lookup_name)
+                    served = []
+                    for argument in arguments:
+                        started = elapsed()
+                        result = call(argument)
+                        served.append((result, elapsed() - started))
             except Exception as exc:  # failed replica: mark + fail over
                 last_error = exc
                 tried.add(index)
@@ -910,6 +960,38 @@ class ReplicatedRouter(BatchedServingAPI):
             f"{api_name}: no healthy replica for shard {shard_id} "
             f"after {attempts} attempts{detail}"
         )
+
+    def _read_versioned(
+        self, state, api_name: str, arguments: Sequence[str]
+    ) -> list[tuple[list[str], float]]:
+        """Serve a group through the replica's ``versioned_reader``.
+
+        Raises (so the group fails over and the replica is parked for
+        its probe to resync) when the answers came from two versions,
+        or from one older than the replica held when the group began —
+        it restarted from an old snapshot without failing a call.  A
+        publish still in flight may be answered from either side of it.
+        """
+        floor = state.version
+        read = state.versioned_reader()
+        served: list[tuple[list[str], float]] = []
+        versions: set[int] = set()
+        for argument in arguments:
+            started = elapsed()
+            result, version = read(api_name, argument)
+            served.append((result, elapsed() - started))
+            versions.add(version)
+        if len(versions) > 1:
+            raise ServiceUnavailableError(
+                f"{state.backend!r} answered one group from versions "
+                f"{sorted(versions)}"
+            )
+        if min(versions) < floor:
+            raise ServiceUnavailableError(
+                f"{state.backend!r} answered from v{min(versions)}, "
+                f"behind the v{floor} it held"
+            )
+        return served
 
     def _record_group_spans(
         self, trace_id, api_name, shard_id, replica_index, pin,

@@ -23,9 +23,8 @@ while the taxonomy behind them is periodically rebuilt.
 - every call is validated once and measured once: per-API call/hit
   counts, wall-clock and a recent-window latency reservoir land in a
   :class:`ServiceMetrics` ledger that survives snapshot swaps and
-  reports p50/p95/p99 tail latency, which is what the workload runner,
-  the API-service example and the cluster's ``/metrics`` endpoint
-  report.
+  reports p50/p95/p99 tail latency, which is what the API-service
+  example and the cluster's ``/metrics`` endpoint report.
 """
 
 from __future__ import annotations
@@ -263,7 +262,7 @@ class ServiceMetrics:
 #: :class:`~repro.taxonomy.store.Taxonomy` /
 #: :class:`~repro.taxonomy.store.ReadOptimizedTaxonomy`, so the same
 #: mapping routes at every layer (store shard, router, HTTP server,
-#: client, workload runner) — keep it the single source of truth.
+#: client, ``replay_calls``) — keep it the single source of truth.
 WIRE_API_METHODS = {
     "men2ent": ("men2ent", "men2ent_batch"),
     "getConcept": ("get_concepts", "get_concepts_batch"),

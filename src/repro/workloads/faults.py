@@ -1,32 +1,30 @@
-"""Declarative fault injection for workload scenarios.
+"""Fault injection for the replicated serving tier.
 
-A :class:`FaultSpec` describes, in the same frozen JSON-round-trippable
-style as :class:`~repro.workloads.spec.TrafficSpec`, what goes wrong
-during a replay: replicas killed and restarted at scheduled offsets
-(:class:`ReplicaCrash`), wire calls delayed / dropped / answered with
-injected server errors (:class:`WireFaults`), and a second publisher
-re-sending the nightly delta mid-run (``republish_at``).  A scenario
-carrying a fault spec runs against a **chaos cluster**: a storeless
+A :class:`FaultSpec` describes a **chaos cluster**: a storeless
 :class:`~repro.serving.router.ReplicatedRouter` over
 :class:`FaultyReplica`-wrapped
 :class:`~repro.serving.replica.LocalReplica` backends, each owning an
 independent copy of the taxonomy — the closest in-process analogue of
-R replica processes behind a router.
+R replica processes behind a router — plus the per-call wire faults
+(:class:`WireFaults`: delay, drop, injected 5xx) its replicas start
+with.  Tests take replicas down and bring them back through
+:meth:`FaultyReplica.kill` / :meth:`~FaultyReplica.restart` (a process
+death) and :meth:`~FaultyReplica.isolate` /
+:meth:`~FaultyReplica.reconnect` (a partition).
 
 The point of the exercise is the self-healing contract: a killed
 replica restarts **stale** (rebuilt from the base snapshot, one
-version behind), and nothing but the router's version-aware probe and
-the replica's own ``resync`` is allowed to bring it back.  After the
-replay :meth:`ChaosCluster.settle` lifts the wire faults and runs one
-probe sweep; :meth:`ChaosCluster.convergence` then reports whether
-every replica ended alive on the **byte-identical content hash** the
-router published — the acceptance gate chaos scenarios assert together
-with the auditor's zero mixed-version answers.
+version behind), and nothing but the router's version-aware reads and
+probes and the replica's own ``resync`` is allowed to bring it back.
+:meth:`ChaosCluster.settle` lifts the wire faults and runs one probe
+sweep; :meth:`ChaosCluster.convergence` then reports whether every
+replica ended alive on the version the router published — the
+**byte-identical content hash** once the router has published one.
 
 Determinism: every wire-fault decision draws from a ``Random`` seeded
 from the fault spec, and this module never reads the clock — delaying
-a call sleeps through a hook injected by the runner (the one module
-allowed to import ``time``), so the determinism lint holds here too.
+a call sleeps through a hook the caller injects (``time.sleep``, or a
+test's stub), so the determinism lint holds here too.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from repro.errors import APIError, ServiceUnavailableError, WorkloadError
-from repro.workloads.runner import TimedAction
 from repro.workloads.spec import _check_probability, _known_fields
 
 if TYPE_CHECKING:
@@ -82,76 +79,20 @@ class WireFaults:
         return cls(**_known_fields(cls, data))
 
 
-#: How a :class:`ReplicaCrash` takes the replica down.  ``kill`` loses
-#: the process: coming back rebuilds from the base snapshot, one
-#: version behind.  ``isolate`` is a partition: coming back keeps the
-#: replica's state (stale only if it missed a publish meanwhile).
-CRASH_MODES = ("kill", "isolate")
-
-
-@dataclass(frozen=True)
-class ReplicaCrash:
-    """Take one replica down at *at* and optionally back at *back_at*.
-
-    Offsets are 0..1 fractions of the schedule span, like a scenario's
-    ``publish_at``.  Without *back_at* the replica stays down for the
-    rest of the run (and is excluded from the convergence gate).
-    """
-
-    replica: int
-    at: float
-    back_at: float | None = None
-    mode: str = "kill"
-
-    def __post_init__(self) -> None:
-        if self.replica < 0:
-            raise WorkloadError(
-                f"crash replica index must be >= 0, got {self.replica}"
-            )
-        _check_probability("at", self.at)
-        if self.back_at is not None:
-            _check_probability("back_at", self.back_at)
-            if self.back_at <= self.at:
-                raise WorkloadError(
-                    f"crash back_at ({self.back_at}) must be after "
-                    f"at ({self.at})"
-                )
-        if self.mode not in CRASH_MODES:
-            raise WorkloadError(
-                f"crash mode must be one of {CRASH_MODES}, got {self.mode!r}"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "replica": self.replica,
-            "at": self.at,
-            "back_at": self.back_at,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReplicaCrash":
-        return cls(**_known_fields(cls, data))
-
-
 @dataclass(frozen=True)
 class FaultSpec:
-    """Everything that goes wrong during one chaos scenario replay.
+    """The shape of one chaos cluster.
 
-    ``replicas`` sizes the chaos cluster (one shard × N replicas);
-    ``probe_after`` tunes how many routing skips a downed replica
-    accumulates before the router probes (and, finding it alive but
-    stale, resyncs) it — low values make recovery visible inside short
-    benchmark replays.  ``republish_at`` re-sends the scenario's
-    nightly delta as if a second builder published the same night:
-    the router must **merge** (content hashes converge), never fork.
+    ``replicas`` sizes it (one shard × N replicas); ``wire`` is the
+    fault mix every replica starts with; ``probe_after`` tunes how many
+    routing skips a downed replica accumulates before the router
+    probes (and, finding it alive but stale, resyncs) it — low values
+    make recovery visible inside short runs.
     """
 
     replicas: int = 3
     seed: int = 0
-    crashes: tuple[ReplicaCrash, ...] = ()
     wire: WireFaults | None = None
-    republish_at: float | None = None
     probe_after: int = 4
 
     def __post_init__(self) -> None:
@@ -159,16 +100,6 @@ class FaultSpec:
             raise WorkloadError(
                 f"fault spec needs >= 1 replica, got {self.replicas}"
             )
-        if not isinstance(self.crashes, tuple):
-            object.__setattr__(self, "crashes", tuple(self.crashes))
-        for crash in self.crashes:
-            if crash.replica >= self.replicas:
-                raise WorkloadError(
-                    f"crash names replica {crash.replica} but the spec "
-                    f"has only {self.replicas}"
-                )
-        if self.republish_at is not None:
-            _check_probability("republish_at", self.republish_at)
         if self.probe_after < 1:
             raise WorkloadError(
                 f"probe_after must be >= 1, got {self.probe_after}"
@@ -178,19 +109,13 @@ class FaultSpec:
         return {
             "replicas": self.replicas,
             "seed": self.seed,
-            "crashes": [crash.as_dict() for crash in self.crashes],
             "wire": self.wire.as_dict() if self.wire is not None else None,
-            "republish_at": self.republish_at,
             "probe_after": self.probe_after,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
         known = _known_fields(cls, data)
-        if known.get("crashes"):
-            known["crashes"] = tuple(
-                ReplicaCrash.from_dict(crash) for crash in known["crashes"]
-            )
         if known.get("wire") is not None:
             known["wire"] = WireFaults.from_dict(known["wire"])
         return cls(**known)
@@ -273,9 +198,9 @@ class FaultyReplica:
             self.alive = True
             self.events.append("reconnect")
 
-    def clear_wire_faults(self) -> None:
-        """Stop injecting wire faults (the post-run settle phase)."""
-        self._wire = None
+    def set_wire_faults(self, wire: WireFaults | None) -> None:
+        """Inject *wire* faults from now on (None: a healthy wire)."""
+        self._wire = wire
 
     # -- the injected wire -----------------------------------------------------
 
@@ -319,17 +244,16 @@ class FaultyReplica:
         self._gate("get_entities")
         return self._inner.get_entities(concept)
 
-    def pinned(self):
-        """Pin one inner snapshot view for a whole batch group.
+    def versioned_reader(self):
+        """The inner replica's reader for a whole batch group.
 
         The gate fires once per group — the in-process analogue of one
         batched HTTP request either failing on the wire or being served
         whole against one server-side snapshot.
         """
-        self._gate("pinned")
+        self._gate("read")
         # lint: allow[lock-discipline] atomic reference read of the inner view
-        pinned = getattr(self._inner, "pinned", None)
-        return pinned() if callable(pinned) else self._inner
+        return self._inner.versioned_reader()
 
     def healthcheck(self) -> bool:
         self._gate("healthcheck")
@@ -374,40 +298,57 @@ class ChaosCluster:
     def settle(self) -> int:
         """End-of-run recovery sweep: faults off, one probe pass.
 
-        The run is over and the injected network is healthy again; any
-        replica still parked gets one probe (which resyncs it if it is
-        merely stale).  Returns how many replicas the sweep recovered.
-        A replica left dead (a crash without ``back_at``) stays dead —
-        settling heals the network, not the process.
+        The injected network is healthy again; any replica still
+        parked, or alive but behind the published version, gets one
+        probe (which resyncs it if it is merely stale).  Returns how
+        many replicas the sweep recovered.  A replica left dead (killed
+        and never restarted) stays dead — settling heals the network,
+        not the process.
         """
         for replica in self.replicas:
-            replica.clear_wire_faults()
+            replica.set_wire_faults(None)
         return self.router.probe_all()
 
     def convergence(self) -> dict:
-        """Did every replica end alive on the published bytes?
+        """Did every replica end alive on the published version?
 
-        The chaos acceptance gate: after :meth:`settle`, each replica's
-        own content hash must equal the router's published hash —
-        byte-identical taxonomies, not just matching ordinals.  Dead
-        replicas (never restarted) fail the gate unless the fault spec
-        deliberately left them down.
+        The chaos acceptance gate, after :meth:`settle`.  It uses the
+        router's own alignment rule
+        (:meth:`~repro.serving.replica.PublishedVersion.matches`): once
+        the router has published, each replica's content hash must
+        equal the published hash — byte-identical taxonomies, not just
+        matching ordinals; before its first publish the router has no
+        hash, and the ordinals must match.  Dead replicas (never
+        restarted) fail the gate.
         """
-        expected = self.router.content_hash
+        from repro.serving.replica import PublishedVersion
+        from repro.taxonomy.delta import parse_version_id
+
+        router = self.router
+        expected = PublishedVersion(
+            parse_version_id(router.published_version_id),
+            router.content_hash,
+        )
         entries = []
         for replica in self.replicas:
-            have = replica.inner_content_hash() if replica.alive else None
+            have = None
+            if replica.alive:
+                have = PublishedVersion(
+                    parse_version_id(replica.inner_version()),
+                    replica.inner_content_hash(),
+                )
             entries.append({
                 "replica": replica.name,
                 "alive": replica.alive,
-                "version": replica.inner_version() if replica.alive else None,
-                "content_hash": have,
-                "converged": replica.alive and have == expected,
+                "version": have.version_id if have else None,
+                "content_hash": have.content_hash if have else None,
+                "converged": have is not None and have.matches(expected),
                 "events": list(replica.events),
             })
-        stats = self.router.stats
+        stats = router.stats
         return {
-            "expected_hash": expected,
+            "expected_version": expected.version_id,
+            "expected_hash": expected.content_hash,
             "converged": all(entry["converged"] for entry in entries),
             "replicas": entries,
             "resyncs": {
@@ -430,8 +371,8 @@ def build_chaos_cluster(taxonomy, spec: FaultSpec, *, sleep=None) -> ChaosCluste
     never leaks into another and a restarted replica is *genuinely*
     stale — the chaos cluster exercises the same delta-chain /
     resync / heal machinery R separate processes would.  *sleep* is
-    the wall-clock hook :class:`WireFaults` delays use (the runner
-    injects ``time.sleep``; tests may inject a stub).
+    the wall-clock hook :class:`WireFaults` delays use (``time.sleep``,
+    or a test's stub).
     """
     from repro.serving.replica import LocalReplica
     from repro.serving.router import ReplicatedRouter
@@ -461,26 +402,3 @@ def build_chaos_cluster(taxonomy, spec: FaultSpec, *, sleep=None) -> ChaosCluste
         base_version=1,
     )
     return ChaosCluster(router=router, replicas=replicas)
-
-
-def fault_actions(
-    cluster: ChaosCluster, spec: FaultSpec, duration_s: float
-) -> list[TimedAction]:
-    """Compile the spec's crashes into runner :class:`TimedAction`\\ s."""
-    actions: list[TimedAction] = []
-    down = {"kill": "kill", "isolate": "isolate"}
-    back = {"kill": "restart", "isolate": "reconnect"}
-    for crash in spec.crashes:
-        replica = cluster.replicas[crash.replica]
-        actions.append(TimedAction(
-            at_s=crash.at * duration_s,
-            label=f"{down[crash.mode]}:{replica.name}",
-            action=getattr(replica, down[crash.mode]),
-        ))
-        if crash.back_at is not None:
-            actions.append(TimedAction(
-                at_s=crash.back_at * duration_s,
-                label=f"{back[crash.mode]}:{replica.name}",
-                action=getattr(replica, back[crash.mode]),
-            ))
-    return actions

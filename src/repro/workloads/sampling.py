@@ -1,37 +1,30 @@
-"""Seeded samplers: argument pools, key popularity, the Table-II stream.
+"""Seeded samplers: argument pools and the Table-II call stream.
 
 Everything here draws from an explicit ``random.Random`` — no module
-state, no wall clock — because the schedule compiler's contract is that
-the same ``(Scenario, seed)`` always produces byte-identical output
-(a lint test enforces it package-wide).
+state, no wall clock — so the same seed always produces the same
+calls, and a measurement that replays them is attributable to the
+code, never the workload (a lint test enforces it package-wide).
 
 :class:`TableIICallStream` is the repo's original workload generation
 algorithm — same RNG consumption order, so historical seeded streams
 are reproducible call for call — with one deliberate fix: an empty
 argument pool no longer yields the constant ``"空"`` (which silently
 under-counted misses) but a seeded unknown-mention marker flagged
-``expected_miss``.
+``expected_miss``.  :func:`replay_calls` serves a drawn stream
+closed-loop against any serving front.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from itertools import accumulate
 from random import Random
-from typing import Sequence
 
 from repro.errors import WorkloadError
-from repro.workloads.spec import KeyPopularity
+from repro.taxonomy.service import WIRE_API_METHODS
 
 #: Prefix of generated out-of-taxonomy arguments (kept from the legacy
 #: generator so dashboards keyed on it keep matching).
 UNKNOWN_PREFIX = "未知词"
-
-#: Suffixes for adversarial near-miss mentions: a real key perturbed by
-#: one trailing character, the plausible-looking garbage production
-#: traffic actually contains.
-ADVERSARIAL_SUFFIXES = ("氏", "君", "号", "社", "閣")
 
 
 def unknown_argument(rng: Random, tenant: str | None = None) -> str:
@@ -40,11 +33,6 @@ def unknown_argument(rng: Random, tenant: str | None = None) -> str:
     if tenant and tenant != "default":
         return f"{tenant}·{marker}"
     return marker
-
-
-def adversarial_argument(rng: Random, pool: Sequence[str]) -> str:
-    """A near-miss: a real pool key with one seeded suffix character."""
-    return rng.choice(pool) + rng.choice(ADVERSARIAL_SUFFIXES)
 
 
 @dataclass(frozen=True)
@@ -114,51 +102,6 @@ class ArgumentPools:
         )
 
 
-class PopularitySampler:
-    """Draws keys from one pool under a :class:`KeyPopularity` model.
-
-    For ``zipf`` the pool is shuffled once with the sampler's own rng
-    (so *which* keys are hot is itself seeded) and rank ``r`` gets
-    weight ``r ** -s``; draws then binary-search the cumulative weight
-    table — O(log n) per draw instead of ``random.choices``'s O(n)
-    weight scan per call.
-    """
-
-    def __init__(
-        self, pool: Sequence[str], popularity: KeyPopularity, rng: Random
-    ) -> None:
-        if not pool:
-            raise WorkloadError("popularity sampler needs a non-empty pool")
-        self._rng = rng
-        self._pool = list(pool)
-        self._cumulative: list[float] | None = None
-        if popularity.kind == "zipf":
-            rng.shuffle(self._pool)  # seeded hot-key identity
-            weights = [
-                rank ** -popularity.zipf_exponent
-                for rank in range(1, len(self._pool) + 1)
-            ]
-            self._cumulative = list(accumulate(weights))
-
-    def draw(self) -> str:
-        if self._cumulative is None:
-            return self._rng.choice(self._pool)
-        point = self._rng.random() * self._cumulative[-1]
-        return self._pool[bisect.bisect_left(self._cumulative, point)]
-
-    def top_mass(self, top_k: int) -> float:
-        """Theoretical probability mass of the *top_k* hottest keys."""
-        if self._cumulative is None:
-            return min(1.0, top_k / len(self._pool))
-        return self._cumulative[min(top_k, len(self._pool)) - 1] / \
-            self._cumulative[-1]
-
-    @property
-    def hot_keys(self) -> tuple[str, ...]:
-        """Keys in descending popularity (pool order when uniform)."""
-        return tuple(self._pool)
-
-
 @dataclass(frozen=True)
 class SampledCall:
     """One drawn request: API, argument, and whether a miss was intended."""
@@ -222,3 +165,38 @@ class TableIICallStream:
         # Empty pool: a real request still has to carry *something* —
         # emit a counted, seeded miss, never a silent constant.
         return unknown_argument(self._rng), True
+
+
+def replay_calls(front, calls, *, batch_size: int = 1):
+    """Closed-loop replay of sampled calls against a serving front.
+
+    *front* is anything exposing the canonical
+    :class:`~repro.taxonomy.service.BatchedServingAPI` surface — the
+    in-process service, the sharded store, the replica router or the
+    HTTP client.  *calls* is any iterable of objects with ``api`` and
+    ``argument`` attributes (e.g. :class:`SampledCall`).  With
+    ``batch_size > 1`` requests are buffered per API and served through
+    the ``*_batch`` variants, the way a real gateway amortises round
+    trips.  Returns the front's cumulative ``metrics`` ledger when it
+    has one.
+    """
+    if batch_size < 1:
+        raise WorkloadError(f"batch_size must be >= 1, got {batch_size}")
+    singles = {api: getattr(front, names[0])
+               for api, names in WIRE_API_METHODS.items()}
+    batches = {api: getattr(front, names[1])
+               for api, names in WIRE_API_METHODS.items()}
+    buffers: dict[str, list[str]] = {name: [] for name in singles}
+    for call in calls:
+        if batch_size == 1:
+            singles[call.api](call.argument)
+            continue
+        buffer = buffers[call.api]
+        buffer.append(call.argument)
+        if len(buffer) >= batch_size:
+            batches[call.api](buffer)
+            buffer.clear()
+    for name, buffer in buffers.items():
+        if buffer:
+            batches[name](buffer)
+    return getattr(front, "metrics", None)

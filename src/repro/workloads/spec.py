@@ -1,249 +1,29 @@
-"""Declarative scenario specs: traffic × world, frozen and JSON-round-trippable.
+"""The world side of a workload: SyntheticWorld knobs, normalised.
 
-A :class:`Scenario` composes two independent axes the serving benchmarks
-vary:
-
-- :class:`TrafficSpec` — *what the callers do*: the Table-II API mix, a
-  key-popularity model (uniform or zipf-skewed hot keys), the arrival
-  process (steady / burst / diurnal open-loop rates), the batch-size
-  distribution, the miss and adversarial-mention rates, and weighted
-  tenant namespaces;
-- :class:`WorldSpec` — *what the taxonomy looks like*: entity count plus
-  three normalised knobs (alias ambiguity, concept-chain depth, churn
-  rate) that drive the :class:`~repro.encyclopedia.synthesis.noise.NoiseConfig`
-  channels of :class:`~repro.encyclopedia.SyntheticWorld`, and a
-  deterministic page-churn model for publish-under-load runs.
-
-Every spec is a frozen dataclass with ``as_dict``/``from_dict`` that
-round-trip through JSON byte-stably, so a scenario *is* its serialized
-form — the schedule compiler's determinism contract starts here.
+:class:`WorldSpec` says *what the taxonomy looks like*: entity count
+plus three normalised knobs (alias ambiguity, concept-chain depth,
+churn rate) that drive the
+:class:`~repro.encyclopedia.synthesis.noise.NoiseConfig` channels of
+:class:`~repro.encyclopedia.SyntheticWorld`, and a deterministic
+page-churn model for nightly-publish workloads.  It is frozen and
+round-trips through ``as_dict``/``from_dict``, so a seeded world is
+its serialized form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from random import Random
-from typing import TYPE_CHECKING
 
-from repro.encyclopedia.model import EncyclopediaDump, EncyclopediaPage
+from repro.encyclopedia.model import EncyclopediaDump
 from repro.encyclopedia.synthesis.noise import NoiseConfig
 from repro.encyclopedia.synthesis.world import SyntheticWorld
 from repro.errors import WorkloadError
-from repro.taxonomy.api import PAPER_API_MIX
-
-if TYPE_CHECKING:
-    from repro.workloads.faults import FaultSpec
-
-SPEC_FORMAT_VERSION = 1
-
-#: The wire APIs a scenario mix may name (the paper's Table-II spelling).
-WIRE_APIS = ("getConcept", "getEntity", "men2ent")
 
 
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise WorkloadError(f"{name} must be a probability, got {value}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise WorkloadError(f"{name} must be positive, got {value}")
-
-
-def _weighted_pairs(
-    name: str, pairs, *, key_type=str
-) -> tuple[tuple[object, float], ...]:
-    """Normalise a weight table into a canonical sorted tuple of pairs."""
-    if isinstance(pairs, dict):
-        pairs = pairs.items()
-    normalised = []
-    for entry in pairs:
-        key, weight = entry
-        if not isinstance(key, key_type):
-            raise WorkloadError(
-                f"{name} keys must be {key_type.__name__}, got {key!r}"
-            )
-        weight = float(weight)
-        if weight <= 0.0:
-            raise WorkloadError(
-                f"{name} weights must be positive, got {key!r}: {weight}"
-            )
-        normalised.append((key, weight))
-    if not normalised:
-        raise WorkloadError(f"{name} must not be empty")
-    keys = [key for key, _ in normalised]
-    if len(set(keys)) != len(keys):
-        raise WorkloadError(f"{name} has duplicate keys: {keys}")
-    return tuple(sorted(normalised))
-
-
-@dataclass(frozen=True)
-class KeyPopularity:
-    """How argument keys are drawn from a pool.
-
-    ``uniform`` draws every key equally; ``zipf`` ranks a seeded
-    shuffle of the pool and draws rank ``r`` proportionally to
-    ``r ** -zipf_exponent`` — the classic hot-key skew where a handful
-    of mentions absorb most of the traffic.
-    """
-
-    kind: str = "uniform"
-    zipf_exponent: float = 1.1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "zipf"):
-            raise WorkloadError(
-                f"popularity kind must be uniform|zipf, got {self.kind!r}"
-            )
-        if self.kind == "zipf":
-            _check_positive("zipf_exponent", self.zipf_exponent)
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "zipf_exponent": self.zipf_exponent}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeyPopularity":
-        return cls(**_known_fields(cls, data))
-
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Open-loop arrival process: when requests are *scheduled* to fire.
-
-    Rates are requests per second of schedule time.  ``steady`` holds
-    ``rate_per_s``; ``burst`` multiplies it by ``burst_multiplier`` for
-    ``burst_seconds`` out of every ``burst_every_s``; ``diurnal``
-    modulates it sinusoidally over ``diurnal_period_s`` down to
-    ``diurnal_trough`` of the peak (a compressed day).
-    """
-
-    kind: str = "steady"
-    rate_per_s: float = 200.0
-    burst_every_s: float = 2.0
-    burst_seconds: float = 0.5
-    burst_multiplier: float = 4.0
-    diurnal_period_s: float = 4.0
-    diurnal_trough: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("steady", "burst", "diurnal"):
-            raise WorkloadError(
-                f"arrival kind must be steady|burst|diurnal, got {self.kind!r}"
-            )
-        _check_positive("rate_per_s", self.rate_per_s)
-        _check_positive("burst_every_s", self.burst_every_s)
-        _check_positive("burst_multiplier", self.burst_multiplier)
-        _check_positive("diurnal_period_s", self.diurnal_period_s)
-        if not 0.0 < self.burst_seconds <= self.burst_every_s:
-            raise WorkloadError(
-                "burst_seconds must be in (0, burst_every_s], got "
-                f"{self.burst_seconds}"
-            )
-        if not 0.0 < self.diurnal_trough <= 1.0:
-            raise WorkloadError(
-                f"diurnal_trough must be in (0, 1], got {self.diurnal_trough}"
-            )
-
-    def rate_at(self, t: float) -> float:
-        """The scheduled request rate at schedule time *t* seconds."""
-        if self.kind == "burst":
-            in_burst = (t % self.burst_every_s) < self.burst_seconds
-            return self.rate_per_s * (self.burst_multiplier if in_burst else 1.0)
-        if self.kind == "diurnal":
-            import math
-
-            phase = math.sin(2.0 * math.pi * t / self.diurnal_period_s)
-            mid = (1.0 + self.diurnal_trough) / 2.0
-            amplitude = (1.0 - self.diurnal_trough) / 2.0
-            return self.rate_per_s * (mid + amplitude * phase)
-        return self.rate_per_s
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate_per_s": self.rate_per_s,
-            "burst_every_s": self.burst_every_s,
-            "burst_seconds": self.burst_seconds,
-            "burst_multiplier": self.burst_multiplier,
-            "diurnal_period_s": self.diurnal_period_s,
-            "diurnal_trough": self.diurnal_trough,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArrivalSpec":
-        return cls(**_known_fields(cls, data))
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """The caller side of a scenario.
-
-    ``n_calls`` counts *API requests* (one argument each); a batched
-    event of size 8 contributes 8.  ``mix``, ``batch_sizes`` and
-    ``tenants`` are canonical sorted weight tables so two specs built
-    from differently-ordered dicts serialize identically.
-    """
-
-    n_calls: int = 300
-    mix: tuple[tuple[str, float], ...] = tuple(
-        sorted(PAPER_API_MIX.items())
-    )
-    popularity: KeyPopularity = field(default_factory=KeyPopularity)
-    arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    batch_sizes: tuple[tuple[int, float], ...] = ((1, 1.0),)
-    miss_rate: float = 0.05
-    adversarial_rate: float = 0.0
-    tenants: tuple[tuple[str, float], ...] = (("default", 1.0),)
-
-    def __post_init__(self) -> None:
-        if self.n_calls <= 0:
-            raise WorkloadError(f"n_calls must be positive, got {self.n_calls}")
-        object.__setattr__(self, "mix", _weighted_pairs("mix", self.mix))
-        for api, _ in self.mix:
-            if api not in WIRE_APIS:
-                raise WorkloadError(
-                    f"mix names unknown API {api!r}; known: {WIRE_APIS}"
-                )
-        total = sum(weight for _, weight in self.mix)
-        if abs(total - 1.0) > 1e-6:
-            raise WorkloadError(f"API mix must sum to 1, got {total}")
-        object.__setattr__(
-            self,
-            "batch_sizes",
-            _weighted_pairs("batch_sizes", self.batch_sizes, key_type=int),
-        )
-        for size, _ in self.batch_sizes:
-            if size < 1:
-                raise WorkloadError(f"batch size must be >= 1, got {size}")
-        object.__setattr__(
-            self, "tenants", _weighted_pairs("tenants", self.tenants)
-        )
-        _check_probability("miss_rate", self.miss_rate)
-        _check_probability("adversarial_rate", self.adversarial_rate)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_calls": self.n_calls,
-            "mix": [[api, weight] for api, weight in self.mix],
-            "popularity": self.popularity.as_dict(),
-            "arrival": self.arrival.as_dict(),
-            "batch_sizes": [[size, w] for size, w in self.batch_sizes],
-            "miss_rate": self.miss_rate,
-            "adversarial_rate": self.adversarial_rate,
-            "tenants": [[name, w] for name, w in self.tenants],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficSpec":
-        known = _known_fields(cls, data)
-        if "popularity" in known:
-            known["popularity"] = KeyPopularity.from_dict(known["popularity"])
-        if "arrival" in known:
-            known["arrival"] = ArrivalSpec.from_dict(known["arrival"])
-        for key in ("mix", "batch_sizes", "tenants"):
-            if key in known:
-                known[key] = tuple(tuple(pair) for pair in known[key])
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -337,91 +117,6 @@ class WorldSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "WorldSpec":
         return cls(**_known_fields(cls, data))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One named, reproducible serving benchmark: traffic × world × seed.
-
-    ``publish_at`` (a 0..1 fraction of the schedule span) arms the
-    mixed read + nightly-publish run: at that point of the replay the
-    runner publishes the delta between the base taxonomy and a rebuild
-    on the churned dump — which requires ``world.churn_rate > 0``.
-
-    ``faults`` (a :class:`~repro.workloads.faults.FaultSpec`) turns the
-    replay into a chaos run: the harness serves it from a fault-wrapped
-    replica cluster, fires the spec's kills/restarts as timed actions,
-    and reports whether every replica converged back to the published
-    content hash.
-    """
-
-    name: str
-    description: str
-    traffic: TrafficSpec = field(default_factory=TrafficSpec)
-    world: WorldSpec = field(default_factory=WorldSpec)
-    seed: int = 0
-    publish_at: float | None = None
-    faults: "FaultSpec | None" = None
-
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("_", "").isalnum():
-            raise WorkloadError(
-                f"scenario name must be a non-empty identifier, got "
-                f"{self.name!r}"
-            )
-        if self.publish_at is not None:
-            _check_probability("publish_at", self.publish_at)
-            if self.world.churn_rate <= 0.0:
-                raise WorkloadError(
-                    f"scenario {self.name!r} sets publish_at but its world "
-                    "has churn_rate=0 — there is nothing to publish"
-                )
-        if (
-            self.faults is not None
-            and self.faults.republish_at is not None
-            and self.publish_at is None
-        ):
-            raise WorkloadError(
-                f"scenario {self.name!r} sets faults.republish_at but no "
-                "publish_at — there is no delta to republish"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "format_version": SPEC_FORMAT_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "traffic": self.traffic.as_dict(),
-            "world": self.world.as_dict(),
-            "seed": self.seed,
-            "publish_at": self.publish_at,
-            "faults": (
-                self.faults.as_dict() if self.faults is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        version = data.get("format_version", SPEC_FORMAT_VERSION)
-        if not isinstance(version, int) or isinstance(version, bool):
-            raise WorkloadError(
-                f"scenario format_version must be an int, got {version!r}"
-            )
-        if version > SPEC_FORMAT_VERSION:
-            raise WorkloadError(
-                f"scenario format_version {version} is newer than this "
-                f"build understands ({SPEC_FORMAT_VERSION})"
-            )
-        known = _known_fields(cls, data)
-        if "traffic" in known:
-            known["traffic"] = TrafficSpec.from_dict(known["traffic"])
-        if "world" in known:
-            known["world"] = WorldSpec.from_dict(known["world"])
-        if known.get("faults") is not None:
-            from repro.workloads.faults import FaultSpec
-
-            known["faults"] = FaultSpec.from_dict(known["faults"])
-        return cls(**known)
 
 
 def _known_fields(cls, data: dict) -> dict:

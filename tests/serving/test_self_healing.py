@@ -291,3 +291,93 @@ class TestProbeTimeResync:
         assert report["hops"] == 2
         assert replica.published().version_id == "v3"
         assert replica.published().content_hash == hub_service.content_hash
+
+
+class TestSilentRestart:
+    """A replica that restarts stale without failing a call.
+
+    It stays healthy in the rotation, so only the version each answer
+    reports can tell the router it serves the pre-publish taxonomy.
+    """
+
+    NEW_KEY = "新星0"  # absent at v1, served from v2 on
+
+    def test_chaos_replica_restarted_after_a_publish_is_refused(self):
+        from repro.workloads import FaultSpec, build_chaos_cluster
+
+        cluster = build_chaos_cluster(
+            make_taxonomy(0), FaultSpec(replicas=3, probe_after=1)
+        )
+        router = cluster.router
+        router.publish_delta(nightly_delta(0), base_version=1, version=2)
+        cluster.replicas[0].kill()
+        cluster.replicas[0].restart()  # back from the base snapshot: v1
+        answers = [router.men2ent(self.NEW_KEY) for _ in range(6)]
+        assert answers == [["新星0#0"]] * 6
+        router.probe_all()
+        assert cluster.replicas[0].inner_version() == "v2"
+        assert cluster.convergence()["converged"] is True
+
+    def test_settle_resyncs_a_restart_no_read_has_hit(self):
+        from repro.workloads import FaultSpec, build_chaos_cluster
+
+        cluster = build_chaos_cluster(
+            make_taxonomy(0), FaultSpec(replicas=3, probe_after=1)
+        )
+        cluster.router.publish_delta(
+            nightly_delta(0), base_version=1, version=2
+        )
+        cluster.replicas[1].kill()
+        cluster.replicas[1].restart()
+        assert cluster.settle() == 1
+        assert cluster.replicas[1].inner_version() == "v2"
+        assert cluster.convergence()["converged"] is True
+
+    def test_remote_restarted_on_its_port_is_refused(self, request):
+        def serve(port: int = 0):
+            store = ShardedSnapshotStore(make_taxonomy(0), n_shards=1)
+            server = start_server(store, port=port, admin_token=ADMIN_TOKEN)
+            request.addfinalizer(server.close)
+            return server
+
+        servers = [serve(), serve()]
+        clients = []
+        for server in servers:
+            client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+            request.addfinalizer(client.close)
+            clients.append(client)
+        router = ReplicatedRouter(
+            [[RemoteReplica(client) for client in clients]], base_version=1
+        )
+        router.publish_delta(nightly_delta(0), base_version=1, version=2)
+        assert [c.version()["version"] for c in clients] == ["v2", "v2"]
+        # replica 0's process restarts from its base snapshot on the
+        # same port; the pooled client reconnects without a failed call
+        port = servers[0].server_address[1]
+        servers[0].close()
+        serve(port)
+        answers = [router.men2ent(self.NEW_KEY) for _ in range(6)]
+        assert answers == [["新星0#0"]] * 6
+        assert router.health()[0][0]["healthy"] is False  # refused
+        assert router.probe_all() == 1
+        assert clients[0].version()["version"] == "v2"
+        assert router.health()[0][0]["healthy"] is True
+
+    def test_group_answered_from_two_versions_is_refused(self):
+        class Straddling(LocalReplica):
+            """Answers its first lookup from v1, the rest from v2: a
+            remote's per-argument GETs with a publish landing between."""
+
+            def versioned_reader(self):
+                read = super().versioned_reader()
+                versions = iter((1, 2, 2, 2))
+                return lambda api, key: (read(api, key)[0], next(versions))
+
+        torn = Straddling(make_taxonomy(0), name="torn")
+        steady = LocalReplica(make_taxonomy(0), name="steady")
+        router = ReplicatedRouter([[torn, steady]], base_version=1)
+        assert router.men2ent_batch(["华仔", "周杰伦"]) == [
+            ["刘德华#0"], ["周杰伦#0"],
+        ]
+        assert router.stats.failovers == 1
+        assert router.health()[0][0]["healthy"] is False

@@ -1,21 +1,13 @@
-"""The fault-injection layer: specs, the faulty wire, and chaos runs."""
+"""The fault-injection layer: specs, the faulty wire, the chaos cluster."""
 
 import pytest
 
 from repro.errors import APIError, ServiceUnavailableError, WorkloadError
 from repro.workloads import (
-    ArrivalSpec,
     FaultSpec,
     FaultyReplica,
-    ReplicaCrash,
-    Scenario,
-    TrafficSpec,
     WireFaults,
-    WorldSpec,
     build_chaos_cluster,
-    fault_actions,
-    prepare_scenario,
-    run_scenario,
 )
 from repro.taxonomy.model import Entity, IsARelation
 from repro.taxonomy.store import Taxonomy
@@ -37,12 +29,7 @@ class TestFaultSpecs:
         spec = FaultSpec(
             replicas=4,
             seed=3,
-            crashes=(
-                ReplicaCrash(replica=1, at=0.2, back_at=0.6),
-                ReplicaCrash(replica=2, at=0.3, mode="isolate"),
-            ),
             wire=WireFaults(delay_rate=0.1, drop_rate=0.05, error_rate=0.01),
-            republish_at=0.8,
             probe_after=2,
         )
         assert FaultSpec.from_dict(spec.as_dict()) == spec
@@ -50,24 +37,12 @@ class TestFaultSpecs:
     def test_validation_catches_the_traps(self):
         with pytest.raises(WorkloadError, match=">= 1 replica"):
             FaultSpec(replicas=0)
-        with pytest.raises(WorkloadError, match="only 2"):
-            FaultSpec(replicas=2, crashes=(ReplicaCrash(replica=2, at=0.1),))
-        with pytest.raises(WorkloadError, match="after"):
-            ReplicaCrash(replica=0, at=0.5, back_at=0.4)
-        with pytest.raises(WorkloadError, match="mode"):
-            ReplicaCrash(replica=0, at=0.5, mode="unplug")
+        with pytest.raises(WorkloadError, match="probe_after"):
+            FaultSpec(probe_after=0)
         with pytest.raises(WorkloadError, match="drop_rate"):
             WireFaults(drop_rate=1.5)
         with pytest.raises(WorkloadError, match="unknown keys"):
             FaultSpec.from_dict({"replicas": 2, "chaos_level": 11})
-
-    def test_scenario_refuses_republish_without_publish(self):
-        with pytest.raises(WorkloadError, match="republish"):
-            Scenario(
-                name="fault_test_bad",
-                description="republish with nothing published",
-                faults=FaultSpec(republish_at=0.5),
-            )
 
 
 class TestFaultyReplica:
@@ -86,7 +61,7 @@ class TestFaultyReplica:
             replica.healthcheck,
             replica.published,
             lambda: replica.resync(None),
-            replica.pinned,
+            replica.versioned_reader,
         ):
             with pytest.raises(ServiceUnavailableError, match="unreachable"):
                 call()
@@ -133,20 +108,27 @@ class TestFaultyReplica:
         )
         assert always_slow.men2ent("华仔") == ["刘德华#0"]
         assert slept == [0.5]
-        always_slow.clear_wire_faults()
+        always_slow.set_wire_faults(None)
         assert always_slow.men2ent("华仔") == ["刘德华#0"]
         assert slept == [0.5]  # faults lifted: no more delays
+        always_slow.set_wire_faults(WireFaults(drop_rate=1.0))
+        with pytest.raises(ServiceUnavailableError, match="injected drop"):
+            always_slow.men2ent("华仔")  # and armed again
 
     def test_pinned_group_survives_a_mid_group_publish(self):
         from repro.taxonomy.delta import TaxonomyDelta
 
         replica = self.make()
-        view = replica.pinned()
+        read = replica.versioned_reader()
         delta = TaxonomyDelta.compute(make_taxonomy(0), make_taxonomy(1))
         replica.publish_delta(delta, base_version="v1", version=2)
-        # the pinned view still answers from the pre-publish snapshot
-        assert view.men2ent("新星0") == []
+        # the pinned reader still answers from the pre-publish snapshot,
+        # and says so
+        assert read("men2ent", "新星0") == ([], 1)
         assert replica.men2ent("新星0") == ["新星0#0"]
+        assert replica.versioned_reader()("men2ent", "新星0") == (
+            ["新星0#0"], 2,
+        )
 
 
 class TestChaosCluster:
@@ -160,22 +142,6 @@ class TestChaosCluster:
         )
         assert cluster.replicas[0].inner_version() == "v2"
         assert cluster.replicas[1].inner_version() == "v1"
-
-    def test_fault_actions_compile_offsets_and_labels(self):
-        spec = FaultSpec(
-            replicas=2,
-            crashes=(
-                ReplicaCrash(replica=0, at=0.25, back_at=0.75),
-                ReplicaCrash(replica=1, at=0.5, mode="isolate"),
-            ),
-        )
-        cluster = build_chaos_cluster(make_taxonomy(0), spec)
-        actions = fault_actions(cluster, spec, duration_s=8.0)
-        assert [(a.label, a.at_s) for a in actions] == [
-            ("kill:replica-0", 2.0),
-            ("restart:replica-0", 6.0),
-            ("isolate:replica-1", 4.0),
-        ]
 
     def test_settle_and_convergence_after_a_kill(self):
         from repro.taxonomy.delta import TaxonomyDelta
@@ -195,45 +161,13 @@ class TestChaosCluster:
         dead.kill()  # a replica left dead fails the gate
         assert cluster.convergence()["converged"] is False
 
-
-class TestChaosScenarioRun:
-    def test_tiny_chaos_scenario_end_to_end(self):
-        scenario = Scenario(
-            name="fault_test_tiny",
-            description="kill + restart + dual publish on a small world",
-            traffic=TrafficSpec(
-                n_calls=60,
-                batch_sizes=((1, 0.4), (4, 0.6)),
-                arrival=ArrivalSpec(kind="steady", rate_per_s=200.0),
-            ),
-            world=WorldSpec(n_entities=80, churn_rate=0.3),
-            seed=5,
-            publish_at=0.4,
-            faults=FaultSpec(
-                replicas=2,
-                seed=5,
-                crashes=(ReplicaCrash(replica=1, at=0.2, back_at=0.7),),
-                republish_at=0.9,
-                probe_after=2,
-            ),
-        )
-        report = run_scenario(
-            prepare_scenario(scenario), "router", workers=4, time_scale=20.0
-        )
-        assert report.target == "chaos"
-        assert report.audit is not None
-        assert report.audit["mixed_answers"] == 0
-        assert report.convergence is not None
-        assert report.convergence["converged"] is True
-        labels = [action.label for action in report.actions]
-        assert "kill:replica-1" in labels
-        assert "republish_delta" in labels
-        assert all(action.error is None for action in report.actions)
-        # the chaos verdict flows into the bench entry
-        from repro.workloads import append_scenario_entry  # noqa: F401
-        from repro.workloads.report import scenario_entry
-
-        entry = scenario_entry(report)
-        assert entry["converged"] is True
-        assert entry["mixed_version_answers"] == 0
-        assert "resyncs" in entry
+    def test_fresh_cluster_settles_converged(self):
+        # before its first publish the storeless router has no content
+        # hash; replicas on the same base bytes and ordinal are aligned
+        cluster = build_chaos_cluster(make_taxonomy(0), FaultSpec(replicas=3))
+        assert cluster.settle() == 0
+        verdict = cluster.convergence()
+        assert verdict["converged"] is True
+        assert verdict["expected_hash"] is None
+        assert verdict["expected_version"] == "v1"
+        assert {r["version"] for r in verdict["replicas"]} == {"v1"}

@@ -1,101 +1,10 @@
-"""Tests for the frozen, JSON-round-trippable scenario specs."""
-
-import json
+"""Tests for the frozen, seeded world spec."""
 
 import pytest
 
 from repro.encyclopedia import diff_dumps
 from repro.errors import WorkloadError
-from repro.workloads import (
-    ArrivalSpec,
-    KeyPopularity,
-    Scenario,
-    TrafficSpec,
-    WorldSpec,
-)
-
-
-class TestKeyPopularity:
-    def test_defaults(self):
-        assert KeyPopularity().kind == "uniform"
-
-    def test_unknown_kind(self):
-        with pytest.raises(WorkloadError, match="uniform|zipf"):
-            KeyPopularity(kind="pareto")
-
-    def test_zipf_exponent_must_be_positive(self):
-        with pytest.raises(WorkloadError, match="zipf_exponent"):
-            KeyPopularity(kind="zipf", zipf_exponent=0.0)
-
-
-class TestArrivalSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(WorkloadError, match="steady|burst|diurnal"):
-            ArrivalSpec(kind="poissonish")
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(WorkloadError, match="rate_per_s"):
-            ArrivalSpec(rate_per_s=0.0)
-
-    def test_burst_window_bounds(self):
-        with pytest.raises(WorkloadError, match="burst_seconds"):
-            ArrivalSpec(kind="burst", burst_every_s=1.0, burst_seconds=2.0)
-
-    def test_steady_rate_is_flat(self):
-        arrival = ArrivalSpec(kind="steady", rate_per_s=100.0)
-        assert arrival.rate_at(0.0) == arrival.rate_at(123.4) == 100.0
-
-    def test_burst_rate_spikes_inside_the_window(self):
-        arrival = ArrivalSpec(
-            kind="burst", rate_per_s=100.0,
-            burst_every_s=2.0, burst_seconds=0.5, burst_multiplier=4.0,
-        )
-        assert arrival.rate_at(0.25) == 400.0  # inside the burst
-        assert arrival.rate_at(1.0) == 100.0   # between bursts
-        assert arrival.rate_at(2.25) == 400.0  # periodic
-
-    def test_diurnal_rate_stays_within_trough_and_peak(self):
-        arrival = ArrivalSpec(
-            kind="diurnal", rate_per_s=100.0,
-            diurnal_period_s=4.0, diurnal_trough=0.25,
-        )
-        rates = [arrival.rate_at(t / 10.0) for t in range(80)]
-        assert min(rates) >= 25.0 - 1e-9
-        assert max(rates) <= 100.0 + 1e-9
-        assert max(rates) > min(rates)  # actually modulates
-
-
-class TestTrafficSpec:
-    def test_mix_is_canonicalised(self):
-        a = TrafficSpec(mix={"men2ent": 0.5, "getConcept": 0.2,
-                             "getEntity": 0.3})
-        b = TrafficSpec(mix=[("getEntity", 0.3), ("getConcept", 0.2),
-                             ("men2ent", 0.5)])
-        assert a.mix == b.mix
-        assert a.as_dict() == b.as_dict()
-
-    def test_mix_must_sum_to_one(self):
-        with pytest.raises(WorkloadError, match="sum to 1"):
-            TrafficSpec(mix={"men2ent": 0.5, "getConcept": 0.2,
-                             "getEntity": 0.2})
-
-    def test_mix_rejects_unknown_api(self):
-        with pytest.raises(WorkloadError, match="unknown API"):
-            TrafficSpec(mix={"men2ent": 0.5, "getAll": 0.5})
-
-    def test_batch_sizes_must_be_positive(self):
-        with pytest.raises(WorkloadError, match="batch"):
-            TrafficSpec(batch_sizes=((0, 1.0),))
-
-    def test_duplicate_tenants_rejected(self):
-        with pytest.raises(WorkloadError, match="duplicate"):
-            TrafficSpec(tenants=(("acme", 0.5), ("acme", 0.5)))
-
-    def test_rates_are_probabilities(self):
-        with pytest.raises(WorkloadError, match="miss_rate"):
-            TrafficSpec(miss_rate=1.5)
-        with pytest.raises(WorkloadError, match="adversarial_rate"):
-            TrafficSpec(adversarial_rate=-0.1)
+from repro.workloads import WorldSpec
 
 
 class TestWorldSpec:
@@ -134,54 +43,8 @@ class TestWorldSpec:
         assert [p.abstract for p in a.pages] == [p.abstract for p in b.pages]
         assert [p.tags for p in a.pages] == [p.tags for p in b.pages]
 
-
-class TestScenario:
-    def _scenario(self, **kwargs):
-        defaults = dict(
-            name="round_trip",
-            description="round-trip fixture",
-            traffic=TrafficSpec(
-                n_calls=64,
-                popularity=KeyPopularity(kind="zipf", zipf_exponent=1.2),
-                arrival=ArrivalSpec(kind="burst", rate_per_s=120.0),
-                batch_sizes=((1, 0.5), (4, 0.5)),
-                tenants=(("acme", 0.6), ("beta", 0.4)),
-            ),
-            world=WorldSpec(n_entities=60, churn_rate=0.2),
-            seed=3,
-            publish_at=0.5,
-        )
-        defaults.update(kwargs)
-        return Scenario(**defaults)
-
-    def test_round_trips_through_json(self):
-        scenario = self._scenario()
-        wire = json.dumps(scenario.as_dict(), ensure_ascii=False,
-                          sort_keys=True)
-        assert Scenario.from_dict(json.loads(wire)) == scenario
-        # byte-stable: serialising the round-tripped spec is identical
-        again = json.dumps(
-            Scenario.from_dict(json.loads(wire)).as_dict(),
-            ensure_ascii=False, sort_keys=True,
-        )
-        assert again == wire
-
-    def test_name_must_be_identifier(self):
-        with pytest.raises(WorkloadError, match="identifier"):
-            self._scenario(name="no spaces allowed")
-
-    def test_publish_requires_churn(self):
-        with pytest.raises(WorkloadError, match="churn_rate"):
-            self._scenario(world=WorldSpec(n_entities=60), publish_at=0.5)
-
-    def test_unknown_keys_rejected(self):
-        data = self._scenario().as_dict()
-        data["surprise"] = True
+    def test_round_trips_through_a_dict(self):
+        spec = WorldSpec(n_entities=60, alias_ambiguity=0.6, churn_rate=0.3)
+        assert WorldSpec.from_dict(spec.as_dict()) == spec
         with pytest.raises(WorkloadError, match="unknown keys"):
-            Scenario.from_dict(data)
-
-    def test_newer_format_version_rejected(self):
-        data = self._scenario().as_dict()
-        data["format_version"] = 99
-        with pytest.raises(WorkloadError, match="newer"):
-            Scenario.from_dict(data)
+            WorldSpec.from_dict({**spec.as_dict(), "surprise": True})
