@@ -15,6 +15,11 @@ runs in two steps:
 
 This is the verifier that removes cross-sense leakage on ambiguous
 titles (the 音乐-tag-on-刘德华 class of error).
+
+One ``filter`` call runs the pair test once per distinct *ordered*
+concept pair (:func:`cosine` sums in its first argument's key order, so
+a swapped pair can differ in the last bit at the threshold); the public
+:meth:`IncompatibleConceptFilter.incompatible` stays unmemoised.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ def _normalise(counts: Counter[str]) -> dict[str, float]:
 def jaccard(a: set[str], b: set[str]) -> float:
     if not a and not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def cosine(a: dict[str, float], b: dict[str, float]) -> float:
@@ -167,6 +173,7 @@ class IncompatibleConceptFilter:
 
         kept: list[IsARelation] = list(passthrough)
         removed: list[IsARelation] = []
+        verdicts: dict[tuple[str, str], bool] = {}
         for page_id, entity_relations in by_entity.items():
             doomed: set[str] = set()
             concepts = [r.hypernym for r in entity_relations]
@@ -174,7 +181,10 @@ class IncompatibleConceptFilter:
                 for concept_b in concepts[i + 1:]:
                     if concept_a in doomed or concept_b in doomed:
                         continue
-                    if not self.incompatible(concept_a, concept_b):
+                    pair = (concept_a, concept_b)
+                    if pair not in verdicts:
+                        verdicts[pair] = self.incompatible(*pair)
+                    if not verdicts[pair]:
                         continue
                     kl_a = self.entity_concept_kl(page_id, concept_a)
                     kl_b = self.entity_concept_kl(page_id, concept_b)

@@ -8,8 +8,9 @@ this segmenter.  The algorithm is the same family as jieba's core:
 2. pick the maximum log-probability path under a unigram model,
 3. fall back to single characters for out-of-vocabulary spans.
 
-Non-CJK runs (Latin, digits) are emitted as single tokens; whitespace is
-dropped; punctuation becomes its own token.
+Runs come from :func:`repro.nlp.text.split_cjk_runs`.  Non-CJK runs
+(Latin, digits) are emitted as single tokens; whitespace is dropped;
+punctuation becomes its own token.
 
 The Viterbi path is memoised per CJK run in a bounded LRU (corpus text
 repeats brackets, tags and common phrases heavily, so a warm cache turns
@@ -25,7 +26,7 @@ from typing import Iterable
 
 from repro.errors import SegmentationError
 from repro.nlp.lexicon import Lexicon
-from repro.nlp.text import is_cjk_char, normalize_text
+from repro.nlp.text import normalize_text, split_cjk_runs
 
 _UNKNOWN_CHAR_FREQ = 0.5
 DEFAULT_SEGMENT_CACHE = 32_768
@@ -92,10 +93,10 @@ class Segmenter:
             self._cached_viterbi.cache_clear()
             self._cached_version = version
         tokens: list[str] = []
-        for run, is_cjk in _iter_runs(normalized):
-            if is_cjk:
+        for i, run in enumerate(split_cjk_runs(normalized)):
+            if i % 2:
                 tokens.extend(self._cached_viterbi(run, version))
-            else:
+            elif run:
                 tokens.extend(_split_non_cjk(run, keep_punctuation))
         if not tokens:
             raise SegmentationError(f"no tokens produced for {text!r}")
@@ -169,21 +170,3 @@ def _split_non_cjk(run: str, keep_punctuation: bool) -> list[str]:
         tokens.append("".join(current))
     return tokens
 
-
-def _iter_runs(text: str) -> list[tuple[str, bool]]:
-    """Split *text* into maximal (run, is_cjk) spans."""
-    runs: list[tuple[str, bool]] = []
-    current: list[str] = []
-    current_kind: bool | None = None
-    for ch in text:
-        kind = is_cjk_char(ch)
-        if current_kind is None or kind == current_kind:
-            current.append(ch)
-            current_kind = kind
-        else:
-            runs.append(("".join(current), current_kind))
-            current = [ch]
-            current_kind = kind
-    if current:
-        runs.append(("".join(current), bool(current_kind)))
-    return runs

@@ -4,10 +4,15 @@ These helpers deal with the orthographic quirks the paper's introduction
 calls out: no word spaces, mixed full-width/half-width punctuation, and
 bracket annotations attached directly to entity names (e.g.
 ``刘德华（中国香港男演员、歌手、词作人）``).
+
+One regex compiled from ``_CJK_RANGES`` answers every CJK question
+(character, word, runs) and :func:`normalize_text` is one
+``str.translate``: the segmenter's per-character work runs in C.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 # Unicode ranges treated as CJK ideographs.  The extension blocks matter for
@@ -19,10 +24,17 @@ _CJK_RANGES: tuple[tuple[int, int], ...] = (
     (0xF900, 0xFAFF),    # Compatibility Ideographs
 )
 
+# One maximal run of CJK ideographs; the group makes ``split`` keep the runs.
+_CJK_RUN = re.compile(
+    "(["
+    + "".join(rf"\U{lo:08x}-\U{hi:08x}" for lo, hi in _CJK_RANGES)
+    + "]+)"
+)
+
 # Full-width ASCII variants map onto their half-width counterparts; the
 # ideographic space maps onto a plain space.
-_FULLWIDTH_OFFSET = 0xFEE0
-_IDEOGRAPHIC_SPACE = "　"
+_HALF_WIDTH = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)}
+_HALF_WIDTH[0x3000] = ord(" ")
 
 # Chinese enumeration/sentence punctuation used as split points when pulling
 # phrases out of brackets and abstracts.
@@ -39,15 +51,12 @@ BRACKET_PAIRS: tuple[tuple[str, str], ...] = (
 
 def is_cjk_char(char: str) -> bool:
     """Return True when *char* is a single CJK ideograph."""
-    if len(char) != 1:
-        return False
-    code = ord(char)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+    return len(char) == 1 and is_cjk_word(char)
 
 
 def is_cjk_word(word: str) -> bool:
     """Return True when *word* is non-empty and made only of CJK ideographs."""
-    return bool(word) and all(is_cjk_char(ch) for ch in word)
+    return _CJK_RUN.fullmatch(word) is not None
 
 
 def normalize_text(text: str) -> str:
@@ -57,17 +66,7 @@ def normalize_text(text: str) -> str:
     ideographic space becomes a plain space, and outer whitespace is
     stripped.  CJK ideographs and Chinese punctuation are left untouched.
     """
-    chars = []
-    for ch in text:
-        if ch == _IDEOGRAPHIC_SPACE:
-            chars.append(" ")
-            continue
-        code = ord(ch)
-        if 0xFF01 <= code <= 0xFF5E:
-            chars.append(chr(code - _FULLWIDTH_OFFSET))
-        else:
-            chars.append(ch)
-    return "".join(chars).strip()
+    return text.translate(_HALF_WIDTH).strip()
 
 
 def strip_brackets(title: str) -> tuple[str, str | None]:
@@ -92,17 +91,18 @@ def strip_brackets(title: str) -> tuple[str, str | None]:
     return stripped, None
 
 
+def split_cjk_runs(text: str) -> list[str]:
+    """Split *text* around its maximal runs of CJK ideographs.
+
+    The runs sit at the odd indices; the even indices hold the non-CJK
+    text before, between and after them, empty where there is none.
+    """
+    return _CJK_RUN.split(text)
+
+
 def iter_cjk_runs(text: str) -> Iterator[str]:
     """Yield maximal runs of consecutive CJK ideographs in *text*."""
-    run: list[str] = []
-    for ch in text:
-        if is_cjk_char(ch):
-            run.append(ch)
-        elif run:
-            yield "".join(run)
-            run = []
-    if run:
-        yield "".join(run)
+    return iter(split_cjk_runs(text)[1::2])
 
 
 def split_phrases(text: str) -> list[str]:

@@ -7,12 +7,14 @@ from repro.core.pipeline import (
     BuildResult,
     CNProbaseBuilder,
     PipelineConfig,
+    ResourceCache,
     build_cn_probase,
 )
 from repro.encyclopedia import SyntheticWorld
 from repro.encyclopedia.model import EncyclopediaDump
 from repro.errors import PipelineError
 from repro.eval.metrics import make_oracle, sample_precision
+from repro.workloads.spec import WorldSpec
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +137,30 @@ class TestAblationSwitches:
         assert result.n_removed == sum(
             len(v) for v in result.removed_by.values()
         )
+
+
+class TestPinnedBuildBytes:
+    """Speed work on the build must leave its output byte for byte.
+
+    The hashes and veto counts were measured before the pair-verdict
+    memo and the regex text kernel went in, and held under
+    ``PYTHONHASHSEED`` 0, 1, 12345 and random.
+    """
+
+    @pytest.mark.parametrize("n_entities,seed,size,removed,content_hash", [
+        (300, 3, 730, {"syntax": 91, "ner": 15, "incompatible": 4},
+         "de256eb8dabc08b73cb4eaad553b75659f594a1d53fd4cc5e53f3f133438d742"),
+        (1200, 9, 2844, {"syntax": 388, "ner": 60, "incompatible": 53},
+         "2e09af3043481b9ee648285d5058a7e70bde6b1b759c56e432290b99efd8fedd"),
+    ], ids=["300-entities", "1200-entities"])
+    def test_build_bytes(self, n_entities, seed, size, removed, content_hash):
+        world = WorldSpec(n_entities=n_entities).build_world(seed)
+        result = CNProbaseBuilder(
+            PipelineConfig(enable_abstract=False),
+            resource_cache=ResourceCache(),
+        ).build(world.dump())
+        assert len(result.taxonomy) == size
+        assert {
+            name: len(vetoed) for name, vetoed in result.removed_by.items()
+        } == removed
+        assert result.taxonomy.content_hash() == content_hash

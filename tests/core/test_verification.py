@@ -1,8 +1,15 @@
 """Tests for the three verification heuristics (Section III)."""
 
-import pytest
+from collections import defaultdict
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.core.pipeline import PipelineConfig, build_cn_probase
+from repro.core.stages import default_registry
 from repro.core.verification.incompatible import (
+    FilterDecision,
     IncompatibleConceptFilter,
     cosine,
     jaccard,
@@ -16,7 +23,8 @@ from repro.errors import PipelineError
 from repro.nlp.lexicon import Lexicon
 from repro.nlp.ner import NamedEntityRecognizer
 from repro.nlp.segmentation import Segmenter
-from repro.taxonomy.model import IsARelation
+from repro.taxonomy.model import HYPONYM_ENTITY, IsARelation
+from repro.workloads.spec import WorldSpec
 
 
 class TestThematicLexicon:
@@ -107,10 +115,138 @@ class TestIncompatibleConcepts:
         assert decision.kept == [concept_rel]
 
 
+def reference_filter(filt, relations):
+    """``IncompatibleConceptFilter.filter`` with no memo: the pair test
+    runs for every pair of every entity."""
+    by_entity = defaultdict(list)
+    passthrough = []
+    for relation in relations:
+        if relation.hyponym_kind == HYPONYM_ENTITY:
+            by_entity[relation.hyponym].append(relation)
+        else:
+            passthrough.append(relation)
+    kept = list(passthrough)
+    removed = []
+    for page_id, entity_relations in by_entity.items():
+        doomed = set()
+        concepts = [r.hypernym for r in entity_relations]
+        for i, concept_a in enumerate(concepts):
+            for concept_b in concepts[i + 1:]:
+                if concept_a in doomed or concept_b in doomed:
+                    continue
+                if not filt.incompatible(concept_a, concept_b):
+                    continue
+                kl_a = filt.entity_concept_kl(page_id, concept_a)
+                kl_b = filt.entity_concept_kl(page_id, concept_b)
+                doomed.add(concept_a if kl_a > kl_b else concept_b)
+        for relation in entity_relations:
+            if relation.hypernym in doomed:
+                removed.append(relation)
+            else:
+                kept.append(relation)
+    return FilterDecision(kept=kept, removed=removed)
+
+
+class CountingFilter(IncompatibleConceptFilter):
+    """Records every pair the pair test is asked about."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[tuple[str, str]] = []
+
+    def incompatible(self, concept_a, concept_b):
+        self.asked.append((concept_a, concept_b))
+        return super().incompatible(concept_a, concept_b)
+
+
+class TestIncompatibleFilterMatchesReference:
+    @pytest.fixture(scope="class")
+    def stage_input(self):
+        """What the incompatible stage receives in a 1,200-entity build."""
+        captured = {}
+
+        class Capture:
+            def verify(self, context, relations):
+                captured["relations"] = list(relations)
+                captured["dump"] = context.dump
+                return FilterDecision(kept=list(relations), removed=[])
+
+        registry = default_registry()
+        names = [entry.name for entry in registry.verifiers()]
+        registry.register_verifier(
+            "capture", Capture, index=names.index("incompatible")
+        )
+        world = WorldSpec(n_entities=1200).build_world(9)
+        build_cn_probase(
+            world.dump(), PipelineConfig(enable_abstract=False),
+            registry=registry,
+        )
+        return captured["relations"], captured["dump"]
+
+    def test_filter_equals_the_unmemoised_loop(self, stage_input):
+        relations, dump = stage_input
+        filt = CountingFilter().fit(relations, dump)
+        decision = filt.filter(relations)
+        reference = reference_filter(
+            IncompatibleConceptFilter().fit(relations, dump), relations
+        )
+        assert len(reference.removed) == 53
+        assert decision.kept == reference.kept
+        assert decision.removed == reference.removed
+        # each distinct ordered pair is tested once
+        assert len(filt.asked) == len(set(filt.asked))
+
+    def test_verdicts_are_keyed_on_the_ordered_pair(self):
+        # cosine sums in its first argument's key order; with these two
+        # attribute orders the directions differ in the last bit
+        predicates = {
+            "歌手": ["职业", "籍贯", "生日"],
+            "歌曲": ["生日", "籍贯"] + ["职业"] * 4,
+        }
+        singer = {"职业": 1 / 3, "籍贯": 1 / 3, "生日": 1 / 3}
+        song = {"生日": 1 / 6, "籍贯": 1 / 6, "职业": 4 / 6}
+        assert cosine(singer, song) != cosine(song, singer)
+        pages, relations = [], []
+        for concept, names in predicates.items():
+            for i in range(3):
+                page_id = f"{concept}{i}#0"
+                infobox = tuple(Triple(page_id, name, "值") for name in names)
+                pages.append(EncyclopediaPage(
+                    page_id=page_id, title=f"{concept}{i}",
+                    infobox=infobox if i == 0 else (),
+                ))
+                relations.append(IsARelation(page_id, concept, "tag"))
+        # one entity claims the pair in each order
+        for page_id, concepts in (("甲#0", ("歌手", "歌曲")),
+                                  ("乙#0", ("歌曲", "歌手"))):
+            pages.append(EncyclopediaPage(page_id=page_id, title=page_id[0]))
+            relations += [IsARelation(page_id, c, "tag") for c in concepts]
+        filt = IncompatibleConceptFilter(
+            jaccard_threshold=1.0,
+            cosine_threshold=min(cosine(singer, song), cosine(song, singer)),
+        ).fit(relations, EncyclopediaDump(pages))
+        assert filt.incompatible("歌手", "歌曲") != filt.incompatible(
+            "歌曲", "歌手"
+        )
+        decision = filt.filter(relations)
+        reference = reference_filter(filt, relations)
+        assert len(reference.removed) == 1
+        assert decision.kept == reference.kept
+        assert decision.removed == reference.removed
+
+
 class TestMathHelpers:
     def test_jaccard(self):
         assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
         assert jaccard(set(), set()) == 0.0
+
+    @given(*[st.sets(st.integers(0, 11).map(str))] * 2)
+    @example(set("abc"), set("abcde"))  # 3 * (1 / 5) != 3 / 5
+    def test_jaccard_is_exact(self, a, b):
+        if a or b:
+            assert jaccard(a, b) == len(a & b) / len(a | b)
+        else:
+            assert jaccard(a, b) == 0.0
 
     def test_cosine_identical(self):
         d = {"x": 0.5, "y": 0.5}
