@@ -57,23 +57,54 @@ class SyntaxRuleFilter:
 
     def violates_head_stem(self, hyponym_surface: str, hypernym: str) -> bool:
         """Rule 2 on surfaces: segment both sides, then check the stems."""
-        try:
-            hypo_words = self._segmenter.segment(hyponym_surface)
-            hyper_words = self._segmenter.segment(hypernym)
-        except SegmentationError:
+        return self._violates_head_stem(hyponym_surface, hypernym, {})
+
+    def _violates_head_stem(
+        self,
+        hyponym_surface: str,
+        hypernym: str,
+        words: dict[str, list[str] | None],
+    ) -> bool:
+        """Rule 2, segmenting each surface at most once per *words* memo.
+
+        A surface that cannot be segmented is memoised as ``None`` and
+        means "no violation", as a :class:`SegmentationError` always has.
+        """
+        hypo_words = self._words(hyponym_surface, words)
+        if hypo_words is None:
+            return False
+        hyper_words = self._words(hypernym, words)
+        if hyper_words is None:
             return False
         return head_stem_violates(hypo_words, hyper_words)
+
+    def _words(
+        self, surface: str, words: dict[str, list[str] | None]
+    ) -> list[str] | None:
+        if surface not in words:
+            try:
+                words[surface] = self._segmenter.segment(surface)
+            except SegmentationError:
+                words[surface] = None
+        return words[surface]
 
     def filter(
         self,
         relations: list[IsARelation],
         titles: dict[str, str] | None = None,
     ) -> FilterDecision:
-        """Apply both rules; *titles* maps page_ids to mention surfaces."""
+        """Apply both rules; *titles* maps page_ids to mention surfaces.
+
+        Each distinct surface is segmented once per call, the way
+        :meth:`NEHypernymFilter.filter
+        <repro.core.verification.ner_filter.NEHypernymFilter.filter>`
+        scores each hypernym once.
+        """
         titles = titles or {}
         counts = RuleCounts()
         kept: list[IsARelation] = []
         removed: list[IsARelation] = []
+        words: dict[str, list[str] | None] = {}
         for relation in relations:
             surface = relation.hyponym
             if relation.hyponym_kind == HYPONYM_ENTITY:
@@ -84,7 +115,7 @@ class SyntaxRuleFilter:
             elif surface == relation.hypernym:
                 counts.identity += 1
                 removed.append(relation)
-            elif self.violates_head_stem(surface, relation.hypernym):
+            elif self._violates_head_stem(surface, relation.hypernym, words):
                 counts.head_stem += 1
                 removed.append(relation)
             else:

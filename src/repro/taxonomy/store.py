@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -65,6 +67,24 @@ def check_format_version(
             f"{where}: file has format_version {version}, but this "
             f"build understands at most {supported}; upgrade the library"
         )
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)``, cheaply for the usual types.
+
+    A ``str`` goes straight to ``encode_basestring``, the quoting
+    function that ``json.dumps`` itself calls; a finite ``float`` is
+    written with ``float.__repr__``, json's own rule for finite floats.
+    Every other value (a non-string alias, an integer, boolean, ``None``
+    or non-finite score, a subclass of either type) goes through
+    ``json.dumps``, so the text is the same for anything it accepts.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _atomic_write(target: Path, write: Callable) -> None:
@@ -294,6 +314,15 @@ class Taxonomy:
         This single serialization feeds both :meth:`save` and
         :meth:`content_hash`, so the hash is *of the saved bytes* by
         construction.
+
+        Each record line is one f-string over :func:`_json_value`, the
+        record kernel: it yields the text
+        ``json.dumps(record, ensure_ascii=False)`` gives for the same
+        dict (keys in the same order, ``", "`` and ``": "``
+        separators), without building a JSON encoder per record.  The
+        per-record ``json.dumps`` loop it replaced is kept verbatim as
+        the reference in
+        ``tests/taxonomy/test_store.py::TestCanonicalLineKernel``.
         """
         header = {
             "kind": "header",
@@ -301,26 +330,26 @@ class Taxonomy:
             "format_version": TAXONOMY_FORMAT_VERSION,
         }
         yield json.dumps(header, ensure_ascii=False) + "\n"
-        for page_id in sorted(self._entities):
-            entity = self._entities[page_id]
-            record = {
-                "kind": "entity",
-                "page_id": entity.page_id,
-                "name": entity.name,
-                "aliases": list(entity.aliases),
-            }
-            yield json.dumps(record, ensure_ascii=False) + "\n"
-        for key in sorted(self._relations):
-            relation = self._relations[key]
-            record = {
-                "kind": "relation",
-                "hyponym": relation.hyponym,
-                "hypernym": relation.hypernym,
-                "source": relation.source,
-                "hyponym_kind": relation.hyponym_kind,
-                "score": relation.score,
-            }
-            yield json.dumps(record, ensure_ascii=False) + "\n"
+        value = _json_value
+        entities = self._entities
+        for page_id in sorted(entities):
+            entity = entities[page_id]
+            yield (
+                f'{{"kind": "entity", "page_id": {value(entity.page_id)}, '
+                f'"name": {value(entity.name)}, '
+                f'"aliases": [{", ".join(map(value, entity.aliases))}]}}\n'
+            )
+        relations = self._relations
+        for key in sorted(relations):
+            relation = relations[key]
+            yield (
+                f'{{"kind": "relation", '
+                f'"hyponym": {value(relation.hyponym)}, '
+                f'"hypernym": {value(relation.hypernym)}, '
+                f'"source": {value(relation.source)}, '
+                f'"hyponym_kind": {value(relation.hyponym_kind)}, '
+                f'"score": {value(relation.score)}}}\n'
+            )
 
     def save(self, path: str | Path) -> None:
         """Write the taxonomy as JSONL: one entity or relation per line.
@@ -346,6 +375,9 @@ class Taxonomy:
         delta chain, snapshot swap — compute the same hash.  This is
         the content-addressed version id the serving tier's probes,
         publishes and resyncs converge on.
+
+        Each line is hashed as it is built, never the whole file joined
+        in memory.
         """
         digest = hashlib.sha256()
         for line in self._canonical_lines():

@@ -16,12 +16,14 @@ from repro.core.verification.incompatible import (
     kl_divergence,
 )
 from repro.core.verification.ner_filter import NEHypernymFilter, noisy_or
-from repro.core.verification.syntax_rules import SyntaxRuleFilter
+from repro.core.verification.syntax_rules import RuleCounts, SyntaxRuleFilter
 from repro.core.verification.thematic import THEMATIC_WORDS
 from repro.encyclopedia.model import EncyclopediaDump, EncyclopediaPage, Triple
-from repro.errors import PipelineError
+from repro.errors import PipelineError, SegmentationError
+from repro.nlp.head import head_stem_violates
 from repro.nlp.lexicon import Lexicon
 from repro.nlp.ner import NamedEntityRecognizer
+from repro.nlp.pos import POSTagger
 from repro.nlp.segmentation import Segmenter
 from repro.taxonomy.model import HYPONYM_ENTITY, IsARelation
 from repro.workloads.spec import WorldSpec
@@ -159,29 +161,39 @@ class CountingFilter(IncompatibleConceptFilter):
         return super().incompatible(concept_a, concept_b)
 
 
-class TestIncompatibleFilterMatchesReference:
-    @pytest.fixture(scope="class")
-    def stage_input(self):
-        """What the incompatible stage receives in a 1,200-entity build."""
-        captured = {}
+@pytest.fixture(scope="module")
+def stage_inputs():
+    """What the syntax and incompatible stages receive in a 1,200-entity
+    build: ``{stage: (relations, context)}``."""
+    captured = {}
 
+    def capture(stage):
         class Capture:
             def verify(self, context, relations):
-                captured["relations"] = list(relations)
-                captured["dump"] = context.dump
+                captured[stage] = (list(relations), context)
                 return FilterDecision(kept=list(relations), removed=[])
 
-        registry = default_registry()
+        return Capture
+
+    registry = default_registry()
+    for stage in ("syntax", "incompatible"):
         names = [entry.name for entry in registry.verifiers()]
         registry.register_verifier(
-            "capture", Capture, index=names.index("incompatible")
+            f"capture-{stage}", capture(stage), index=names.index(stage)
         )
-        world = WorldSpec(n_entities=1200).build_world(9)
-        build_cn_probase(
-            world.dump(), PipelineConfig(enable_abstract=False),
-            registry=registry,
-        )
-        return captured["relations"], captured["dump"]
+    world = WorldSpec(n_entities=1200).build_world(9)
+    build_cn_probase(
+        world.dump(), PipelineConfig(enable_abstract=False),
+        registry=registry,
+    )
+    return captured
+
+
+class TestIncompatibleFilterMatchesReference:
+    @pytest.fixture(scope="class")
+    def stage_input(self, stage_inputs):
+        relations, context = stage_inputs["incompatible"]
+        return relations, context.dump
 
     def test_filter_equals_the_unmemoised_loop(self, stage_input):
         relations, dump = stage_input
@@ -233,6 +245,77 @@ class TestIncompatibleFilterMatchesReference:
         assert len(reference.removed) == 1
         assert decision.kept == reference.kept
         assert decision.removed == reference.removed
+
+
+def reference_syntax_filter(filt, segmenter, relations, titles):
+    """``SyntaxRuleFilter.filter`` with no memo: both surfaces of every
+    relation are segmented."""
+
+    def violates_head_stem(hyponym_surface, hypernym):
+        try:
+            hypo_words = segmenter.segment(hyponym_surface)
+            hyper_words = segmenter.segment(hypernym)
+        except SegmentationError:
+            return False
+        return head_stem_violates(hypo_words, hyper_words)
+
+    counts = RuleCounts()
+    kept, removed = [], []
+    for relation in relations:
+        surface = relation.hyponym
+        if relation.hyponym_kind == HYPONYM_ENTITY:
+            surface = titles.get(relation.hyponym, relation.hyponym)
+        if filt.is_thematic(relation.hypernym):
+            counts.thematic += 1
+            removed.append(relation)
+        elif surface == relation.hypernym:
+            counts.identity += 1
+            removed.append(relation)
+        elif violates_head_stem(surface, relation.hypernym):
+            counts.head_stem += 1
+            removed.append(relation)
+        else:
+            kept.append(relation)
+    return FilterDecision(kept=kept, removed=removed), counts
+
+
+class CountingSegmenter:
+    """Records every text it is asked to segment."""
+
+    def __init__(self, inner: Segmenter) -> None:
+        self.inner = inner
+        self.asked: list[str] = []
+
+    def segment(self, text):
+        self.asked.append(text)
+        return self.inner.segment(text)
+
+
+class TestSyntaxFilterMatchesReference:
+    def test_filter_equals_the_unmemoised_loop(self, stage_inputs):
+        relations, context = stage_inputs["syntax"]
+        segmenter = CountingSegmenter(context.segmenter)
+        filt = SyntaxRuleFilter(segmenter, context.tagger)
+        decision = filt.filter(relations, context.titles)
+        reference, counts = reference_syntax_filter(
+            filt, context.segmenter, relations, context.titles
+        )
+        assert len(reference.removed) == 388
+        assert decision.kept == reference.kept
+        assert decision.removed == reference.removed
+        assert filt.last_counts == counts
+        # each distinct surface is segmented once per call
+        assert len(segmenter.asked) == len(set(segmenter.asked))
+
+    def test_unsegmentable_surface_is_no_violation(self):
+        segmenter = CountingSegmenter(Segmenter(Lexicon.base()))
+        filt = SyntaxRuleFilter(segmenter, POSTagger(Lexicon.base()))
+        relations = [IsARelation(f"空{i}#0", "歌手", "tag") for i in range(2)]
+        titles = {relation.hyponym: " \u3000 " for relation in relations}
+        decision = filt.filter(relations, titles)
+        assert decision.kept == relations
+        assert segmenter.asked == [" \u3000 "]
+        assert not filt.violates_head_stem(" \u3000 ", "歌手")
 
 
 class TestMathHelpers:

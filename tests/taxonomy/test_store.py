@@ -1,10 +1,18 @@
 """Tests for the taxonomy store and persistence."""
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TaxonomyError
+from repro.taxonomy.delta import TaxonomyDelta
 from repro.taxonomy.model import Entity, IsARelation
-from repro.taxonomy.store import Taxonomy
+from repro.taxonomy.store import TAXONOMY_FORMAT_VERSION, Taxonomy
 
 
 @pytest.fixture
@@ -143,3 +151,230 @@ class TestPersistence:
         path.write_text('{"kind": "mystery"}\n', encoding="utf-8")
         with pytest.raises(TaxonomyError):
             Taxonomy.load(path)
+
+
+def reference_lines(taxonomy):
+    """The canonical lines as written before the record kernel: one
+    ``json.dumps(record, ensure_ascii=False)`` per record."""
+    header = {
+        "kind": "header",
+        "name": taxonomy.name,
+        "format_version": TAXONOMY_FORMAT_VERSION,
+    }
+    yield json.dumps(header, ensure_ascii=False) + "\n"
+    for page_id in sorted(taxonomy._entities):
+        entity = taxonomy._entities[page_id]
+        record = {
+            "kind": "entity",
+            "page_id": entity.page_id,
+            "name": entity.name,
+            "aliases": list(entity.aliases),
+        }
+        yield json.dumps(record, ensure_ascii=False) + "\n"
+    for key in sorted(taxonomy._relations):
+        relation = taxonomy._relations[key]
+        record = {
+            "kind": "relation",
+            "hyponym": relation.hyponym,
+            "hypernym": relation.hypernym,
+            "source": relation.source,
+            "hyponym_kind": relation.hyponym_kind,
+            "score": relation.score,
+        }
+        yield json.dumps(record, ensure_ascii=False) + "\n"
+
+
+# every character json escapes (U+0000-U+001F, quote, backslash), the
+# space after that range, the ones other encoders treat specially ("/",
+# U+007F, U+0080, U+0085, U+2028/2029), CJK, non-BMP and lone surrogates
+# (which json.loads makes from "\ud800" escapes)
+_SPECIAL = (
+    ['"', "\\", "/", "\x7f", "\x80", "\x85", "\u2028", "\u2029", " ",
+     "歌", "手", "\u3000", "\U0001f600", "\U00020000", "\ud800", "\udfff"]
+    + [chr(c) for c in range(0x20)]
+)
+_TEXT = st.text(
+    st.one_of(st.sampled_from(_SPECIAL), st.characters()),
+    min_size=1, max_size=6,
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_VALUES = st.one_of(_TEXT, _SCALARS)
+_SOURCES = st.sampled_from(["bracket", "abstract", "infobox", "tag"])
+
+
+@st.composite
+def _loadable_taxonomies(draw):
+    """Taxonomies holding any value ``Taxonomy.load`` can put there."""
+    taxonomy = Taxonomy(name=draw(_VALUES))
+    # page ids of one type, so the canonical order can sort them
+    ids = st.integers() if draw(st.booleans()) else _TEXT
+    page_ids = draw(st.lists(ids.filter(bool), unique=True, max_size=5))
+    for page_id in page_ids:
+        taxonomy.add_entity(Entity(
+            page_id, draw(_VALUES.filter(bool)),
+            aliases=tuple(draw(st.lists(_VALUES, max_size=4))),
+        ))
+    hyponyms = [(p, "entity") for p in page_ids]
+    if all(type(p) is str for p in page_ids):
+        # each (hyponym, hypernym) key once: scores need not be ordered
+        concepts = st.lists(_TEXT, unique=True, max_size=3)
+        hyponyms += [(c, "concept") for c in draw(concepts)
+                     if c not in page_ids]
+    for hyponym, kind in hyponyms:
+        hypernyms = st.lists(_TEXT.filter(lambda h: h != hyponym),
+                             unique=True, max_size=3)
+        # the concept graph keeps max(score, ...): numbers only there
+        scores = _VALUES if kind == "entity" else _SCALARS.filter(
+            lambda score: score is not None
+        )
+        for hypernym in draw(hypernyms):
+            taxonomy.add_relation(IsARelation(
+                hyponym, hypernym, draw(_SOURCES), kind,
+                score=draw(scores),
+            ))
+    return taxonomy
+
+
+class TestCanonicalLineKernel:
+    @given(_loadable_taxonomies())
+    @settings(deadline=None)
+    def test_lines_equal_the_per_record_dumps_loop(self, taxonomy):
+        assert list(taxonomy._canonical_lines()) == list(
+            reference_lines(taxonomy)
+        )
+
+    def test_non_string_values_round_trip(self, tmp_path):
+        # what a loaded file may carry: non-string page ids and aliases,
+        # and null, integer, boolean, non-finite and -0.0 scores
+        text = "".join(line + "\n" for line in (
+            '{"kind": "header", "name": 7, "format_version": 1}',
+            '{"kind": "entity", "page_id": 5, "name": "a\\"b\\\\c",'
+            ' "aliases": [7, null, true, 1.5, "\\u0000\u2028歌"]}',
+            '{"kind": "entity", "page_id": 6, "name": true, "aliases": []}',
+            '{"kind": "relation", "hyponym": 5, "hypernym": "乙",'
+            ' "source": "tag", "hyponym_kind": "entity", "score": NaN}',
+            '{"kind": "relation", "hyponym": 5, "hypernym": "甲",'
+            ' "source": "tag", "hyponym_kind": "entity", "score": null}',
+            '{"kind": "relation", "hyponym": 6, "hypernym": "丁",'
+            ' "source": "tag", "hyponym_kind": "entity", "score": true}',
+            '{"kind": "relation", "hyponym": 6, "hypernym": "丙",'
+            ' "source": "tag", "hyponym_kind": "entity", "score": -0.0}',
+            '{"kind": "relation", "hyponym": 6, "hypernym": "戊",'
+            ' "source": "tag", "hyponym_kind": "entity",'
+            ' "score": -Infinity}',
+        ))
+        source = tmp_path / "odd.jsonl"
+        source.write_text(text, encoding="utf-8")
+        taxonomy = Taxonomy.load(source)
+        assert "".join(taxonomy._canonical_lines()) == text
+        assert list(taxonomy._canonical_lines()) == list(
+            reference_lines(taxonomy)
+        )
+        taxonomy.save(tmp_path / "again.jsonl")
+        saved = (tmp_path / "again.jsonl").read_bytes()
+        assert saved == text.encode("utf-8")
+        assert taxonomy.content_hash() == hashlib.sha256(saved).hexdigest()
+
+
+def _saved_hash(taxonomy):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "t.jsonl"
+        taxonomy.save(path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_PAGES = st.sampled_from(["甲#0", "乙#0", "丙#0"])
+_CONCEPTS = st.sampled_from(["人物", "歌手", "演员"])
+_SCORES = st.sampled_from([0.25, 0.5, 0.75])
+# 1, True and 1.0 compare equal but serialise differently
+_NAMES = st.sampled_from(["CN-Probase", "夜间", 1, True, 1.0, None])
+# one mutation of a taxonomy; "rescore" and "delta" pick existing
+# relations by index
+_STEPS = st.one_of(
+    st.tuples(st.just("entity"), _PAGES,
+              st.lists(_CONCEPTS, max_size=2).map(tuple)),
+    st.tuples(st.just("relation"), _PAGES, _CONCEPTS, _SOURCES, _SCORES),
+    st.tuples(st.just("rescore"), st.integers(0, 9)),
+    # two concepts, so two concept steps make a cycle half the time
+    st.tuples(st.just("concept"), st.permutations(["人物", "歌手"]),
+              _SOURCES, _SCORES),
+    st.just(("finalize",)),
+    st.tuples(st.just("delta"), _CONCEPTS,
+              st.lists(st.integers(0, 9), max_size=2)),
+    st.just(("copy",)),
+    st.tuples(st.just("name"), _NAMES),
+)
+
+
+def _apply(taxonomy, step):
+    """Apply *step*; returns the taxonomy to go on with."""
+    kind, *args = step
+    if kind == "entity":
+        page_id, aliases = args
+        taxonomy.add_entity(Entity(page_id, page_id[0], aliases))
+    elif kind == "relation":
+        page_id, concept, source, score = args
+        taxonomy.add_relation(IsARelation(page_id, concept, source,
+                                          score=score))
+    elif kind == "rescore":
+        relations = taxonomy.relations()
+        if relations:
+            old = relations[args[0] % len(relations)]
+            # a higher-score duplicate keeps the first source
+            taxonomy.add_relation(IsARelation(
+                old.hyponym, old.hypernym, "abstract", old.hyponym_kind,
+                score=old.score + 1.0,
+            ))
+    elif kind == "concept":
+        (child, parent), source, score = args
+        taxonomy.add_relation(IsARelation(child, parent, source, "concept",
+                                          score=score))
+    elif kind == "finalize":
+        taxonomy.finalize()
+    elif kind == "delta":
+        concept, picks = args
+        target = taxonomy.copy()
+        target.add_entity(Entity("丁#0", "丁"))
+        target.add_relation(IsARelation("丁#0", concept, "tag"))
+        relations = taxonomy.relations()
+        for pick in picks if relations else ():
+            old = relations[pick % len(relations)]
+            target.add_relation(IsARelation(
+                old.hyponym, old.hypernym, old.source, old.hyponym_kind,
+                score=old.score + 0.5,
+            ))
+        taxonomy.apply_delta(TaxonomyDelta.compute(taxonomy, target))
+    elif kind == "copy":
+        original, taxonomy = taxonomy, taxonomy.copy()
+        assert original.content_hash() == _saved_hash(original)
+    else:
+        taxonomy.name = args[0]
+    return taxonomy
+
+
+class TestContentHash:
+    @given(st.lists(_STEPS, max_size=14))
+    @settings(max_examples=60, deadline=None)
+    # one sequence per kind of mutation, so none rests on the draw
+    @example([("entity", "甲#0", ())])
+    @example([("entity", "甲#0", ()),
+              ("relation", "甲#0", "人物", "tag", 0.25), ("rescore", 0)])
+    @example([("concept", ("人物", "歌手"), "tag", 0.25),
+              ("concept", ("歌手", "人物"), "tag", 0.5), ("finalize",)])
+    @example([("delta", "人物", [])])
+    @example([("entity", "甲#0", ()), ("copy",), ("entity", "乙#0", ())])
+    @example([("name", 1), ("name", True), ("name", 1.0)])
+    def test_hash_equals_the_saved_bytes_after_every_step(self, steps):
+        """``content_hash()`` is the sha256 of what ``save`` writes,
+        whatever sequence of edits led to the taxonomy."""
+        taxonomy = Taxonomy()
+        assert taxonomy.content_hash() == _saved_hash(taxonomy)
+        for step in steps:
+            try:
+                taxonomy = _apply(taxonomy, step)
+            except TaxonomyError:
+                pass  # refused before any record changed
+            assert taxonomy.content_hash() == _saved_hash(taxonomy)

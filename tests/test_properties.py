@@ -218,10 +218,6 @@ class TestPersistenceRoundTrips:
 class TestFailureInjection:
     def test_crashed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         """Atomic save: a failure mid-write never tears the target."""
-        import json as json_module
-
-        import repro.taxonomy.store as store_module
-
         taxonomy = Taxonomy()
         taxonomy.add_entity(Entity("a#0", "a"))
         taxonomy.add_relation(IsARelation("a#0", "歌手", "tag"))
@@ -229,17 +225,14 @@ class TestFailureInjection:
         taxonomy.save(path)
         good_bytes = path.read_bytes()
 
-        calls = {"n": 0}
-        real_dumps = json_module.dumps
+        real_lines = Taxonomy._canonical_lines
 
-        def exploding_dumps(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 1:  # header written, then crash mid-records
-                raise OSError("disk full")
-            return real_dumps(*args, **kwargs)
+        def exploding_lines(self):
+            yield next(real_lines(self))  # header written, then crash
+            raise OSError("disk full")
 
         taxonomy.add_relation(IsARelation("a#0", "演员", "tag"))
-        monkeypatch.setattr(store_module.json, "dumps", exploding_dumps)
+        monkeypatch.setattr(Taxonomy, "_canonical_lines", exploding_lines)
         with pytest.raises(OSError):
             taxonomy.save(path)
         monkeypatch.undo()
