@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 tests, a dev-mode ResourceWarning gate over the serving and CLI
-# tests, every script under examples/ run end to end, + the fast perf
-# gates to run before pushing pipeline or serving changes:
-# stage-registry overhead, parallel-vs-serial build
+# Tier-1 tests, the paper's claims (the ten bench_*.py files that check
+# Tables I and II, Figures 2 and 3, the verification and separation
+# ablations, per-source precision, QA coverage, predicate discovery and
+# scaling; pytest does not collect bench_*.py on its own, so they run
+# here by name, right after tier-1 and before any speed gate), a
+# dev-mode ResourceWarning gate over the serving and CLI tests, every
+# script under examples/ run end to end, + the fast perf gates to run
+# before pushing pipeline or serving changes: stage-registry overhead,
+# parallel-vs-serial build
 # equivalence (byte-identical output + speedup trajectory), serving
 # throughput (read-optimized snapshots >= 2x the per-call-sorted path),
 # the serving cluster (sharded answers byte-identical to the unsharded
@@ -38,6 +43,14 @@ bench_bytes_before=0
 [ -f "$bench_json" ] && bench_bytes_before=$(wc -c < "$bench_json")
 
 python -m pytest -x -q
+# the paper's claims: 17 checks, each a shape or band the paper reports
+python -m pytest -x -q benchmarks/bench_table1_comparison.py \
+    benchmarks/bench_table2_apis.py benchmarks/bench_fig3_separation.py \
+    benchmarks/bench_pipeline_stages.py \
+    benchmarks/bench_ablation_verification.py \
+    benchmarks/bench_ablation_separation.py \
+    benchmarks/bench_sources_precision.py benchmarks/bench_qa_coverage.py \
+    benchmarks/bench_predicate_discovery.py benchmarks/bench_scaling.py
 # dev-mode leak gate: an unclosed socket or file in the serving and CLI
 # tests fails the run.  The pytest category goes after `-m pytest`:
 # Python's own -W cannot import pytest at start-up and drops it.

@@ -1144,11 +1144,20 @@ def harvest_lexicon(dump: EncyclopediaDump) -> Lexicon:
     pure function of the multiset of :func:`_harvest_contributions` —
     which is also what the incremental build's lexicon-stability check
     compares, making drift between the two impossible.
+
+    That is also why each surface's weights can be summed over the dump
+    first and the surface added once.  Surfaces are added in the order
+    they are first seen in the dump, so the entries, their order, the
+    prefixes, ``total`` and ``max_word_len`` all equal those of one
+    ``add`` per contribution; only :attr:`Lexicon.version` differs.
     """
-    lexicon = Lexicon.base()
+    weights: dict[str, int] = {}
     for page in dump:
         for word, freq in _harvest_contributions(page):
-            lexicon.add(word, freq, "n")
+            weights[word] = weights.get(word, 0) + freq
+    lexicon = Lexicon.base()
+    for word, freq in weights.items():
+        lexicon.add(word, freq, "n")
     return lexicon
 
 

@@ -99,6 +99,7 @@ class IncompatibleConceptFilter:
         self._min_concept_entities = min_concept_entities
         self._concept_entities: dict[str, set[str]] = {}
         self._concept_attrs: dict[str, dict[str, float]] = {}
+        self._entity_predicates: dict[str, list[str]] = {}
         self._entity_attrs: dict[str, dict[str, float]] = {}
         self._fitted = False
 
@@ -107,30 +108,37 @@ class IncompatibleConceptFilter:
     def fit(
         self, relations: list[IsARelation], dump: EncyclopediaDump
     ) -> "IncompatibleConceptFilter":
+        """Collect each concept's entities and attribute distribution.
+
+        A concept's predicate counts are taken straight from its
+        entities' infobox predicate lists, in relation order, so their
+        integers and key order are those of folding one ``Counter`` per
+        page.  An entity's own distribution is normalised on its first
+        :meth:`entity_concept_kl` lookup, since only entities claimed
+        by an incompatible pair are ever asked about.
+        """
         concept_entities: dict[str, set[str]] = defaultdict(set)
-        entity_attr_counts: dict[str, Counter[str]] = {}
+        entity_predicates: dict[str, list[str]] = {}
         for page in dump:
             if page.infobox:
-                entity_attr_counts[page.page_id] = Counter(
+                entity_predicates[page.page_id] = [
                     triple.predicate for triple in page.infobox
-                )
+                ]
         concept_attr_counts: dict[str, Counter[str]] = defaultdict(Counter)
         for relation in relations:
             if relation.hyponym_kind != HYPONYM_ENTITY:
                 continue
             concept_entities[relation.hypernym].add(relation.hyponym)
-            attrs = entity_attr_counts.get(relation.hyponym)
-            if attrs:
-                concept_attr_counts[relation.hypernym].update(attrs)
+            predicates = entity_predicates.get(relation.hyponym)
+            if predicates:
+                concept_attr_counts[relation.hypernym].update(predicates)
         self._concept_entities = dict(concept_entities)
         self._concept_attrs = {
             concept: _normalise(counts)
             for concept, counts in concept_attr_counts.items()
         }
-        self._entity_attrs = {
-            page_id: _normalise(counts)
-            for page_id, counts in entity_attr_counts.items()
-        }
+        self._entity_predicates = entity_predicates
+        self._entity_attrs = {}
         self._fitted = True
         return self
 
@@ -154,7 +162,11 @@ class IncompatibleConceptFilter:
     # -- step 2: KL arbitration ----------------------------------------------------
 
     def entity_concept_kl(self, page_id: str, concept: str) -> float:
-        entity_dist = self._entity_attrs.get(page_id, {})
+        entity_dist = self._entity_attrs.get(page_id)
+        if entity_dist is None:
+            entity_dist = self._entity_attrs[page_id] = _normalise(
+                Counter(self._entity_predicates.get(page_id, ()))
+            )
         concept_dist = self._concept_attrs.get(concept, {})
         if not entity_dist or not concept_dist:
             return 0.0

@@ -3,17 +3,21 @@
 The lexicon mirrors jieba's prefix-dictionary design: besides the real
 entries we keep a set of every proper prefix of every word, so the
 segmenter can abort its forward scan as soon as no dictionary word can
-start at the current position.
+start at the current position.  The segmenter scores words through
+:meth:`Lexicon.log_prob_table`, one dict of every entry's
+:meth:`Lexicon.log_prob` built once per :attr:`Lexicon.version`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.errors import LexiconError
 from repro.nlp import base_lexicon
+
+_UNKNOWN_FREQ = 0.5
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,14 @@ class Lexicon:
         self._total: int = 0
         self._max_len: int = 0
         self._version: int = 0
+        # (version, {word: log_prob(word)}, log_prob of an unknown word)
+        self._log_probs: tuple[int, dict[str, float], float] | None = None
+
+    def __getstate__(self) -> dict:
+        # The log-prob table is derived state, rebuilt on first use.
+        state = self.__dict__.copy()
+        state["_log_probs"] = None
+        return state
 
     # -- construction -------------------------------------------------------
 
@@ -130,9 +142,10 @@ class Lexicon:
     def version(self) -> int:
         """Mutation counter; bumps on every :meth:`add`.
 
-        Derived caches (e.g. the segmenter's Viterbi LRU) key their
-        validity on this, so feeding the lexicon new words after a cache
-        has warmed up can never serve stale segmentations.
+        Derived caches (the segmenter's Viterbi LRU and
+        :meth:`log_prob_table`) key their validity on this, so feeding
+        the lexicon new words after a cache has warmed up can never
+        serve stale segmentations.
         """
         return self._version
 
@@ -140,33 +153,43 @@ class Lexicon:
     def max_word_len(self) -> int:
         return self._max_len
 
-    def log_prob(self, word: str, default_freq: float = 0.5) -> float:
+    @property
+    def prefixes(self) -> AbstractSet[str]:
+        """Every proper prefix of every entry (read-only)."""
+        return self._prefixes
+
+    def log_prob(
+        self, word: str, default_freq: float = _UNKNOWN_FREQ
+    ) -> float:
         """Log unigram probability of *word* under this lexicon.
 
         Unknown words get *default_freq*; single unknown characters are the
         segmenter's fallback, so the default must stay well below real
-        entries.
+        entries.  This is the definition :meth:`log_prob_table` caches.
         """
         total = max(self._total, 1)
         freq = self.freq(word)
         return math.log(max(freq, default_freq)) - math.log(total)
 
-    def is_prefix(self, fragment: str) -> bool:
-        """True when *fragment* is a proper prefix of some entry."""
-        return fragment in self._prefixes
+    def log_prob_table(self) -> tuple[dict[str, float], float]:
+        """``log_prob`` of every entry, and of an unknown word, at the
+        current :attr:`version`.
 
-    def words_starting_at(self, text: str, start: int) -> list[str]:
-        """All dictionary words that begin at *start* in *text*.
-
-        The scan grows one character at a time and stops as soon as the
-        fragment is neither an entry nor a prefix of one.
+        Each value is :meth:`log_prob`'s own expression, float for
+        float (``log(total)`` is taken once, which yields the same
+        float).  The table is built on first use after a mutation and
+        is never pickled.  Callers must not mutate it.
         """
-        found: list[str] = []
-        limit = min(len(text), start + self._max_len)
-        for end in range(start + 1, limit + 1):
-            fragment = text[start:end]
-            if fragment in self._entries:
-                found.append(fragment)
-            elif not self.is_prefix(fragment):
-                break
-        return found
+        # Threads that race here build equal tables and each publish a
+        # whole tuple, so a reader never sees a table of another version.
+        version = self._version
+        cached = self._log_probs
+        if cached is None or cached[0] != version:
+            log_total = math.log(max(self._total, 1))
+            table = {
+                word: math.log(max(entry.freq, _UNKNOWN_FREQ)) - log_total
+                for word, entry in self._entries.items()
+            }
+            cached = (version, table, math.log(_UNKNOWN_FREQ) - log_total)
+            self._log_probs = cached
+        return cached[1], cached[2]

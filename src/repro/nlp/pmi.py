@@ -13,6 +13,7 @@ bigram count so unseen pairs get a large-negative but finite score.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from math import log2
 from typing import Iterable, Sequence
 
@@ -33,16 +34,24 @@ class PMIStatistics:
 
     def add_sequence(self, words: Sequence[str]) -> None:
         """Count unigrams and adjacent bigrams of one token sequence."""
-        for word in words:
-            self._unigrams[word] += 1
-        self._total_unigrams += len(words)
-        for left, right in zip(words, words[1:]):
-            self._bigrams[(left, right)] += 1
-        self._total_bigrams += max(len(words) - 1, 0)
+        self.add_corpus((words,))
 
     def add_corpus(self, sequences: Iterable[Sequence[str]]) -> None:
-        for words in sequences:
-            self.add_sequence(words)
+        """Count unigrams and adjacent bigrams of every sequence.
+
+        Each counter takes one ``Counter.update`` over the chained
+        stream, so its keys are inserted in the order the per-sequence
+        loop first met them, and the counts and totals are that loop's.
+        """
+        sequences = list(sequences)
+        self._unigrams.update(chain.from_iterable(sequences))
+        self._bigrams.update(
+            chain.from_iterable(zip(words, words[1:]) for words in sequences)
+        )
+        self._total_unigrams += sum(map(len, sequences))
+        self._total_bigrams += sum(
+            max(len(words) - 1, 0) for words in sequences
+        )
 
     def remove_sequence(self, words: Sequence[str]) -> None:
         """Exactly undo one earlier :meth:`add_sequence` of *words*.

@@ -8,6 +8,15 @@ this segmenter.  The algorithm is the same family as jieba's core:
 2. pick the maximum log-probability path under a unigram model,
 3. fall back to single characters for out-of-vocabulary spans.
 
+The forward pass is one table-driven kernel: each word's score is a
+lookup in :meth:`Lexicon.log_prob_table` (every entry's
+:meth:`Lexicon.log_prob`, built once per lexicon version), and the scan
+for words starting at a position walks :attr:`Lexicon.prefixes`
+directly, with no method call per fragment.  Candidates are scored in
+a fixed order (the single character first, then longer words in
+ascending length), and a later candidate must score strictly higher to
+win, so ties go to the earlier one.
+
 Runs come from :func:`repro.nlp.text.split_cjk_runs`.  Non-CJK runs
 (Latin, digits) are emitted as single tokens; whitespace is dropped;
 punctuation becomes its own token.
@@ -28,7 +37,6 @@ from repro.errors import SegmentationError
 from repro.nlp.lexicon import Lexicon
 from repro.nlp.text import normalize_text, split_cjk_runs
 
-_UNKNOWN_CHAR_FREQ = 0.5
 DEFAULT_SEGMENT_CACHE = 32_768
 
 
@@ -121,31 +129,48 @@ class Segmenter:
         tuple (not a list) because the result is shared through the
         LRU: callers must never receive a mutable alias of a cached
         value.
+
+        At each start position the single character is scored first
+        (its table value, or the unknown-word value when it is no
+        entry), which keeps the lattice connected across
+        out-of-vocabulary spans.  Longer fragments follow in ascending
+        length until one is neither an entry nor a proper prefix of
+        one.  A path's score is ``base + log_prob(word)``, and a
+        candidate replaces the best path ending where it ends only when
+        its score is strictly greater.
         """
+        log_probs, unknown = self._lexicon.log_prob_table()
+        log_prob = log_probs.get
+        prefixes = self._lexicon.prefixes
         n = len(run)
-        # best[i] = (score of best path covering run[:i], start of last word)
-        best: list[tuple[float, int]] = [(0.0, 0)] + [(float("-inf"), 0)] * n
+        # best[i]: score of the best path covering run[:i]; back[i]: the
+        # start of that path's last word.
+        best = [0.0] + [float("-inf")] * n
+        back = [0] * (n + 1)
         for start in range(n):
-            base_score = best[start][0]
-            if base_score == float("-inf"):
+            base = best[start]
+            char = run[start]
+            score = base + log_prob(char, unknown)
+            if score > best[start + 1]:
+                best[start + 1] = score
+                back[start + 1] = start
+            if char not in prefixes:
                 continue
-            candidates = self._lexicon.words_starting_at(run, start)
-            # Single-character fallback keeps the lattice connected even
-            # for fully out-of-vocabulary spans.
-            if not candidates or len(candidates[0]) != 1:
-                candidates = [run[start]] + candidates
-            for word in candidates:
-                end = start + len(word)
-                score = base_score + self._lexicon.log_prob(
-                    word, default_freq=_UNKNOWN_CHAR_FREQ
-                )
-                if score > best[end][0]:
-                    best[end] = (score, start)
-        # Backtrack.
+            for end in range(start + 2, n + 1):
+                fragment = run[start:end]
+                lp = log_prob(fragment)
+                if lp is None:
+                    if fragment in prefixes:
+                        continue
+                    break
+                score = base + lp
+                if score > best[end]:
+                    best[end] = score
+                    back[end] = start
         words: list[str] = []
         pos = n
         while pos > 0:
-            start = best[pos][1]
+            start = back[pos]
             words.append(run[start:pos])
             pos = start
         words.reverse()

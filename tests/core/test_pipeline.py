@@ -8,12 +8,15 @@ from repro.core.pipeline import (
     CNProbaseBuilder,
     PipelineConfig,
     ResourceCache,
+    _harvest_contributions,
     build_cn_probase,
+    harvest_lexicon,
 )
 from repro.encyclopedia import SyntheticWorld
 from repro.encyclopedia.model import EncyclopediaDump
 from repro.errors import PipelineError
 from repro.eval.metrics import make_oracle, sample_precision
+from repro.nlp.lexicon import Lexicon
 from repro.workloads.spec import WorldSpec
 
 
@@ -164,3 +167,32 @@ class TestPinnedBuildBytes:
             name: len(vetoed) for name, vetoed in result.removed_by.items()
         } == removed
         assert result.taxonomy.content_hash() == content_hash
+
+
+def reference_harvest(dump):
+    """``harvest_lexicon`` before it summed weights: one ``add`` per
+    contribution, kept verbatim."""
+    lexicon = Lexicon.base()
+    for page in dump:
+        for word, freq in _harvest_contributions(page):
+            lexicon.add(word, freq, "n")
+    return lexicon
+
+
+def test_harvest_equals_one_add_per_contribution(world):
+    dump = world.dump()
+    harvested = harvest_lexicon(dump)
+    reference = reference_harvest(dump)
+    assert list(harvested._entries.items()) == list(
+        reference._entries.items()
+    )
+    assert harvested.total == reference.total
+    assert harvested.prefixes == reference.prefixes
+    assert harvested.max_word_len == reference.max_word_len
+    # surfaces repeat across pages, and each is added once
+    surfaces = {
+        word for page in dump for word, _ in _harvest_contributions(page)
+    }
+    adds = harvested.version - Lexicon.base().version
+    assert adds == len(surfaces)
+    assert reference.version - Lexicon.base().version > adds

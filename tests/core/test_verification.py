@@ -1,6 +1,6 @@
 """Tests for the three verification heuristics (Section III)."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +11,7 @@ from repro.core.stages import default_registry
 from repro.core.verification.incompatible import (
     FilterDecision,
     IncompatibleConceptFilter,
+    _normalise,
     cosine,
     jaccard,
     kl_divergence,
@@ -149,6 +150,48 @@ def reference_filter(filt, relations):
     return FilterDecision(kept=kept, removed=removed)
 
 
+class ReferenceFitFilter(IncompatibleConceptFilter):
+    """The filter with its eager ``fit``: one ``Counter`` per infobox
+    page, folded into concepts, and every entity's distribution
+    normalised up front.  ``fit`` and ``entity_concept_kl`` are the
+    pre-change methods, kept verbatim."""
+
+    def fit(self, relations, dump):
+        concept_entities = defaultdict(set)
+        entity_attr_counts = {}
+        for page in dump:
+            if page.infobox:
+                entity_attr_counts[page.page_id] = Counter(
+                    triple.predicate for triple in page.infobox
+                )
+        concept_attr_counts = defaultdict(Counter)
+        for relation in relations:
+            if relation.hyponym_kind != HYPONYM_ENTITY:
+                continue
+            concept_entities[relation.hypernym].add(relation.hyponym)
+            attrs = entity_attr_counts.get(relation.hyponym)
+            if attrs:
+                concept_attr_counts[relation.hypernym].update(attrs)
+        self._concept_entities = dict(concept_entities)
+        self._concept_attrs = {
+            concept: _normalise(counts)
+            for concept, counts in concept_attr_counts.items()
+        }
+        self._entity_attrs = {
+            page_id: _normalise(counts)
+            for page_id, counts in entity_attr_counts.items()
+        }
+        self._fitted = True
+        return self
+
+    def entity_concept_kl(self, page_id, concept):
+        entity_dist = self._entity_attrs.get(page_id, {})
+        concept_dist = self._concept_attrs.get(concept, {})
+        if not entity_dist or not concept_dist:
+            return 0.0
+        return kl_divergence(entity_dist, concept_dist)
+
+
 class CountingFilter(IncompatibleConceptFilter):
     """Records every pair the pair test is asked about."""
 
@@ -207,6 +250,29 @@ class TestIncompatibleFilterMatchesReference:
         assert decision.removed == reference.removed
         # each distinct ordered pair is tested once
         assert len(filt.asked) == len(set(filt.asked))
+
+    def test_fit_equals_the_eager_counter_fit(self, stage_input):
+        relations, dump = stage_input
+        filt = IncompatibleConceptFilter().fit(relations, dump)
+        reference = ReferenceFitFilter().fit(relations, dump)
+        assert list(filt._concept_attrs) == list(reference._concept_attrs)
+        for concept, dist in reference._concept_attrs.items():
+            assert list(filt._concept_attrs[concept].items()) == list(
+                dist.items()
+            )
+        assert filt._concept_entities == reference._concept_entities
+        decision = filt.filter(relations)
+        expected = reference_filter(reference, relations)
+        assert len(expected.removed) == 53
+        assert decision.kept == expected.kept
+        assert decision.removed == expected.removed
+        # only entities on an incompatible pair were normalised, each
+        # to the eager distribution
+        assert 0 < len(filt._entity_attrs) < len(reference._entity_attrs)
+        for page_id, dist in filt._entity_attrs.items():
+            assert list(dist.items()) == list(
+                reference._entity_attrs.get(page_id, {}).items()
+            )
 
     def test_verdicts_are_keyed_on_the_ordered_pair(self):
         # cosine sums in its first argument's key order; with these two

@@ -10,6 +10,21 @@ from repro.nlp.lexicon import Lexicon
 _CJK = st.text(alphabet="中美日歌手演员学家金服蚂蚁", min_size=1, max_size=6)
 
 
+def words_starting_at(lexicon, text, start):
+    """The words the segmenter's scan finds at *start* in *text*: it
+    walks the lexicon's log-prob table and proper-prefix set, stopping
+    at the first fragment that is in neither."""
+    table, _ = lexicon.log_prob_table()
+    found = []
+    for end in range(start + 1, len(text) + 1):
+        fragment = text[start:end]
+        if fragment in table:
+            found.append(fragment)
+        elif fragment not in lexicon.prefixes:
+            break
+    return found
+
+
 @pytest.fixture
 def lex():
     lexicon = Lexicon()
@@ -75,18 +90,18 @@ class TestPrefixLookup:
         lexicon = Lexicon()
         lexicon.add("战略")
         lexicon.add("战略官")
-        words = lexicon.words_starting_at("战略官员", 0)
+        words = words_starting_at(lexicon, "战略官员", 0)
         assert words == ["战略", "战略官"]
 
     def test_words_starting_at_no_match(self, lex):
-        assert lex.words_starting_at("作家", 0) == []
+        assert words_starting_at(lex, "作家", 0) == []
 
     def test_words_starting_mid_string(self, lex):
-        assert lex.words_starting_at("著名歌手", 2) == ["歌手"]
+        assert words_starting_at(lex, "著名歌手", 2) == ["歌手"]
 
     def test_is_prefix(self, lex):
-        assert lex.is_prefix("歌")
-        assert not lex.is_prefix("歌手")  # full word, not a proper prefix
+        assert "歌" in lex.prefixes
+        assert "歌手" not in lex.prefixes  # full word, not a proper prefix
 
     def test_max_word_len(self):
         lexicon = Lexicon()
@@ -143,5 +158,5 @@ def test_every_added_word_is_found_at_its_position(words):
     text = "".join(words)
     pos = 0
     for word in words:
-        assert word in lexicon.words_starting_at(text, pos)
+        assert word in words_starting_at(lexicon, text, pos)
         pos += len(word)

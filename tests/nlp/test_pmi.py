@@ -148,3 +148,58 @@ class TestIncrementalCounts:
         advanced.remove_sequence(old_corpus[1])
         advanced.add_sequence(new_corpus[1])
         assert advanced.same_counts(fresh)
+
+
+def reference_add_corpus(stats, sequences):
+    """``add_corpus`` as a loop of the per-sequence counting it
+    replaced, kept verbatim."""
+    for words in sequences:
+        for word in words:
+            stats._unigrams[word] += 1
+        stats._total_unigrams += len(words)
+        for left, right in zip(words, words[1:]):
+            stats._bigrams[(left, right)] += 1
+        stats._total_bigrams += max(len(words) - 1, 0)
+
+
+def assert_same_state(stats, reference):
+    assert list(stats._unigrams.items()) == list(reference._unigrams.items())
+    assert list(stats._bigrams.items()) == list(reference._bigrams.items())
+    assert stats.total_unigrams == reference.total_unigrams
+    assert stats.total_bigrams == reference.total_bigrams
+
+
+_CORPORA = st.lists(
+    st.one_of(
+        st.lists(_WORDS, max_size=6),
+        st.lists(_WORDS, max_size=6).map(tuple),
+    ),
+    max_size=8,
+)
+
+
+@given(_CORPORA, _CORPORA, st.booleans())
+def test_add_corpus_equals_the_per_sequence_loop(first, second, lazily):
+    stats, reference = PMIStatistics(), PMIStatistics()
+    for corpus in (first, second):
+        stats.add_corpus(iter(corpus) if lazily else corpus)
+        reference_add_corpus(reference, corpus)
+    assert_same_state(stats, reference)
+
+
+@pytest.mark.parametrize("words", [[], ["蚂蚁"], ["蚂蚁", "金服", "蚂蚁"]])
+def test_add_sequence_equals_the_per_sequence_loop(words):
+    stats, reference = PMIStatistics(), PMIStatistics()
+    stats.add_sequence(["歌手", "蚂蚁"])
+    reference_add_corpus(reference, [["歌手", "蚂蚁"]])
+    stats.add_sequence(words)
+    reference_add_corpus(reference, [words])
+    assert_same_state(stats, reference)
+
+
+def test_add_corpus_takes_a_generator_once():
+    stats = PMIStatistics()
+    stats.add_corpus(words for words in [["蚂蚁", "金服"], [], ["金服"]])
+    assert stats.total_unigrams == 3
+    assert stats.total_bigrams == 1
+    assert stats.bigram_count("蚂蚁", "金服") == 1
