@@ -6,10 +6,12 @@ Exercises the whole PR-4 refresh loop against the real deployment shape:
 2. perturb the dump (the nightly edit) and ``cn-probase diff`` it,
 3. ``cn-probase build --incremental`` → new taxonomy + ``.delta.jsonl``,
    asserting the output is byte-identical to a full CLI build,
-4. ``cn-probase serve`` the v1 taxonomy (subprocess, sharded) and
-   publish the delta through ``TaxonomyClient.apply_delta`` — only the
-   touched shards may republish — then verify the served answers
-   changed accordingly and shut down.
+4. ``cn-probase serve`` the v1 taxonomy (subprocess, sharded), check
+   that a delta file with one malformed record is refused with HTTP 400
+   and the server stays on v1, then publish the delta through
+   ``TaxonomyClient.apply_delta`` — only the touched shards may
+   republish — verify the served answers changed accordingly and shut
+   down.
 
 Appends timings to ``benchmarks/out/BENCH_parallel.json`` under
 ``"incremental_roundtrip"``.
@@ -38,6 +40,7 @@ from repro.encyclopedia import (  # noqa: E402
     load_dump,
     save_dump,
 )
+from repro.errors import APIError  # noqa: E402
 from repro.serving import TaxonomyClient  # noqa: E402
 from repro.taxonomy import Taxonomy  # noqa: E402
 
@@ -134,6 +137,21 @@ def main() -> None:
                     client.get_entities(probe_concept)
                     if probe_concept else None
                 )
+
+                # a malformed record is the sender's error: 400, v1 kept
+                bad_path = tmp_path / "malformed.delta.jsonl"
+                bad_path.write_text(
+                    delta_path.read_text(encoding="utf-8")
+                    + '{"kind": "relation_change", "old": "x", "new": "y"}\n',
+                    encoding="utf-8",
+                )
+                try:
+                    client.apply_delta(str(bad_path))
+                except APIError as exc:
+                    assert "HTTP 400" in str(exc), exc
+                else:
+                    raise AssertionError("a malformed delta was applied")
+                assert client.healthz()["version"] == "v1"
 
                 apply_started = time.perf_counter()
                 applied = client.apply_delta(str(delta_path))

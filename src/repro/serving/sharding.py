@@ -163,6 +163,7 @@ class ShardSet:
                             n_subconcept_concept=0,
                         ),
                         n_relations=n_relations,
+                        _n_pairs=n_relations,
                     ),
                 )
             )

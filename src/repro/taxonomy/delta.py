@@ -71,14 +71,11 @@ def _entity_dict(entity: Entity) -> dict:
 
 
 def _entity_from(data: dict) -> Entity:
-    try:
-        return Entity(
-            page_id=data["page_id"],
-            name=data["name"],
-            aliases=tuple(data.get("aliases", ())),
-        )
-    except KeyError as exc:
-        raise TaxonomyError(f"delta entity record missing key: {exc}") from exc
+    return Entity(
+        page_id=data["page_id"],
+        name=data["name"],
+        aliases=tuple(data.get("aliases", ())),
+    )
 
 
 def _relation_dict(relation: IsARelation) -> dict:
@@ -92,18 +89,13 @@ def _relation_dict(relation: IsARelation) -> dict:
 
 
 def _relation_from(data: dict) -> IsARelation:
-    try:
-        return IsARelation(
-            hyponym=data["hyponym"],
-            hypernym=data["hypernym"],
-            source=data["source"],
-            hyponym_kind=data["hyponym_kind"],
-            score=data.get("score", 1.0),
-        )
-    except KeyError as exc:
-        raise TaxonomyError(
-            f"delta relation record missing key: {exc}"
-        ) from exc
+    return IsARelation(
+        hyponym=data["hyponym"],
+        hypernym=data["hypernym"],
+        source=data["source"],
+        hyponym_kind=data["hyponym_kind"],
+        score=data.get("score", 1.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -440,9 +432,13 @@ class _DeltaParts:
                 raise TaxonomyError(
                     f"{where}: unknown delta record kind {kind!r}"
                 )
-        except KeyError as exc:  # a change record missing its old/new half
+        except KeyError as exc:  # a missing field or old/new half
             raise TaxonomyError(
                 f"{where}: malformed {kind} record: missing {exc}"
+            ) from exc
+        except TypeError as exc:  # a non-object half, non-list aliases
+            raise TaxonomyError(
+                f"{where}: malformed {kind} record: {exc}"
             ) from exc
 
     def build(
@@ -530,8 +526,8 @@ def _assemble_delta(
 ) -> TaxonomyDelta:
     parsed = _parse_delta_header(header, where)
     parts = _DeltaParts()
-    for record in records:
-        parts.dispatch(record, where)
+    for index, record in enumerate(records):
+        parts.dispatch(record, f"{where}: record {index}")
     return parts.build(*parsed)
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -527,6 +528,11 @@ class Taxonomy:
 
     @classmethod
     def load(cls, path: str | Path) -> "Taxonomy":
+        """Read a taxonomy written by :meth:`save`.
+
+        A malformed line raises :class:`TaxonomyError` naming
+        ``file:line``, never a bare ``KeyError`` or ``TypeError``.
+        """
         source = Path(path)
         if not source.exists():
             raise TaxonomyError(f"taxonomy file not found: {source}")
@@ -536,43 +542,58 @@ class Taxonomy:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{source}:{line_no}"
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TaxonomyError(
-                        f"{source}:{line_no}: invalid JSON: {exc}"
+                        f"{where}: invalid JSON: {exc}"
                     ) from exc
-                kind = record.get("kind")
-                if kind == "header":
-                    check_format_version(
-                        record,
-                        TAXONOMY_FORMAT_VERSION,
-                        f"{source}:{line_no}",
-                    )
-                    taxonomy.name = record.get("name", taxonomy.name)
-                elif kind == "entity":
-                    taxonomy.add_entity(
-                        Entity(
-                            page_id=record["page_id"],
-                            name=record["name"],
-                            aliases=tuple(record.get("aliases", ())),
-                        )
-                    )
-                elif kind == "relation":
-                    taxonomy.add_relation(
-                        IsARelation(
-                            hyponym=record["hyponym"],
-                            hypernym=record["hypernym"],
-                            source=record["source"],
-                            hyponym_kind=record["hyponym_kind"],
-                            score=record.get("score", 1.0),
-                        )
-                    )
-                else:
+                if not isinstance(record, dict):
                     raise TaxonomyError(
-                        f"{source}:{line_no}: unknown record kind {kind!r}"
+                        f"{where}: record must be a JSON object, "
+                        f"got {type(record).__name__}"
                     )
+                try:
+                    taxonomy._load_record(record, where)
+                except KeyError as exc:
+                    raise TaxonomyError(
+                        f"{where}: {record.get('kind')} record "
+                        f"missing {exc}"
+                    ) from exc
+                except TypeError as exc:
+                    # a null or mixed-type score, an unhashable alias
+                    raise TaxonomyError(
+                        f"{where}: malformed {record.get('kind')} "
+                        f"record: {exc}"
+                    ) from exc
         return taxonomy
+
+    def _load_record(self, record: dict, where: str) -> None:
+        kind = record.get("kind")
+        if kind == "header":
+            check_format_version(record, TAXONOMY_FORMAT_VERSION, where)
+            self.name = record.get("name", self.name)
+        elif kind == "entity":
+            self.add_entity(
+                Entity(
+                    page_id=record["page_id"],
+                    name=record["name"],
+                    aliases=tuple(record.get("aliases", ())),
+                )
+            )
+        elif kind == "relation":
+            self.add_relation(
+                IsARelation(
+                    hyponym=record["hyponym"],
+                    hypernym=record["hypernym"],
+                    source=record["source"],
+                    hyponym_kind=record["hyponym_kind"],
+                    score=record.get("score", 1.0),
+                )
+            )
+        else:
+            raise TaxonomyError(f"{where}: unknown record kind {kind!r}")
 
 
 class ReadOptimizedTaxonomy:
@@ -588,6 +609,15 @@ class ReadOptimizedTaxonomy:
     The view is deliberately decoupled from its source: mutating the
     original :class:`Taxonomy` after freezing never changes answers a
     published snapshot gives.
+
+    Every index value is a non-empty tuple, sorted and free of
+    duplicates: :meth:`from_taxonomy` sorts the store's sets,
+    :meth:`ShardSet.partition <repro.serving.sharding.ShardSet.partition>`
+    carries those tuples into the shards, and :meth:`apply_delta` keeps
+    all three properties, which is what lets it edit an answer with one
+    bisect and two slices.  The view also carries its entity→concept
+    pair count (the sum of the entity→concepts tuples' lengths), so a
+    delta advances it instead of recounting the index.
     """
 
     def __init__(
@@ -598,6 +628,8 @@ class ReadOptimizedTaxonomy:
         concept_entities: dict[str, tuple[str, ...]],
         stats: TaxonomyStats,
         n_relations: int,
+        *,
+        _n_pairs: int | None = None,
     ) -> None:
         self.name = name
         self._mention_index = mention_index
@@ -605,6 +637,12 @@ class ReadOptimizedTaxonomy:
         self._concept_entities = concept_entities
         self._stats = stats
         self._n_relations = n_relations
+        # entity→concept pairs in _entity_hypernyms, counted once here
+        # unless the caller already knows it; apply_delta advances it
+        self._n_pairs = (
+            _n_pairs if _n_pairs is not None
+            else sum(map(len, entity_hypernyms.values()))
+        )
 
     @classmethod
     def from_taxonomy(cls, taxonomy: Taxonomy) -> "ReadOptimizedTaxonomy":
@@ -656,35 +694,53 @@ class ReadOptimizedTaxonomy:
         re-sort, no copy), which is what lets the sharded store leave
         untouched shards object-identical across a delta publish.
 
+        A touched answer is edited in place of a re-sort: relying on the
+        sorted, duplicate-free invariant (see the class docstring), an
+        insert bisects for the member's slot and a remove finds its
+        index, so each edit costs the length of that one answer, in C.
+        Removing a key's last member drops the key.
+
         *key_filter* restricts application to the keys a caller owns —
         the sharded store passes its shard's hash predicate so each
         shard applies exactly its slice.  *stats* / *n_relations*
-        override the recount; when omitted they are recomputed
-        serving-locally (the same formula shard partitioning uses).
-        Callers holding the *full* keyspace should pass the delta's
-        ``new_stats`` / ``new_n_relations`` so headline numbers keep
-        counting the concept layer a full freeze would count.
+        override the serving-local counts; when omitted they describe
+        this view's indexes (the same formula shard partitioning uses),
+        with the entity→concept pair count advanced by the delta's net
+        change rather than recounted.  Callers holding the *full*
+        keyspace should pass the delta's ``new_stats`` /
+        ``new_n_relations`` so headline numbers keep counting the
+        concept layer a full freeze would count.
         """
         keep = key_filter if key_filter is not None else (lambda key: True)
         mentions = dict(self._mention_index)
         hypernyms = dict(self._entity_hypernyms)
         entities = dict(self._concept_entities)
 
-        def remove(index: dict, key: str, member: str) -> None:
+        def remove(index: dict, key: str, member: str) -> bool:
+            """Drop *member* from *key*'s answer; True if it was there."""
             if not keep(key):
-                return
-            remaining = tuple(m for m in index.get(key, ()) if m != member)
-            if remaining:
-                index[key] = remaining
-            else:
-                index.pop(key, None)
-
-        def insert(index: dict, key: str, member: str) -> None:
-            if not keep(key):
-                return
+                return False
             current = index.get(key, ())
-            if member not in current:
-                index[key] = tuple(sorted((*current, member)))
+            try:
+                at = current.index(member)
+            except ValueError:
+                return False
+            if len(current) == 1:
+                del index[key]
+            else:
+                index[key] = current[:at] + current[at + 1:]
+            return True
+
+        def insert(index: dict, key: str, member: str) -> bool:
+            """Add *member* to *key*'s answer; True if it was absent."""
+            if not keep(key):
+                return False
+            current = index.get(key, ())
+            at = bisect_left(current, member)
+            if at < len(current) and current[at] == member:
+                return False
+            index[key] = current[:at] + (member,) + current[at:]
+            return True
 
         for entity in delta.entities_removed:
             for mention in entity.mentions:
@@ -697,24 +753,29 @@ class ReadOptimizedTaxonomy:
         for entity in delta.entities_added:
             for mention in entity.mentions:
                 insert(mentions, mention, entity.page_id)
+        n_pairs = self._n_pairs
         for relation in delta.relations_removed:
             if relation.hyponym_kind == HYPONYM_ENTITY:
-                remove(hypernyms, relation.hyponym, relation.hypernym)
+                n_pairs -= remove(
+                    hypernyms, relation.hyponym, relation.hypernym
+                )
                 remove(entities, relation.hypernym, relation.hyponym)
         for relation in delta.relations_added:
             if relation.hyponym_kind == HYPONYM_ENTITY:
-                insert(hypernyms, relation.hyponym, relation.hypernym)
+                n_pairs += insert(
+                    hypernyms, relation.hyponym, relation.hypernym
+                )
                 insert(entities, relation.hypernym, relation.hyponym)
         # relations_changed carry the same key with new score/source —
         # neither lives in the serving indexes, so nothing to touch.
 
         if n_relations is None:
-            n_relations = sum(len(v) for v in hypernyms.values())
+            n_relations = n_pairs
         if stats is None:
             stats = TaxonomyStats(
                 n_entities=len(hypernyms),
                 n_concepts=len(entities),
-                n_entity_concept=sum(len(v) for v in hypernyms.values()),
+                n_entity_concept=n_pairs,
                 n_subconcept_concept=0,
             )
         return ReadOptimizedTaxonomy(
@@ -724,6 +785,7 @@ class ReadOptimizedTaxonomy:
             concept_entities=entities,
             stats=stats,
             n_relations=n_relations,
+            _n_pairs=n_pairs,
         )
 
     # -- introspection -------------------------------------------------------

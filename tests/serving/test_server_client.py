@@ -549,6 +549,52 @@ class TestApplyDeltaEndpoint:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("bad_record", [
+        pytest.param({
+            "kind": "entity_add", "page_id": "王菲#0", "name": "王菲",
+            "aliases": 5,
+        }, id="non-list-aliases"),
+        pytest.param(
+            {"kind": "relation_change", "old": "x", "new": "y"},
+            id="string-change-half",
+        ),
+    ])
+    def test_malformed_inline_delta_is_400(self, bad_record):
+        """A record the parser cannot type is the sender's error (400),
+        not the server's (500), and the served state does not move."""
+        from repro.serving.sharding import ShardedSnapshotStore
+        from repro.taxonomy.delta import TaxonomyDelta
+
+        delta = TaxonomyDelta.compute(
+            make_taxonomy("歌手"), make_taxonomy("影帝")
+        )
+        payload = delta.to_wire()
+        payload["records"].append(bad_record)
+        store = ShardedSnapshotStore(make_taxonomy("歌手"), n_shards=2)
+        server = start_server(store, admin_token=ADMIN_TOKEN)
+        client = TaxonomyClient(server.url, admin_token=ADMIN_TOKEN)
+        try:
+            before = client.version()
+            request = urllib.request.Request(
+                f"{server.url}/admin/apply-delta",
+                data=json.dumps(
+                    {"delta": payload, "base_version": "v1"}
+                ).encode("utf-8"),
+                headers={"Authorization": f"Bearer {ADMIN_TOKEN}"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+            after = client.version()
+            assert after["version"] == before["version"] == "v1"
+            assert after["content_hash"] == before["content_hash"]
+            assert client.get_concepts("刘德华#0") == ["歌手", "演员"]
+        finally:
+            client.close()
+            server.close()
+
 
 class TestRetrySemantics:
     """Batched-read POSTs retry; admin mutations are never resent."""

@@ -380,6 +380,72 @@ class TestPublishDelta:
         assert router.men2ent("小新") == ["新实体#0"]
         assert router.version_id == "v2"
 
+    def _nights(self) -> list[Taxonomy]:
+        """Day 0 and three nights, each a churn of the night before:
+        entities leave, arrive and change aliases; relations leave,
+        arrive on old and new entities, and one flips to the concept
+        layer."""
+        rng = random.Random(17)
+        nights = [make_taxonomy()]
+        for night in range(1, 4):
+            previous = nights[-1]
+            gone = {
+                e.page_id for e in rng.sample(previous.entities(), k=3)
+            }
+            taxonomy = Taxonomy()
+            for entity in previous.entities():
+                if entity.page_id in gone:
+                    continue
+                if rng.random() < 0.1:
+                    entity = Entity(
+                        entity.page_id, entity.name,
+                        aliases=(f"夜{night}{entity.name}",),
+                    )
+                taxonomy.add_entity(entity)
+            arrivals = [
+                Entity(f"夜{night}实体{i}#0", f"夜{night}实体{i}")
+                for i in range(3)
+            ]
+            for entity in arrivals:
+                taxonomy.add_entity(entity)
+            kept = [
+                r for r in previous.relations()
+                if r.hyponym not in gone and rng.random() > 0.05
+            ]
+            flipped = kept.pop(rng.randrange(len(kept)))
+            for relation in kept:
+                taxonomy.add_relation(relation)
+            taxonomy.add_relation(IsARelation(
+                flipped.hyponym, flipped.hypernym, flipped.source,
+                hyponym_kind="concept",
+            ))
+            for entity in arrivals + rng.sample(taxonomy.entities(), k=5):
+                taxonomy.add_relation(IsARelation(
+                    entity.page_id, f"概念{rng.randrange(26)}", "tag"
+                ))
+            nights.append(taxonomy)
+        return nights
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_shard_stats_follow_a_publish_chain(self, n_shards):
+        """Three nights forward, then their inverses one by one: after
+        every publish each shard counts what a fresh partition of that
+        night's taxonomy counts, so a carried count that drifts by one
+        fails here."""
+        from repro.taxonomy.delta import TaxonomyDelta
+
+        nights = self._nights()
+        steps = list(zip(nights, nights[1:]))
+        steps += [(new, old) for old, new in reversed(steps)]
+        store = ShardedSnapshotStore(nights[0], n_shards=n_shards)
+        for old, new in steps:
+            store.publish_delta(TaxonomyDelta.compute(old, new))
+            fresh = ShardSet.partition(1, new, n_shards)
+            for shard, want in zip(store.shard_set.shards, fresh.shards):
+                assert shard.read_view.stats() == want.read_view.stats()
+                assert len(shard.read_view) == len(want.read_view)
+        assert store.content_hash == nights[0].content_hash()
+
 
 class TestEmptyDeltaPublish:
     """An empty delta is an exact no-op on every shard."""

@@ -474,6 +474,29 @@ class TestWireRoundTrip:
         with pytest.raises(TaxonomyError, match="unknown delta record kind"):
             TaxonomyDelta.from_wire(payload)
 
+    @pytest.mark.parametrize("bad", [
+        {"kind": "entity_add", "page_id": "x#0", "name": "x", "aliases": 5},
+        {"kind": "relation_change", "old": "x", "new": "y"},
+    ])
+    def test_untypeable_record_names_its_place(self, tmp_path, bad):
+        """A wire record is named by its index, a file record by its
+        line, and neither escapes as a ``TypeError``."""
+        delta = TaxonomyDelta.compute(base_taxonomy(), evolved_taxonomy())
+        payload = delta.to_wire()
+        payload["records"].append(bad)
+        with pytest.raises(TaxonomyError) as excinfo:
+            TaxonomyDelta.from_wire(payload)
+        index = len(payload["records"]) - 1
+        assert str(excinfo.value).startswith(f"wire: record {index}: ")
+        path = tmp_path / "delta.jsonl"
+        save_delta(delta, path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        line = len(path.read_text(encoding="utf-8").splitlines())
+        with pytest.raises(TaxonomyError) as excinfo:
+            load_delta(path)
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
 
 class TestSlice:
     def _delta(self):

@@ -152,6 +152,47 @@ class TestPersistence:
         with pytest.raises(TaxonomyError):
             Taxonomy.load(path)
 
+    _ENTITY = '{"kind": "entity", "page_id": "a#0", "name": "甲"}'
+    _RELATION = (
+        '{"kind": "relation", "hyponym": "a#0", "hypernym": "乙",'
+        ' "source": "tag", "hyponym_kind": "entity", "score": %s}'
+    )
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param((
+            _ENTITY,
+            '{"kind": "relation", "hyponym": "丙", "hypernym": "乙",'
+            ' "source": "tag", "hyponym_kind": "concept", "score": null}',
+        ), id="null-concept-score"),
+        pytest.param(
+            (_ENTITY, _RELATION % '"high"', _RELATION % "1.0"),
+            id="mixed-type-scores",
+        ),
+        pytest.param((
+            _ENTITY,
+            '{"kind": "entity", "page_id": "b#0", "name": "丁",'
+            ' "aliases": [[1]]}',
+        ), id="unhashable-alias"),
+        pytest.param((
+            _ENTITY,
+            '{"kind": "relation", "hyponym": "a#0", "source": "tag",'
+            ' "hyponym_kind": "entity"}',
+        ), id="missing-hypernym"),
+        pytest.param((_ENTITY, '["kind", "entity"]'), id="array-line"),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, lines):
+        """A bad last line ends in a TaxonomyError naming ``file:line``,
+        never a builtin exception."""
+        path = tmp_path / "bad.jsonl"
+        header = '{"kind": "header", "name": "t", "format_version": 1}'
+        path.write_text(
+            "".join(f"{line}\n" for line in (header, *lines)),
+            encoding="utf-8",
+        )
+        with pytest.raises(TaxonomyError) as excinfo:
+            Taxonomy.load(path)
+        assert str(excinfo.value).startswith(f"{path}:{len(lines) + 1}: ")
+
 
 def reference_lines(taxonomy):
     """The canonical lines as written before the record kernel: one
