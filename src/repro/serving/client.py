@@ -431,11 +431,17 @@ class TaxonomyClient(BatchedServingAPI):
             raise APIError(f"{api_name}: malformed batch response")
         elapsed = time.perf_counter() - started
         # One wire round trip served the whole batch; attribute the
-        # cost evenly so per-call means stay comparable with singles.
+        # cost evenly so per-call means stay comparable with singles,
+        # and record the batch as one ledger group.
         per_call = elapsed / len(results) if results else elapsed
+        samples: list[float] = []
+        hits = 0
         for argument, result in zip(arguments, results):
             if argument != PROBE_KEY:  # probes stay out of the ledgers
-                self.metrics.observe(api_name, per_call, bool(result))
+                samples.append(per_call)
+                if result:
+                    hits += 1
+        self.metrics.observe_group(api_name, samples, hits)
         if trace_id is not None:
             self._hub.record_span(
                 trace_id, "client", api_name, elapsed,

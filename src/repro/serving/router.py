@@ -49,6 +49,7 @@ protocol does not carry.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from repro.obs.clock import elapsed
 from typing import Sequence
@@ -77,6 +78,32 @@ from repro.taxonomy.service import (
     BatchedServingAPI,
     ServiceMetrics,
 )
+
+
+def _timed_lookups(
+    call, arguments: Sequence[str]
+) -> tuple[list[list[str]], list[float], int]:
+    """Answer *arguments* with *call*, timing each lookup alone.
+
+    Returns the answers in argument order, the per-call latency
+    samples and the hit count.  ``PROBE_KEY`` lookups are answered but
+    left out of the samples and the hits, so they stay out of the
+    ledgers.
+    """
+    results: list[list[str]] = []
+    samples: list[float] = []
+    hits = 0
+    for argument in arguments:
+        started = elapsed()
+        result = call(argument)
+        seconds = elapsed() - started
+        results.append(result)
+        if argument == PROBE_KEY:
+            continue
+        samples.append(seconds)
+        if result:
+            hits += 1
+    return results, samples, hits
 
 
 class StoreShardReplica:
@@ -890,8 +917,11 @@ class ReplicatedRouter(BatchedServingAPI):
         version-reporting replica answers through its
         ``versioned_reader`` instead (see :meth:`_read_versioned`).  A
         replica failure marks it unhealthy and the *entire* group fails
-        over to the next one; metrics are only recorded for the replica
-        that answered.
+        over to the next one.  The answers, the per-call samples and
+        the hit count come from one pass over the group
+        (:func:`_timed_lookups`), and only the replica that answered
+        makes the group's one
+        :meth:`~repro.taxonomy.service.ServiceMetrics.observe_group`.
         """
         lookup_name = _API_LOOKUPS[api_name]
         attempts = self._retries + 1
@@ -921,12 +951,9 @@ class ReplicatedRouter(BatchedServingAPI):
                         target = pinned()
                     else:
                         target = state.backend
-                    call = getattr(target, lookup_name)
-                    served = []
-                    for argument in arguments:
-                        started = elapsed()
-                        result = call(argument)
-                        served.append((result, elapsed() - started))
+                    served = _timed_lookups(
+                        getattr(target, lookup_name), arguments
+                    )
             except Exception as exc:  # failed replica: mark + fail over
                 last_error = exc
                 tried.add(index)
@@ -939,16 +966,14 @@ class ReplicatedRouter(BatchedServingAPI):
                 if was_healthy:
                     self._emit_health(state, False, "serve_failure")
                 continue
-            for argument, (result, seconds) in zip(arguments, served):
-                if argument != PROBE_KEY:  # probes stay out of ledgers
-                    self.metrics.observe(api_name, seconds, bool(result))
+            results, samples, hits = served
+            self.metrics.observe_group(api_name, samples, hits)
             if trace_id is not None:
                 self._record_group_spans(
                     trace_id, api_name, shard_id, index, pin,
-                    sum(seconds for _, seconds in served),
-                    elapsed() - group_started,
+                    sum(samples), elapsed() - group_started,
                 )
-            return [result for result, _ in served]
+            return results
         detail = f": {last_error}" if last_error is not None else ""
         if trace_id is not None:
             self._hub.record_span(
@@ -963,24 +988,26 @@ class ReplicatedRouter(BatchedServingAPI):
 
     def _read_versioned(
         self, state, api_name: str, arguments: Sequence[str]
-    ) -> list[tuple[list[str], float]]:
+    ) -> tuple[list[list[str]], list[float], int]:
         """Serve a group through the replica's ``versioned_reader``.
 
-        Raises (so the group fails over and the replica is parked for
-        its probe to resync) when the answers came from two versions,
-        or from one older than the replica held when the group began —
-        it restarted from an old snapshot without failing a call.  A
-        publish still in flight may be answered from either side of it.
+        Returns what :func:`_timed_lookups` returns.  Raises (so the
+        group fails over and the replica is parked for its probe to
+        resync) when the answers came from two versions, or from one
+        older than the replica held when the group began — it restarted
+        from an old snapshot without failing a call.  A publish still
+        in flight may be answered from either side of it.
         """
         floor = state.version
         read = state.versioned_reader()
-        served: list[tuple[list[str], float]] = []
         versions: set[int] = set()
-        for argument in arguments:
-            started = elapsed()
+
+        def call(argument: str) -> list[str]:
             result, version = read(api_name, argument)
-            served.append((result, elapsed() - started))
             versions.add(version)
+            return result
+
+        served = _timed_lookups(call, arguments)
         if len(versions) > 1:
             raise ServiceUnavailableError(
                 f"{state.backend!r} answered one group from versions "
@@ -999,9 +1026,10 @@ class ReplicatedRouter(BatchedServingAPI):
     ) -> None:
         """Router + shard spans for one served group.
 
-        The shard span is the time spent inside replica lookups; the
-        router span is the whole group including pick/failover, so the
-        difference reads directly as routing overhead.
+        The shard span is the time spent inside the group's replica
+        lookups (probes excluded, as from the ledger); the router span
+        is the whole group including pick/failover, so the difference
+        reads directly as routing overhead.
         """
         published = pin if pin is not None else self._published_state()
         version, content_hash = published.version_id, published.content_hash
@@ -1032,11 +1060,10 @@ class ReplicatedRouter(BatchedServingAPI):
         # batch, so a swap landing between groups cannot mix versions
         # in one response (the same guarantee the store itself gives).
         pin = self._store.shard_set if self._store is not None else None
-        groups: dict[int, list[int]] = {}
+        n_shards = len(self._replicas)
+        groups: defaultdict[int, list[int]] = defaultdict(list)
         for position, argument in enumerate(arguments):
-            groups.setdefault(
-                shard_for(argument, self.n_shards), []
-            ).append(position)
+            groups[shard_for(argument, n_shards)].append(position)
         results: list[list[str] | None] = [None] * len(arguments)
         for shard_id, positions in groups.items():
             group = self._serve_group(

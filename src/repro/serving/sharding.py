@@ -468,30 +468,52 @@ class ShardedSnapshotStore(BatchedServingAPI):
     # -- serving hooks ---------------------------------------------------------
 
     def _serve(
-        self, shard_set: ShardSet, api_name: str, argument: str
-    ) -> list[str]:
-        shard = shard_set.shard_of(argument)
-        if argument == PROBE_KEY:
-            # probes exercise the lookup path but stay out of the ledgers
-            return shard.lookup(api_name, argument)
-        started = elapsed()
-        result = shard.lookup(api_name, argument)
-        seconds = elapsed() - started
-        self.metrics.observe(api_name, seconds, bool(result))
+        self, shard_set: ShardSet, api_name: str, arguments: Sequence[str]
+    ) -> list[list[str]]:
+        """Answer a group of keys from the pinned *shard_set*.
+
+        The one serving loop, as in
+        :meth:`~repro.taxonomy.service.TaxonomyService._serve`: a batch
+        is one group, a single a group of one.  Each key resolves its
+        lookup on its own shard and times that lookup alone; the
+        group's samples and hits land in the ledger with one
+        :meth:`~repro.taxonomy.service.ServiceMetrics.observe_group`.
+        Probes exercise the lookup path but stay out of the ledger and
+        the spans.
+        """
+        lookup_name = _API_LOOKUPS[api_name]
+        shards = shard_set.shards
+        n_shards = len(shards)
         trace_id = current_trace_id()
-        if trace_id is not None:
-            self._hub.record_span(
-                trace_id, "shard", api_name, seconds,
-                outcome="hit" if result else "miss",
-                shard=shard.shard_id,
-                version=shard_set.version_id,
-                content_hash=shard_set.content_hash,
-            )
-        return result
+        results: list[list[str]] = []
+        samples: list[float] = []
+        hits = 0
+        for argument in arguments:
+            shard = shards[shard_for(argument, n_shards)]
+            call = getattr(shard.read_view, lookup_name)
+            started = elapsed()
+            result = call(argument)
+            seconds = elapsed() - started
+            results.append(result)
+            if argument == PROBE_KEY:
+                continue
+            samples.append(seconds)
+            if result:
+                hits += 1
+            if trace_id is not None:
+                self._hub.record_span(
+                    trace_id, "shard", api_name, seconds,
+                    outcome="hit" if result else "miss",
+                    shard=shard.shard_id,
+                    version=shard_set.version_id,
+                    content_hash=shard_set.content_hash,
+                )
+        self.metrics.observe_group(api_name, samples, hits)
+        return results
 
     def _single(self, api_name: str, argument: str) -> list[str]:
         # lint: allow[lock-discipline] atomic reference read of the published set
-        return self._serve(self._shard_set, api_name, argument)
+        return self._serve(self._shard_set, api_name, (argument,))[0]
 
     def _batch(
         self, api_name: str, arguments: Sequence[str]
@@ -502,8 +524,4 @@ class ShardedSnapshotStore(BatchedServingAPI):
         # sub-request per shard on one replica) lives in the router,
         # where it changes which backend serves the group.
         # lint: allow[lock-discipline] atomic reference read pins one version
-        shard_set = self._shard_set
-        return [
-            self._serve(shard_set, api_name, argument)
-            for argument in arguments
-        ]
+        return self._serve(self._shard_set, api_name, arguments)

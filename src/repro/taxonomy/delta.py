@@ -70,11 +70,32 @@ def _entity_dict(entity: Entity) -> dict:
     }
 
 
+def _text(data: dict, field: str) -> str:
+    """``data[field]``, which must be a JSON string.
+
+    Keys are hashed and sorted as strings downstream, so a number or a
+    list here must be refused at parse time; the ``TypeError`` becomes
+    a :class:`~repro.errors.TaxonomyError` naming the record in
+    :meth:`_DeltaParts.dispatch`.
+    """
+    value = data[field]
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _entity_from(data: dict) -> Entity:
+    aliases = data.get("aliases", [])
+    if not isinstance(aliases, list) or not all(
+        isinstance(alias, str) for alias in aliases
+    ):
+        raise TypeError(
+            f"aliases must be a list of strings, got {aliases!r}"
+        )
     return Entity(
-        page_id=data["page_id"],
-        name=data["name"],
-        aliases=tuple(data.get("aliases", ())),
+        page_id=_text(data, "page_id"),
+        name=_text(data, "name"),
+        aliases=tuple(aliases),
     )
 
 
@@ -90,8 +111,8 @@ def _relation_dict(relation: IsARelation) -> dict:
 
 def _relation_from(data: dict) -> IsARelation:
     return IsARelation(
-        hyponym=data["hyponym"],
-        hypernym=data["hypernym"],
+        hyponym=_text(data, "hyponym"),
+        hypernym=_text(data, "hypernym"),
         source=data["source"],
         hyponym_kind=data["hyponym_kind"],
         score=data.get("score", 1.0),
@@ -436,7 +457,7 @@ class _DeltaParts:
             raise TaxonomyError(
                 f"{where}: malformed {kind} record: missing {exc}"
             ) from exc
-        except TypeError as exc:  # a non-object half, non-list aliases
+        except TypeError as exc:  # a non-object half, a non-string key
             raise TaxonomyError(
                 f"{where}: malformed {kind} record: {exc}"
             ) from exc

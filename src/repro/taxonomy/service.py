@@ -24,7 +24,9 @@ while the taxonomy behind them is periodically rebuilt.
   counts, wall-clock and a recent-window latency reservoir land in a
   :class:`ServiceMetrics` ledger that survives snapshot swaps and
   reports p50/p95/p99 tail latency, which is what the API-service
-  example and the cluster's ``/metrics`` endpoint report.
+  example and the cluster's ``/metrics`` endpoint report.  A serving
+  front makes one ledger update per group of calls (a batch, or one
+  shard group of it), carrying each call's own sample.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ class APILatency:
     :data:`LATENCY_RESERVOIR_SIZE` observations are kept in a ring
     buffer so :meth:`quantile` can report real tail latency — ``/metrics``
     exposes p50/p95/p99, which a mean can hide completely.
+
+    :meth:`observe_group` is the one update: a group of calls lands as
+    their per-call samples in call order, so the counters, the sum and
+    the reservoir equal what one :meth:`observe` per call would leave.
     """
 
     calls: int = 0
@@ -115,13 +121,25 @@ class APILatency:
         self._samples: deque[float] = deque(maxlen=LATENCY_RESERVOIR_SIZE)
 
     def observe(self, seconds: float, hit: bool) -> None:
-        self.calls += 1
-        if hit:
-            self.hits += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        self._samples.append(seconds)
+        """Account one call: a group of one."""
+        self.observe_group((seconds,), 1 if hit else 0)
+
+    def observe_group(self, seconds: Sequence[float], hits: int) -> None:
+        """Account a group of calls: one latency each, *hits* non-empty.
+
+        One pass in call order, so ``total_seconds`` and
+        ``max_seconds`` come out bit for bit as a per-call loop leaves
+        them (``sum()`` compensates on Python 3.12+ and would not).
+        """
+        total, longest = self.total_seconds, self.max_seconds
+        for value in seconds:
+            total += value
+            if value > longest:
+                longest = value
+        self.calls += len(seconds)
+        self.hits += hits
+        self.total_seconds, self.max_seconds = total, longest
+        self._samples.extend(seconds)
 
     @property
     def mean_seconds(self) -> float:
@@ -175,7 +193,11 @@ class ServiceMetrics:
 
     Observation is lock-protected: the service serves concurrent
     callers across swaps, and unsynchronised ``+=`` on the counters
-    would silently drop increments under that load.
+    would silently drop increments under that load.  Serving fronts
+    update it once per group (:meth:`observe_group`: one lock
+    acquisition for a batch, or for one shard group of it), and
+    :meth:`latency` reads the entry under the same lock, since a first
+    call to an API inserts it.
     """
 
     per_api: dict[str, APILatency] = field(default_factory=dict)
@@ -185,11 +207,30 @@ class ServiceMetrics:
         self._lock = threading.Lock()
 
     def observe(self, api: str, seconds: float, hit: bool) -> None:
+        """Account one call: a group of one."""
+        self.observe_group(api, (seconds,), 1 if hit else 0)
+
+    def observe_group(
+        self, api: str, seconds: Sequence[float], hits: int
+    ) -> None:
+        """Account a group of *api* calls under one lock acquisition.
+
+        *seconds* holds each call's own latency in call order and
+        *hits* counts the calls answered non-empty.  An empty group (a
+        batch made only of probes) changes nothing.
+        """
+        if not seconds:
+            return
         with self._lock:
-            self.per_api.setdefault(api, APILatency()).observe(seconds, hit)
+            entry = self.per_api.get(api)
+            if entry is None:
+                entry = self.per_api[api] = APILatency()
+            entry.observe_group(seconds, hits)
 
     def latency(self, api: str) -> APILatency:
-        return self.per_api.get(api, APILatency())
+        with self._lock:
+            entry = self.per_api.get(api)
+        return APILatency() if entry is None else entry
 
     @property
     def total_calls(self) -> int:
@@ -513,35 +554,50 @@ class TaxonomyService(BatchedServingAPI):
     # -- internals -------------------------------------------------------------
 
     def _serve(
-        self, snapshot: TaxonomySnapshot, api_name: str, argument: str
-    ) -> list[str]:
+        self,
+        snapshot: TaxonomySnapshot,
+        api_name: str,
+        arguments: Sequence[str],
+    ) -> list[list[str]]:
+        """Answer a group of keys from *snapshot*: the one serving loop.
+
+        A batch is one group and a single is a group of one.  Each
+        lookup is timed alone; the group's samples and hits then land
+        in the ledger with one :meth:`ServiceMetrics.observe_group`.
+        Probes are answered but stay out of the ledger and the spans.
+        """
         call = getattr(snapshot.read_view, WIRE_API_METHODS[api_name][0])
-        if argument == PROBE_KEY:
-            # health-probe traffic: serve it (a probe exercises the real
-            # lookup path) but keep it out of the latency ledgers
-            return call(argument)
-        started = elapsed()
-        result = call(argument)
-        seconds = elapsed() - started
-        self.metrics.observe(api_name, seconds, bool(result))
         trace_id = current_trace_id()
-        if trace_id is not None:
-            self._hub.record_span(
-                trace_id, "service", api_name, seconds,
-                outcome="hit" if result else "miss",
-                version=snapshot.version_id,
-                content_hash=snapshot.content_hash,
-            )
-        return result
+        results: list[list[str]] = []
+        samples: list[float] = []
+        hits = 0
+        for argument in arguments:
+            started = elapsed()
+            result = call(argument)
+            seconds = elapsed() - started
+            results.append(result)
+            if argument == PROBE_KEY:
+                continue
+            samples.append(seconds)
+            if result:
+                hits += 1
+            if trace_id is not None:
+                self._hub.record_span(
+                    trace_id, "service", api_name, seconds,
+                    outcome="hit" if result else "miss",
+                    version=snapshot.version_id,
+                    content_hash=snapshot.content_hash,
+                )
+        self.metrics.observe_group(api_name, samples, hits)
+        return results
 
     def _single(self, api_name: str, argument: str) -> list[str]:
         # lint: allow[lock-discipline] atomic reference read of the snapshot
-        return self._serve(self._snapshot, api_name, argument)
+        return self._serve(self._snapshot, api_name, (argument,))[0]
 
     def _batch(
         self, api_name: str, arguments: Sequence[str]
     ) -> list[list[str]]:
         # pin one version for the whole batch
         # lint: allow[lock-discipline] atomic reference read pins one version
-        snapshot = self._snapshot
-        return [self._serve(snapshot, api_name, arg) for arg in arguments]
+        return self._serve(self._snapshot, api_name, arguments)

@@ -28,8 +28,10 @@ from repro.serving import (
     build_cluster,
     start_server,
 )
+from repro.serving.sharding import shard_for
 from repro.taxonomy.delta import TaxonomyDelta
 from repro.taxonomy.model import Entity, IsARelation
+from repro.taxonomy.service import PROBE_KEY, TaxonomyService
 from repro.taxonomy.store import Taxonomy
 
 ADMIN_TOKEN = "obs-test-token"
@@ -434,3 +436,124 @@ class TestMetricsPayloadCompat:
             assert key in payload, key
         assert "metrics" in payload
         assert "serving_api_calls_total" in payload["metrics"]
+
+
+#: hits, misses and a probe, spread over both shards of a 2-shard layout
+LEDGER_BATCH = ["华仔", "王菲", PROBE_KEY, "周杰伦", "无人", "刘德华"]
+LEDGER_ANSWERS = [["刘德华#0"], [], [], ["周杰伦#0"], [], ["刘德华#0"]]
+
+
+def ledger_groups() -> list[int]:
+    """The router's shard groups for ``LEDGER_BATCH``, in serving order."""
+    return list(dict.fromkeys(shard_for(key, 2) for key in LEDGER_BATCH))
+
+
+class TestGroupLedger:
+    """Every serving front records a batch as per-call samples, with
+    one ledger update per group: the batch for the service, the store
+    and the client, each shard group for the router."""
+
+    @staticmethod
+    def _count_updates(monkeypatch, metrics) -> list:
+        """Record ``(api, samples, hits)`` per ``observe_group`` call."""
+        updates = []
+        observe_group = metrics.observe_group
+
+        def counting(api, seconds, hits):
+            updates.append((api, len(seconds), hits))
+            observe_group(api, seconds, hits)
+
+        monkeypatch.setattr(metrics, "observe_group", counting)
+        return updates
+
+    def test_batch_lands_per_call_with_one_update_per_group(
+        self, monkeypatch
+    ):
+        assert len(ledger_groups()) == 2  # the router really splits it
+        n_keys = sum(key != PROBE_KEY for key in LEDGER_BATCH)
+        n_hits = sum(
+            1 for key, answer in zip(LEDGER_BATCH, LEDGER_ANSWERS)
+            if key != PROBE_KEY and answer
+        )
+        with fresh_hub() as hub:
+            server = start_server(
+                build_cluster(make_taxonomy(), shards=2, replicas=2, hub=hub),
+                hub=hub,
+            )
+            client = TaxonomyClient(server.url, hub=hub)
+            fronts = [
+                (TaxonomyService(make_taxonomy(), hub=hub), 1),
+                (ShardedSnapshotStore(make_taxonomy(), n_shards=2, hub=hub), 1),
+                (
+                    build_cluster(
+                        make_taxonomy(), shards=2, replicas=2, hub=hub
+                    ),
+                    len(ledger_groups()),
+                ),
+                (client, 1),
+            ]
+            try:
+                for front, n_groups in fronts:
+                    updates = self._count_updates(monkeypatch, front.metrics)
+                    front.men2ent("华仔")  # a single is a group of one
+                    assert updates == [("men2ent", 1, 1)], front
+                    entry = front.metrics.latency("men2ent")
+                    calls, hits = entry.calls, entry.hits
+                    samples = len(entry._samples)
+                    assert front.men2ent_batch(LEDGER_BATCH) == LEDGER_ANSWERS
+                    assert entry.calls - calls == n_keys, front
+                    assert entry.hits - hits == n_hits, front
+                    assert len(entry._samples) - samples == n_keys, front
+                    batch_updates = updates[1:]
+                    assert len(batch_updates) == n_groups, front
+                    assert sum(size for _, size, _ in batch_updates) == n_keys
+                    assert sum(hit for _, _, hit in batch_updates) == n_hits
+            finally:
+                client.close()
+                server.close()
+
+    def test_traced_batch_keeps_its_per_key_spans(self):
+        with fresh_hub() as hub:
+            service = TaxonomyService(make_taxonomy(), hub=hub)
+            store = ShardedSnapshotStore(make_taxonomy(), n_shards=2, hub=hub)
+            router = build_cluster(
+                make_taxonomy(), shards=2, replicas=2, hub=hub
+            )
+            for trace_id, front in (
+                ("ledger-service", service),
+                ("ledger-store", store),
+                ("ledger-router", router),
+            ):
+                with trace_context(trace_id):
+                    assert front.men2ent_batch(LEDGER_BATCH) == LEDGER_ANSWERS
+
+            def spans(trace_id):
+                return [
+                    (s.component, s.operation, s.outcome, s.shard,
+                     s.version, s.content_hash)
+                    for s in hub.traces.spans(trace_id=trace_id)
+                ]
+
+            served = [
+                (key, "hit" if answer else "miss")
+                for key, answer in zip(LEDGER_BATCH, LEDGER_ANSWERS)
+                if key != PROBE_KEY
+            ]
+            assert spans("ledger-service") == [
+                ("service", "men2ent", outcome, None, "v1",
+                 service.content_hash)
+                for _, outcome in served
+            ]
+            assert spans("ledger-store") == [
+                ("shard", "men2ent", outcome, shard_for(key, 2), "v1",
+                 store.content_hash)
+                for key, outcome in served
+            ]
+            # the router traces groups, not keys: a shard and a router
+            # span per shard group
+            assert spans("ledger-router") == [
+                (component, "men2ent", "ok", shard, "v1",
+                 router.content_hash)
+                for shard in ledger_groups()
+                for component in ("shard", "router")
+            ]

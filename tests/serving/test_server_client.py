@@ -558,6 +558,30 @@ class TestApplyDeltaEndpoint:
             {"kind": "relation_change", "old": "x", "new": "y"},
             id="string-change-half",
         ),
+        pytest.param({
+            "kind": "entity_add", "page_id": "王菲#0", "name": "王菲",
+            "aliases": [[1]],
+        }, id="nested-alias"),
+        pytest.param({
+            "kind": "entity_add", "page_id": "王菲#0", "name": 1,
+            "aliases": [],
+        }, id="integer-name"),
+        pytest.param({
+            "kind": "relation_add", "hyponym": 1, "hypernym": "歌手",
+            "source": "tag", "hyponym_kind": "entity", "score": 1.0,
+        }, id="integer-hyponym"),
+        pytest.param({
+            # its name is a served mention, so its id would be sorted
+            # into that mention's answer next to a string
+            "kind": "entity_add", "page_id": 1, "name": "刘德华",
+            "aliases": [],
+        }, id="integer-page-id"),
+        pytest.param({
+            # a string is iterable: it used to decode as one-character
+            # aliases
+            "kind": "entity_add", "page_id": "阿甲#0", "name": "阿甲乙",
+            "aliases": "阿甲",
+        }, id="string-aliases"),
     ])
     def test_malformed_inline_delta_is_400(self, bad_record):
         """A record the parser cannot type is the sender's error (400),

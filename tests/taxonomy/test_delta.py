@@ -477,6 +477,20 @@ class TestWireRoundTrip:
     @pytest.mark.parametrize("bad", [
         {"kind": "entity_add", "page_id": "x#0", "name": "x", "aliases": 5},
         {"kind": "relation_change", "old": "x", "new": "y"},
+        {"kind": "entity_add", "page_id": "x#0", "name": "x",
+         "aliases": [[1]]},
+        {"kind": "entity_add", "page_id": "x#0", "name": "x",
+         "aliases": "xy"},
+        {"kind": "entity_add", "page_id": 1, "name": "x", "aliases": []},
+        {"kind": "entity_remove", "page_id": "x#0", "name": 1,
+         "aliases": []},
+        {"kind": "relation_add", "hyponym": 1, "hypernym": "歌手",
+         "source": "tag", "hyponym_kind": "entity", "score": 1.0},
+        {"kind": "relation_remove", "hyponym": "x#0", "hypernym": ["歌手"],
+         "source": "tag", "hyponym_kind": "entity", "score": 1.0},
+        {"kind": "entity_change",
+         "old": {"page_id": "x#0", "name": "x", "aliases": []},
+         "new": {"page_id": "x#0", "name": "x", "aliases": [None]}},
     ])
     def test_untypeable_record_names_its_place(self, tmp_path, bad):
         """A wire record is named by its index, a file record by its

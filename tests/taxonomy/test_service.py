@@ -4,10 +4,13 @@ import dataclasses
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import APIError, WorkloadError
 from repro.taxonomy.model import Entity, IsARelation
 from repro.taxonomy.service import (
+    LATENCY_RESERVOIR_SIZE,
     APILatency,
     BatchedServingAPI,
     ServiceMetrics,
@@ -69,20 +72,23 @@ class TestSingleCalls:
         self, service, monkeypatch
     ):
         checked, observed = [], []
-        check, observe = BatchedServingAPI._checked, service.metrics.observe
+        check = BatchedServingAPI._checked
+        observe_group = service.metrics.observe_group
 
         def counting_check(api_name, argument):
             checked.append(api_name)
             return check(api_name, argument)
 
-        def counting_observe(api_name, seconds, hit):
+        def counting_observe_group(api_name, seconds, hits):
             observed.append(api_name)
-            observe(api_name, seconds, hit)
+            observe_group(api_name, seconds, hits)
 
         monkeypatch.setattr(
             BatchedServingAPI, "_checked", staticmethod(counting_check)
         )
-        monkeypatch.setattr(service.metrics, "observe", counting_observe)
+        monkeypatch.setattr(
+            service.metrics, "observe_group", counting_observe_group
+        )
         assert service.get_concepts("刘德华#0") == ["歌手", "演员"]
         assert checked == observed == ["getConcept"]
         # the snapshot carries the read view, no second ledger
@@ -217,6 +223,140 @@ class TestLatencyQuantiles:
         for key in ("p50_seconds", "p95_seconds", "p99_seconds"):
             assert key in entry
             assert 0.0 <= entry[key] <= entry["max_seconds"]
+
+
+class _PerCallLatency(APILatency):
+    """The per-call update the group form replaced, kept verbatim as
+    the reference the group ledger must reproduce."""
+
+    def observe(self, seconds: float, hit: bool) -> None:
+        self.calls += 1
+        if hit:
+            self.hits += 1
+        self.total_seconds += seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+        self._samples.append(seconds)
+
+
+class _PerCallMetrics(ServiceMetrics):
+    """The per-call ledger update, verbatim, over the reference entry."""
+
+    def observe(self, api: str, seconds: float, hit: bool) -> None:
+        with self._lock:
+            self.per_api.setdefault(api, _PerCallLatency()).observe(
+                seconds, hit
+            )
+
+
+_API_NAMES = ("men2ent", "getConcept", "getEntity")
+
+#: one group: an API, then 0–200 calls as (seconds, hit)
+_GROUP = st.tuples(
+    st.sampled_from(_API_NAMES),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+            st.booleans(),
+        ),
+        max_size=200,
+    ),
+    st.booleans(),  # record through the per-call observe instead
+)
+
+#: 11 groups of 200 on one API wrap the 2,048-slot reservoir
+_WRAPPING = [
+    (
+        _API_NAMES[round % 2 * 2],
+        [((i + 1) * 1.1e-6 * (round + 1), i % 3 == 0) for i in range(200)],
+        False,
+    )
+    for round in range(22)
+]
+
+
+class TestGroupLedger:
+    """``observe_group`` leaves the ledger exactly as one per-call
+    ``observe`` per sample would."""
+
+    @staticmethod
+    def _assert_same(ledger, reference):
+        assert list(ledger.per_api) == list(reference.per_api)
+        for api, entry in ledger.per_api.items():
+            expected = reference.per_api[api]
+            assert (entry.calls, entry.hits) == (expected.calls, expected.hits)
+            # bit for bit, not approximately
+            assert entry.total_seconds.hex() == expected.total_seconds.hex()
+            assert entry.max_seconds.hex() == expected.max_seconds.hex()
+            assert list(entry._samples) == list(expected._samples)
+        assert ledger.as_dict() == reference.as_dict()
+        assert ledger.metric_samples() == reference.metric_samples()
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=st.lists(_GROUP, min_size=1, max_size=30))
+    @example(groups=_WRAPPING)
+    def test_groups_match_per_call_observes(self, groups):
+        ledger, reference = ServiceMetrics(), _PerCallMetrics()
+        for api, calls, per_call in groups:
+            if per_call:
+                for seconds, hit in calls:
+                    ledger.observe(api, seconds, hit)
+            else:
+                ledger.observe_group(
+                    api,
+                    [seconds for seconds, _ in calls],
+                    sum(hit for _, hit in calls),
+                )
+            for seconds, hit in calls:
+                reference.observe(api, seconds, hit)
+            self._assert_same(ledger, reference)
+
+    def test_wrapping_example_wraps_the_reservoir(self):
+        for name in ("men2ent", "getEntity"):
+            n_calls = sum(
+                len(calls) for api, calls, _ in _WRAPPING if api == name
+            )
+            assert n_calls > LATENCY_RESERVOIR_SIZE
+
+    def test_empty_group_adds_no_entry(self):
+        ledger = ServiceMetrics()
+        ledger.observe_group("men2ent", [], 0)
+        assert ledger.per_api == {}
+        assert ledger.latency("men2ent").calls == 0
+
+    def test_concurrent_groups_lose_no_update(self):
+        """More writers than cores, switching threads as often as the
+        interpreter allows: a group applied outside the lock would
+        drop counts."""
+        import sys
+
+        ledger = ServiceMetrics()
+        n_threads, n_groups = 8, 2000
+
+        def write(api):
+            for _ in range(n_groups):
+                ledger.observe_group(api, [1.0] * 10, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [
+                threading.Thread(target=write, args=(_API_NAMES[i % 2],))
+                for i in range(n_threads)
+            ]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=30)
+                assert not writer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for api in _API_NAMES[:2]:
+            entry = ledger.latency(api)
+            assert entry.calls == n_threads // 2 * n_groups * 10
+            assert entry.hits == n_threads // 2 * n_groups * 3
+            assert entry.total_seconds == float(entry.calls)
+            assert len(entry._samples) == LATENCY_RESERVOIR_SIZE
 
 
 class TestCanonicalNaming:
