@@ -22,13 +22,13 @@ from __future__ import annotations
 import dataclasses
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.encyclopedia.model import EncyclopediaDump
 from repro.eval.report import render_table
 from repro.serving.sharding import ShardedSnapshotStore
 from repro.taxonomy.delta import TaxonomyDelta, compose
+from trajectory import merge_bench_json
 
 N_ENTITIES = 800
 N_NIGHTS = 3

@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
 from repro.core.pipeline import (
     CNProbaseBuilder,
     PipelineConfig,
@@ -34,6 +33,7 @@ from repro.core.pipeline import (
 from repro.encyclopedia import SyntheticWorld
 from repro.encyclopedia.model import EncyclopediaDump
 from repro.eval.report import render_table
+from trajectory import merge_bench_json
 
 N_ENTITIES = 1_200
 EDIT_EVERY = 80  # ~1.25% of pages change between "nights"

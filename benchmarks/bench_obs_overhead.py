@@ -22,13 +22,13 @@ from __future__ import annotations
 from time import perf_counter
 
 import repro.taxonomy.service as service_module
-from bench_parallel_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table
 from repro.obs import fresh_hub, trace_context
 from repro.taxonomy.service import TaxonomyService
 from repro.workloads import ArgumentPools, TableIICallStream
+from trajectory import merge_bench_json
 
 N_ENTITIES = 800
 N_CALLS = 60_000

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table
@@ -33,6 +32,7 @@ from repro.serving import (
 )
 from repro.taxonomy.service import TaxonomyService
 from repro.workloads import ArgumentPools, TableIICallStream
+from trajectory import merge_bench_json
 
 N_ENTITIES = 1_200
 N_CALLS = 20_000

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table
 from repro.taxonomy.service import TaxonomyService
 from repro.workloads import ArgumentPools, TableIICallStream
+from trajectory import merge_bench_json
 
 N_ENTITIES = 1_200
 N_CALLS = 40_000

@@ -7,33 +7,30 @@
 # dev-mode ResourceWarning gate over the serving and CLI tests, every
 # script under examples/ run end to end, + the fast perf gates to run
 # before pushing pipeline or serving changes: stage-registry overhead,
-# parallel-vs-serial build
-# equivalence (byte-identical output + speedup trajectory), serving
-# throughput (read-optimized snapshots >= 2x the per-call-sorted path),
-# the serving cluster (sharded answers byte-identical to the unsharded
-# facade at 1/2/4 shards, HTTP batched > HTTP singles), the incremental
-# rebuild contract (delta-applied taxonomy byte-identical to a full
-# rebuild, small-change refresh faster than a full build) and two real
-# server round trips (cn-probase serve subprocess: start -> query ->
-# swap -> query -> shutdown, and build -> diff -> incremental rebuild
-# -> /admin/apply-delta), plus the delta-chain contract (composed
-# chain = one-by-one chain = cold rebuild, byte-identical; one
-# composed publish beats N nightly publishes), plus the self-healing
-# chaos smoke (kill -> publish -> restart -> probe-time auto-resync ->
+# serving throughput (read-optimized snapshots >= 2x the
+# per-call-sorted path), the serving cluster (sharded answers
+# byte-identical to the unsharded facade at 1/2/4 shards, HTTP batched
+# > HTTP singles), the incremental rebuild contract (delta-applied
+# taxonomy byte-identical to a full rebuild, small-change refresh
+# faster than a full build) and two real server round trips
+# (cn-probase serve subprocess: start -> query -> swap -> query ->
+# shutdown, and build -> diff -> incremental rebuild ->
+# /admin/apply-delta), plus the delta-chain contract (composed chain =
+# one-by-one chain = cold rebuild, byte-identical; one composed
+# publish beats N nightly publishes), plus the self-healing chaos
+# smoke (kill -> publish -> restart -> probe-time auto-resync ->
 # byte-identical content hashes), the telemetry overhead gate (unified
 # registry + trace hook within 5% of the un-instrumented in-process hot
 # path), the exposition-parity smoke (every metric in the JSON /metrics
 # payload must appear in the Prometheus text rendering, and vice
-# versa), the process-backend smoke (CLI build with --backend processes
-# byte-identical to serial, sidecar records the backend), and the
-# static-analysis gate (`cn-probase lint`: every repro.analysis checker
-# over every package, zero non-baselined findings).  Zero
-# mixed-version answers and chaos convergence under faults are checked
-# by the model-based state machine in tier-1
+# versa), and the static-analysis gate (`cn-probase lint`: the three
+# repro.analysis checkers over every package, zero non-baselined
+# findings).  Zero mixed-version answers and chaos convergence under
+# faults are checked by the model-based state machine in tier-1
 # (tests/serving/test_model_machine.py).  The perf numbers land in
-# benchmarks/out/BENCH_parallel.json so future PRs have a trajectory to
-# regress against — the final check fails the run if that file did not
-# grow.
+# benchmarks/out/BENCH_parallel.json (git-ignored; the committed perf
+# ledger is BENCH_perfbench.json, written by perfbench/) — the final
+# check fails the run if that file did not grow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -63,8 +60,7 @@ for example in examples/*.py; do
     python "$example" > /dev/null
 done
 python -m pytest -x -q benchmarks/bench_stage_overhead.py
-python -m pytest -x -q benchmarks/bench_parallel_build.py \
-    benchmarks/bench_serving_throughput.py
+python -m pytest -x -q benchmarks/bench_serving_throughput.py
 python -m pytest -x -q benchmarks/bench_serving_cluster.py
 python -m pytest -x -q benchmarks/bench_incremental_build.py
 python -m pytest -x -q benchmarks/bench_delta_chain.py
@@ -73,8 +69,7 @@ python benchmarks/smoke_serving_roundtrip.py
 python benchmarks/smoke_incremental_roundtrip.py
 python benchmarks/smoke_chaos_replication.py
 python benchmarks/smoke_metrics_parity.py
-python benchmarks/smoke_process_backend.py
-# static-analysis gate: all four invariant checkers, hard-fail on any
+# static-analysis gate: all three invariant checkers, hard-fail on any
 # finding that is neither pragma-acknowledged nor in the shipped
 # baseline; the counts land as the static_analysis trajectory section
 python -m repro.cli lint --format json --bench-json "$bench_json" \
@@ -91,17 +86,6 @@ assert os.path.exists(path), f"{path} was never written"
 size = os.path.getsize(path)
 data = json.load(open(path, encoding="utf-8"))
 assert "obs_overhead" in data, "telemetry overhead gate never ran"
-backends = data.get("parallel_build", {}).get("backends", {})
-missing_backends = {
-    "threads", "processes_w2", "processes_w4", "processes_smoke",
-} - set(backends)
-assert not missing_backends, (
-    f"build backends missing from the perf trajectory: "
-    f"{sorted(missing_backends)}"
-)
-assert backends["processes_smoke"].get("identical_output"), (
-    "process-backend CLI smoke did not assert byte-identity"
-)
 analysis = data.get("static_analysis")
 assert analysis, "static-analysis gate never ran (no static_analysis section)"
 assert analysis["findings_new"] == 0, (

@@ -25,7 +25,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 sys.path.insert(0, str(REPO / "src"))
 
-from bench_parallel_build import merge_bench_json  # noqa: E402
 from repro.core.pipeline import PipelineConfig, build_cn_probase  # noqa: E402
 from repro.taxonomy.delta import TaxonomyDelta  # noqa: E402
 from repro.workloads import (  # noqa: E402
@@ -33,6 +32,7 @@ from repro.workloads import (  # noqa: E402
     WorldSpec,
     build_chaos_cluster,
 )
+from trajectory import merge_bench_json  # noqa: E402
 
 #: the world and nightly churn this smoke has always published
 WORLD = WorldSpec(n_entities=300, churn_rate=0.25)

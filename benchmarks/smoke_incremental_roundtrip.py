@@ -33,7 +33,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 sys.path.insert(0, str(REPO / "src"))
 
-from bench_parallel_build import merge_bench_json  # noqa: E402
 from smoke_serving_roundtrip import cli_env, wait_for_ready  # noqa: E402
 from repro.encyclopedia import (  # noqa: E402
     EncyclopediaDump,
@@ -43,6 +42,7 @@ from repro.encyclopedia import (  # noqa: E402
 from repro.errors import APIError  # noqa: E402
 from repro.serving import TaxonomyClient  # noqa: E402
 from repro.taxonomy import Taxonomy  # noqa: E402
+from trajectory import merge_bench_json  # noqa: E402
 
 ADMIN_TOKEN = "smoke-incremental-token"
 N_ENTITIES = 500

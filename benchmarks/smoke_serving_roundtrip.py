@@ -25,10 +25,10 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 sys.path.insert(0, str(REPO / "src"))
 
-from bench_parallel_build import merge_bench_json  # noqa: E402
 from repro.core.pipeline import PipelineConfig, build_cn_probase  # noqa: E402
 from repro.encyclopedia import SyntheticWorld  # noqa: E402
 from repro.serving import TaxonomyClient  # noqa: E402
+from trajectory import merge_bench_json  # noqa: E402
 
 ADMIN_TOKEN = "smoke-admin-token"
 READY_TIMEOUT_SECONDS = 30.0

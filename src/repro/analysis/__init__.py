@@ -29,7 +29,6 @@ from repro.analysis.framework import (
     run_analysis,
 )
 from repro.analysis.locks import LockDisciplineChecker
-from repro.analysis.pickling import PickleSafetyChecker
 from repro.analysis.taxonomy_errors import ErrorTaxonomyChecker
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "LockDisciplineChecker",
     "ModuleIndex",
     "ParsedModule",
-    "PickleSafetyChecker",
     "all_checkers",
     "default_baseline_path",
     "run_analysis",
@@ -50,11 +48,10 @@ __all__ = [
 
 
 def all_checkers() -> list[Checker]:
-    """The four shipped checkers, in report order."""
+    """The three shipped checkers, in report order."""
     return [
         DeterminismChecker(),
         LockDisciplineChecker(),
-        PickleSafetyChecker(),
         ErrorTaxonomyChecker(),
     ]
 

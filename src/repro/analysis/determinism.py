@@ -1,10 +1,9 @@
 """Determinism checker: no ambient entropy outside sanctioned modules.
 
 The backbone contracts — same seed → the same world and call stream,
-same dump → byte-identical taxonomy at any backend × worker count,
-deterministic trace/event ids — all die quietly the first time a
-module reaches for ambient entropy.  This checker walks every module
-and forbids:
+same dump → byte-identical taxonomy, deterministic trace/event ids —
+all die quietly the first time a module reaches for ambient entropy.
+This checker walks every module and forbids:
 
 - any use of the ``random`` module other than ``random.Random`` /
   ``from random import Random`` (module-level functions share hidden

@@ -1,12 +1,11 @@
 """The checker framework: parsed-module index, findings, baselines.
 
 Every invariant this reproduction sells — the same seeded worlds and
-call streams, byte-identical builds at any backend × worker
-count, zero mixed-version answers under chaos — is held by a coding
-convention (seeded RNGs, ``with self._lock:`` blocks, picklable
-payloads, :class:`~repro.errors.ReproError` subclasses).  This module
-is the machinery that turns those conventions into machine-checked
-rules:
+call streams, byte-identical builds, zero mixed-version answers under
+chaos — is held by a coding convention (seeded RNGs,
+``with self._lock:`` blocks, :class:`~repro.errors.ReproError`
+subclasses).  This module is the machinery that turns those
+conventions into machine-checked rules:
 
 - :class:`ParsedModule` / :class:`ModuleIndex` — every ``*.py`` under
   ``src/repro`` parsed **once** into a shared AST index all checkers

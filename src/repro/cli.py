@@ -4,9 +4,6 @@ Usage::
 
     cn-probase generate --entities 2000 --seed 7 --out dump.jsonl
     cn-probase build --dump dump.jsonl --out taxonomy.jsonl
-    cn-probase build --dump dump.jsonl --out taxonomy.jsonl --workers 4
-    cn-probase build --dump dump.jsonl --out taxonomy.jsonl \
-        --backend processes --workers 4
     cn-probase build --dump dump.jsonl --out taxonomy.jsonl --disable-stage ner
     cn-probase diff dump-old.jsonl dump-new.jsonl
     cn-probase build --dump dump-new.jsonl --out taxonomy2.jsonl \
@@ -24,15 +21,13 @@ Usage::
     cn-probase lint
     cn-probase lint --format json --select lock-discipline,determinism
 
-``build --workers N`` runs independent generation sources concurrently
-and shards per-relation-pure verifiers over relation chunks (output is
-byte-identical to a serial build); ``--backend processes`` serves those
-workers from a process pool on real cores instead of GIL-bound threads
-(corpus segmentation fans out too); ``--no-resource-cache`` disables the
-dump-fingerprint keyed reuse of harvested lexicon / segmented corpus /
-PMI counts.  Every build writes a ``<out>.trace.json`` sidecar with the
-per-stage seconds/workers/backend/cache columns; ``stages --trace``
-pretty-prints the last one.
+``build`` runs the stages one after another in one process; the same
+dump and flags always give the same bytes.  A CLI process runs one
+build, so it derives the shared NLP resources (harvested lexicon,
+segmented corpus, PMI counts) without consulting the in-process
+resource cache, which could never hit.  Every build writes a
+``<out>.trace.json`` sidecar with the per-stage seconds, counts and
+cache hits; ``stages --trace`` pretty-prints the last one.
 
 ``diff`` reports the page-level difference between two dumps;
 ``build --incremental`` consumes it: the output taxonomy is
@@ -63,8 +58,8 @@ is accepting (``--port 0`` picks a free port) and removes it on clean
 shutdown — readers validate the pid so a stale file from a crashed
 server never passes for readiness.
 
-``lint`` runs the :mod:`repro.analysis` checkers (determinism,
-lock-discipline, pickle-safety, error-taxonomy) over every
+``lint`` runs the three :mod:`repro.analysis` checkers (determinism,
+lock-discipline, error-taxonomy) over every
 module of the installed package and exits 1 on any finding that is
 neither pragma-acknowledged in source nor grandfathered in the shipped
 baseline; ``--bench-json`` lands the counts as the ``static_analysis``
@@ -115,10 +110,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         enable_syntax=not args.no_syntax,
         neural=NeuralGenConfig(epochs=args.neural_epochs),
         max_generation_pages=args.max_generation_pages,
-        workers=args.workers,
-        backend=args.backend,
-        parallel_floor=args.parallel_floor,
-        resource_cache=not args.no_resource_cache,
+        # one build per process: a resource-cache entry could never hit
+        resource_cache=False,
     )
     registry = default_registry()
     for name in args.disable_stage or ():
@@ -154,11 +147,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
           f"verification removed {result.n_removed} candidates")
     units = {"source": "candidates", "verifier": "removed", "driver": "items"}
     for record in result.stage_trace.ran():
-        extras = ""
-        if record.workers > 1:
-            extras += f", workers={record.workers}"
-        if record.cache_hit:
-            extras += ", cached"
+        extras = ", cached" if record.cache_hit else ""
         print(f"stage {record.name} ({record.kind}): "
               f"{record.count} {units[record.kind]} "
               f"in {record.seconds:.2f}s{extras}")
@@ -167,8 +156,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "total_seconds": result.stage_trace.total_seconds,
-                "workers": config.workers,
-                "backend": builder.plan().backend,
                 "stages": result.stage_trace.as_dict(),
             },
             ensure_ascii=False,
@@ -207,8 +194,6 @@ def _print_trace(path: str) -> int:
         rows = [
             f"{name:<14} {record['kind']:<10} "
             f"{float(record['seconds']):>8.3f} {int(record['count']):>8} "
-            f"{int(record.get('workers', 1)):>8} "
-            f"{str(record.get('backend', 'serial')):>10} "
             f"{'hit' if record.get('cache_hit') else '-':>6} "
             f"{'yes' if record.get('ran', True) else 'no'}"
             for name, record in stages.items()
@@ -216,16 +201,14 @@ def _print_trace(path: str) -> int:
         total = trace.get("total_seconds")
         footer = None
         if total is not None:
-            footer = (f"total: {float(total):.3f}s (build ran with "
-                      f"workers={int(trace.get('workers', 1))}, "
-                      f"backend={trace.get('backend', 'serial')})")
+            footer = f"total: {float(total):.3f}s"
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {source} is not a build trace sidecar "
               f"(expected the <out>.trace.json a build writes): {exc}",
               file=sys.stderr)
         return 2
     print(f"{'name':<14} {'kind':<10} {'seconds':>8} {'count':>8} "
-          f"{'workers':>8} {'backend':>10} {'cache':>6} ran")
+          f"{'cache':>6} ran")
     for row in rows:
         print(row)
     if footer is not None:
@@ -483,26 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--disable-stage", action="append", metavar="NAME",
                        help="disable a registered stage by name (repeatable); "
                             "see `cn-probase stages` for the names")
-    build.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="workers for independent generation sources and "
-                            "sharded verifiers; output is byte-identical to "
-                            "--workers 1 (default: 1)")
-    build.add_argument("--backend", default="threads",
-                       choices=["serial", "threads", "processes"],
-                       help="executor for those workers: processes reaches "
-                            "real cores (corpus segmentation, source waves "
-                            "and verifier shards run in a process pool); "
-                            "output is byte-identical on every backend "
-                            "(default: threads)")
-    build.add_argument("--parallel-floor", type=int, default=None,
-                       metavar="W",
-                       help="minimum estimated work items before a pool is "
-                            "spun up; 0 forces parallel execution, unset "
-                            "uses the backend's default floor")
-    build.add_argument("--no-resource-cache", action="store_true",
-                       help="always re-derive lexicon/corpus/PMI instead of "
-                            "reusing them when the dump fingerprint matches "
-                            "a previous build")
     build.add_argument("--incremental", action="store_true",
                        help="diff the dump against --previous-dump, rebuild "
                             "and write a <out>.delta.jsonl taxonomy delta "
@@ -532,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stages", help="list the registered pipeline stages"
     )
     stages.add_argument("--trace", metavar="PATH", default=None,
-                        help="print the per-stage seconds/workers/cache "
+                        help="print the per-stage seconds/count/cache "
                              "columns from a build's .trace.json sidecar")
     stages.set_defaults(func=_cmd_stages)
 
@@ -588,9 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the repro.analysis invariant checkers over the package",
         description="Static analysis of the installed repro package: "
                     "determinism (no ambient entropy), lock-discipline "
-                    "(guarded state stays guarded), pickle-safety "
-                    "(nothing unpicklable crosses a process pool), "
-                    "and error-taxonomy (public paths raise ReproError). "
+                    "(guarded state stays guarded) and error-taxonomy "
+                    "(public paths raise ReproError). "
                     "Exit 0 when clean, 1 on new findings, 2 on driver "
                     "errors (bad baseline, unknown checker).",
     )

@@ -166,7 +166,7 @@ class AbstractSource:
 
     name = SOURCE_ABSTRACT
     # Reads the bracket source's output: the ExecutionPlan schedules this
-    # stage in a wave after "bracket" when the build runs with workers.
+    # stage in a wave after "bracket".
     requires = (SOURCE_BRACKET,)
 
     def generate(self, context) -> list[IsARelation] | None:

@@ -15,17 +15,13 @@
    the candidate),
 5. assemble the taxonomy, index mentions and break concept cycles.
 
-Execution follows an :class:`~repro.core.stages.ExecutionPlan`: with
-``PipelineConfig.workers > 1`` independent sources run concurrently in
-dependency waves and ``per_relation_pure`` verifiers are sharded over
-relation chunks, on the :class:`~repro.core.executors.Executor` backend
-``PipelineConfig.backend`` selects — ``serial``, ``threads``, or
-``processes`` (real cores via a ``ProcessPoolExecutor`` primed with a
-picklable :class:`~repro.core.executors.WorkerContext`; corpus
-segmentation, the dominant resource cost, fans out over page chunks on
-the same pool).  Results are merged in registration order regardless of
-backend or completion order, so a parallel build's taxonomy is
-byte-identical to the serial one's at any ``backend × workers``.
+Sources run in the dependency waves of an
+:class:`~repro.core.stages.ExecutionPlan`, one after another in one
+process: a source reads the output of earlier waves, never of its own,
+and results are merged into the candidate pool in registration order.
+Verifiers then run once each, in registration order, over the
+survivors of the one before.  The taxonomy a build saves is therefore a
+pure function of the dump, the config and the registry, byte for byte.
 
 Shared resource preparation is cached in a :class:`ResourceCache` keyed
 on the dump's content fingerprint plus the resource-relevant slice of
@@ -45,12 +41,12 @@ byte-identical to a full build, plus a
 previous taxonomy reproduces it exactly (the equivalence contract the
 tests and ``benchmarks/bench_incremental_build.py`` assert).
 
-Per-stage wall-clock, candidate counts, worker counts and cache hits
-are recorded in a :class:`~repro.core.stages.StageTrace` on the result.
-Stages remain individually switchable through :class:`PipelineConfig`
-(what the ablation benchmarks drive) or through the registry's
-enable/disable switches; custom stages register through
-:mod:`repro.core.stages` without touching this module.
+Per-stage wall-clock, candidate counts and cache hits are recorded in
+a :class:`~repro.core.stages.StageTrace` on the result.  Stages remain
+individually switchable through :class:`PipelineConfig` (what the
+ablation benchmarks drive) or through the registry's enable/disable
+switches; custom stages register through :mod:`repro.core.stages`
+without touching this module.
 """
 
 from __future__ import annotations
@@ -59,14 +55,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, ClassVar
+from typing import ClassVar
 
-from repro.core.executors import (
-    BACKENDS,
-    Executor,
-    WorkerContext,
-    resolve_executor,
-)
 from repro.core.generation.merge import CandidatePool, PoolStats
 from repro.core.generation.neural_gen import NeuralGenConfig
 from repro.core.generation.predicates import DiscoveryResult
@@ -83,7 +73,6 @@ from repro.core.stages import (
     default_registry,
     plan_execution,
 )
-from repro.core.verification.incompatible import FilterDecision
 from repro.encyclopedia.model import DumpDiff, EncyclopediaDump, diff_dumps
 from repro.errors import PipelineError
 from repro.neural.training import TrainingReport
@@ -123,18 +112,6 @@ class PipelineConfig:
     harvest_lexicon: bool = True
     # add-k smoothing of the PMI statistics derived from the dump corpus
     pmi_smoothing: float = 0.1
-    # execution: workers for source waves and verifier shards
-    # (1 = the serial pipeline, bit-for-bit the default behaviour)
-    workers: int = 1
-    # which executor serves those workers: "serial" | "threads" |
-    # "processes" — output is byte-identical across all three at any
-    # worker count; "processes" is the one that reaches real cores
-    backend: str = "threads"
-    # estimated work items (pages scanned per wave, relations per
-    # verifier pass) below which the executor runs inline instead of
-    # spinning up a pool; None = the backend's default floor, 0 =
-    # always parallelize (what the equivalence tests use)
-    parallel_floor: int | None = None
     # consult the builder's ResourceCache for the shared NLP resources
     resource_cache: bool = True
 
@@ -160,9 +137,6 @@ class SharedResources:
     objects, keyed by page_id in dump order) — the reuse unit of an
     incremental rebuild: unchanged pages' segment lists carry over
     verbatim and changed pages' old lists are subtracted from PMI.
-
-    ``segment_workers`` records how many process workers served the
-    corpus segmentation when it was first derived (1 = inline).
     """
 
     lexicon: Lexicon
@@ -173,7 +147,6 @@ class SharedResources:
     corpus: list[list[str]]
     titles: dict[str, str]
     page_segments: dict[str, list[list[str]]] = field(default_factory=dict)
-    segment_workers: int = 1
 
 
 class ResourceCache:
@@ -366,16 +339,6 @@ class CNProbaseBuilder:
         resource_cache: ResourceCache | None = None,
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
-        if self.config.workers < 1:
-            raise PipelineError(
-                f"workers must be >= 1, got {self.config.workers}"
-            )
-        if self.config.backend not in BACKENDS:
-            known = ", ".join(BACKENDS)
-            raise PipelineError(
-                f"unknown backend {self.config.backend!r}; "
-                f"expected one of {known}"
-            )
         self.registry = registry if registry is not None else default_registry()
         self._external_lexicon = lexicon
         self._external_recognizer = recognizer
@@ -387,16 +350,8 @@ class CNProbaseBuilder:
     # -- pipeline --------------------------------------------------------------
 
     def plan(self) -> ExecutionPlan:
-        """The wave/shard schedule the next :meth:`build` will follow."""
-        return plan_execution(
-            self.registry, self.config, self.config.workers,
-            backend=self.config.backend,
-        )
-
-    def _executor(self, plan: ExecutionPlan) -> Executor:
-        return resolve_executor(
-            plan.backend, plan.workers, self.config.parallel_floor
-        )
+        """The source waves and verifiers the next :meth:`build` runs."""
+        return plan_execution(self.registry, self.config)
 
     def build(self, dump: EncyclopediaDump) -> BuildResult:
         if len(dump) == 0:
@@ -404,15 +359,9 @@ class CNProbaseBuilder:
         started = perf_counter()
         trace = StageTrace()
         plan = self.plan()
-        executor = self._executor(plan)
-        try:
-            context = self._prepare_context(dump, trace, executor)
-            result = self._execute(
-                dump, context, trace, started, plan, executor
-            )
-        finally:
-            executor.close()
-        get_hub().record_stage_trace(trace, mode="full", backend=plan.backend)
+        context = self._prepare_context(dump, trace)
+        result = self._execute(dump, context, trace, started, plan)
+        get_hub().record_stage_trace(trace, mode="full")
         return result
 
     def build_incremental(
@@ -448,31 +397,25 @@ class CNProbaseBuilder:
         started = perf_counter()
         trace = StageTrace()
         plan = self.plan()
-        executor = self._executor(plan)
-        try:
-            diff_started = perf_counter()
-            diff = diff_dumps(previous.dump, dump)
-            trace.add(StageRecord(
-                "diff", DRIVER_KIND, perf_counter() - diff_started,
-                diff.n_touched, backend=plan.backend,
-            ))
-            context, resource_mode = self._prepare_context_incremental(
-                dump, previous, diff, trace, executor
-            )
-            replay = None
-            if previous.per_source is not None:
-                replay = _GenerationReplay(
-                    regenerate=diff.regenerate_ids(),
-                    previous=previous.per_source,
-                )
-            result = self._execute(
-                dump, context, trace, started, plan, executor, replay=replay
-            )
-        finally:
-            executor.close()
-        get_hub().record_stage_trace(
-            trace, mode="incremental", backend=plan.backend
+        diff_started = perf_counter()
+        diff = diff_dumps(previous.dump, dump)
+        trace.add(StageRecord(
+            "diff", DRIVER_KIND, perf_counter() - diff_started,
+            diff.n_touched,
+        ))
+        context, resource_mode = self._prepare_context_incremental(
+            dump, previous, diff, trace
         )
+        replay = None
+        if previous.per_source is not None:
+            replay = _GenerationReplay(
+                regenerate=diff.regenerate_ids(),
+                previous=previous.per_source,
+            )
+        result = self._execute(
+            dump, context, trace, started, plan, replay=replay
+        )
+        get_hub().record_stage_trace(trace, mode="incremental")
         delta = TaxonomyDelta.compute(previous.taxonomy, result.taxonomy)
         return IncrementalBuildResult(
             **{f.name: getattr(result, f.name) for f in fields(BuildResult)},
@@ -488,27 +431,17 @@ class CNProbaseBuilder:
         trace: StageTrace,
         started: float,
         plan: ExecutionPlan,
-        executor: Executor,
         replay: _GenerationReplay | None = None,
     ) -> BuildResult:
         pool = CandidatePool()
-        backend = plan.backend
-        # One picklable carve of the context primes the whole build:
-        # per-wave state rides inside task payloads, so the process
-        # pool is initialized exactly once.
-        worker_state = WorkerContext.from_context(context)
 
-        # generation: dependency waves; results merged in registration
-        # order so every backend/worker count yields the identical pool.
-        source_records = self._run_sources(
-            plan, context, pool, executor, worker_state, replay
-        )
+        # generation: dependency waves, merged in registration order.
+        source_records = self._run_sources(plan, context, pool, replay)
         for entry in self.registry.sources():
             record = source_records.get(entry.name)
             if record is None:  # disabled by a switch
                 record = StageRecord(
-                    entry.name, SOURCE_KIND, 0.0, 0, ran=False,
-                    backend=backend,
+                    entry.name, SOURCE_KIND, 0.0, 0, ran=False
                 )
             trace.add(record)
 
@@ -519,30 +452,25 @@ class CNProbaseBuilder:
         relations = pool.relations()
         trace.add(StageRecord(
             "merge", DRIVER_KIND, perf_counter() - merge_started,
-            len(relations), backend=backend,
+            len(relations),
         ))
 
         # verification: every registered verifier, in order (disjunctive
-        # veto, applied in sequence); per-relation-pure verifiers are
-        # sharded over relation chunks.
+        # veto, applied in sequence).
         removed_by: dict[str, list[IsARelation]] = {}
         for entry in self.registry.verifiers():
             if not entry.active(self.config):
                 trace.add(StageRecord(
-                    entry.name, VERIFIER_KIND, 0.0, 0, ran=False,
-                    backend=backend,
+                    entry.name, VERIFIER_KIND, 0.0, 0, ran=False
                 ))
                 continue
             stage_started = perf_counter()
-            decision, n_workers = self._run_verifier(
-                entry, context, relations, plan, executor, worker_state
-            )
+            decision = entry.factory().verify(context, relations)
             elapsed = perf_counter() - stage_started
             removed_by[entry.name] = decision.removed
             relations = decision.kept
             trace.add(StageRecord(
-                entry.name, VERIFIER_KIND, elapsed, len(decision.removed),
-                workers=n_workers, backend=backend,
+                entry.name, VERIFIER_KIND, elapsed, len(decision.removed)
             ))
 
         # taxonomy assembly.
@@ -550,7 +478,7 @@ class CNProbaseBuilder:
         taxonomy, cycle_edges = self._assemble(dump, relations, context.titles)
         trace.add(StageRecord(
             "assemble", DRIVER_KIND, perf_counter() - assemble_started,
-            len(taxonomy), backend=backend,
+            len(taxonomy),
         ))
         trace.total_seconds = perf_counter() - started
 
@@ -567,78 +495,50 @@ class CNProbaseBuilder:
             stage_trace=trace,
         )
 
-    # -- execution -----------------------------------------------------------------
-
     def _run_sources(
         self,
         plan: ExecutionPlan,
         context: BuildContext,
         pool: CandidatePool,
-        executor: Executor,
-        worker_state: WorkerContext,
         replay: _GenerationReplay | None = None,
     ) -> dict[str, StageRecord]:
-        """Run every wave; merge results in registration order.
+        """Run every wave in order; merge results in registration order.
 
-        ``context.per_source`` is filled as each wave completes (later
-        waves read earlier output through ``relations_from``; the
-        snapshot rides inside each task payload so process workers see
-        it too), but the candidate pool is only fed after all waves,
-        strictly in registration order — wave grouping moves
-        dependency-free sources ahead of dependent ones, and neither
-        that nor completion order may leak into the pool's
-        first-seen-source dedup or ``Taxonomy.save``'s insertion order.
-        A ``workers=N`` build on any backend therefore stays
-        bit-for-bit equal to the serial pipeline.
+        A wave's output lands in ``context.per_source`` when the wave
+        ends, so a source reads earlier waves through ``relations_from``
+        but never a sibling in its own wave.  The candidate pool is only
+        fed after all waves, strictly in registration order: wave
+        grouping moves dependency-free sources ahead of dependent ones,
+        and that must not leak into the pool's first-seen-source dedup
+        or ``Taxonomy.save``'s insertion order.
         """
         records: dict[str, StageRecord] = {}
-        for wave_number, wave in enumerate(plan.source_waves, start=1):
-            n_workers = executor.effective_workers(
-                len(wave), len(context.dump) * len(wave)
-            )
-            tasks = []
+        for wave in plan.source_waves:
+            produced: dict[str, list[IsARelation]] = {}
             for entry in wave:
-                use_replay = replay is not None and replay.available_for(entry)
-                tasks.append(_SourceTask(
-                    name=entry.name,
-                    factory=entry.factory,
-                    per_source=dict(context.per_source),
-                    generation_scope=(
-                        replay.regenerate if use_replay else None
-                    ),
-                ))
-            outcomes = executor.run(
-                _execute_source, tasks, n_workers,
-                shared=worker_state,
-                stage=", ".join(entry.name for entry in wave),
-                wave=wave_number,
-            )
-            for entry, task, outcome in zip(wave, tasks, outcomes):
-                # Worker-side context mutations come back in the
-                # outcome (a process worker's copies are invisible
-                # here); apply them to the real context.
-                if outcome.discovery is not None:
-                    context.discovery = outcome.discovery
-                if outcome.training_report is not None:
-                    context.training_report = outcome.training_report
-                relations = outcome.relations
-                replayed = task.generation_scope is not None
+                replayed = replay is not None and replay.available_for(entry)
+                context.generation_scope = (
+                    replay.regenerate if replayed else None
+                )
+                stage_started = perf_counter()
+                relations = entry.factory().generate(context)
+                elapsed = perf_counter() - stage_started
                 if relations is None:  # preconditions unmet (e.g. no priors)
                     records[entry.name] = StageRecord(
-                        entry.name, SOURCE_KIND, outcome.seconds, 0,
-                        ran=False, workers=n_workers, backend=plan.backend,
+                        entry.name, SOURCE_KIND, elapsed, 0, ran=False
                     )
                     continue
                 if replayed:
                     relations = replay.merge(
                         entry.name, context.dump, relations
                     )
-                context.per_source[entry.name] = relations
+                produced[entry.name] = relations
                 records[entry.name] = StageRecord(
-                    entry.name, SOURCE_KIND, outcome.seconds, len(relations),
-                    workers=n_workers, cache_hit=replayed,
-                    backend=plan.backend,
+                    entry.name, SOURCE_KIND, elapsed, len(relations),
+                    cache_hit=replayed,
                 )
+            context.per_source.update(produced)
+        context.generation_scope = None
         ordered = {
             entry.name: context.per_source[entry.name]
             for entry in self.registry.sources()
@@ -649,47 +549,6 @@ class CNProbaseBuilder:
         for relations in ordered.values():
             pool.add(relations)
         return records
-
-    def _run_verifier(
-        self,
-        entry: StageEntry,
-        context: BuildContext,
-        relations: list[IsARelation],
-        plan: ExecutionPlan,
-        executor: Executor,
-        worker_state: WorkerContext,
-    ) -> tuple[FilterDecision, int]:
-        """One verifier pass, sharded when the stage declares purity.
-
-        Shards are contiguous chunks and their decisions are concatenated
-        in chunk order, so kept/removed keep the exact serial ordering.
-        Each shard verifies through a fresh stage instance — per-instance
-        state (e.g. rule counters) never crosses workers.
-        """
-        shardable = bool(getattr(entry.factory, "per_relation_pure", False))
-        n_workers = 1
-        if shardable:
-            n_workers = executor.effective_workers(
-                min(plan.workers, len(relations)), len(relations)
-            )
-        if n_workers <= 1:
-            return entry.factory().verify(context, relations), 1
-        chunks = _split_chunks(relations, n_workers)
-        tasks = [
-            _VerifierTask(name=entry.name, factory=entry.factory,
-                          relations=chunk)
-            for chunk in chunks
-        ]
-        decisions = executor.run(
-            _execute_verifier, tasks, len(chunks),
-            shared=worker_state, stage=entry.name,
-        )
-        kept: list[IsARelation] = []
-        removed: list[IsARelation] = []
-        for decision in decisions:
-            kept.extend(decision.kept)
-            removed.extend(decision.removed)
-        return FilterDecision(kept=kept, removed=removed), len(chunks)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -712,7 +571,6 @@ class CNProbaseBuilder:
         self,
         dump: EncyclopediaDump,
         trace: StageTrace,
-        executor: Executor,
     ) -> BuildContext:
         """Derive (or replay) the shared NLP resources every stage reads."""
         started = perf_counter()
@@ -728,14 +586,12 @@ class CNProbaseBuilder:
             resources = self._resource_cache.get(cache_key)
         cache_hit = resources is not None
         if resources is None:
-            resources = self._build_resources(dump, executor=executor)
+            resources = self._build_resources(dump)
             if cacheable and cache_key is not None:
                 self._resource_cache.put(cache_key, resources)
         trace.add(StageRecord(
             "resources", DRIVER_KIND, perf_counter() - started,
             len(resources.titles), cache_hit=cache_hit,
-            workers=1 if cache_hit else resources.segment_workers,
-            backend=executor.backend,
         ))
         return BuildContext(
             dump=dump,
@@ -755,7 +611,6 @@ class CNProbaseBuilder:
         previous: PreviousBuild,
         diff: DumpDiff,
         trace: StageTrace,
-        executor: Executor,
     ) -> tuple[BuildContext, str]:
         """Shared resources for *dump*, reusing the previous build's where
         provably value-identical.
@@ -782,8 +637,8 @@ class CNProbaseBuilder:
         )
         resources: SharedResources | None = None
         mode = "full"
-        new_key = (dump.fingerprint(), self._resource_signature())
         if cacheable:
+            new_key = (dump.fingerprint(), self._resource_signature())
             cached = self._resource_cache.get(new_key)
             if cached is not None:
                 resources, mode = cached, "cache"
@@ -803,16 +658,12 @@ class CNProbaseBuilder:
                     )
                     mode = "incremental"
         if resources is None:
-            resources = self._build_resources(
-                dump, lexicon=harvested, executor=executor
-            )
+            resources = self._build_resources(dump, lexicon=harvested)
         if cacheable:
             self._resource_cache.put(new_key, resources)
         trace.add(StageRecord(
             "resources", DRIVER_KIND, perf_counter() - started,
             len(resources.titles), cache_hit=(mode != "full"),
-            workers=1 if mode != "full" else resources.segment_workers,
-            backend=executor.backend,
         ))
         return (
             BuildContext(
@@ -912,15 +763,11 @@ class CNProbaseBuilder:
         self,
         dump: EncyclopediaDump,
         lexicon: Lexicon | None = None,
-        executor: Executor | None = None,
     ) -> SharedResources:
         """Derive everything from scratch; *lexicon*, when given, is a
         just-harvested lexicon for this exact dump (the incremental
         fallback hands its stability-check harvest over rather than
-        paying for it twice).  Corpus segmentation — the dominant cost
-        here — fans out over page chunks when *executor* reaches real
-        cores (threads cannot: the Viterbi loop never releases the
-        GIL)."""
+        paying for it twice)."""
         if lexicon is None:
             lexicon = self._prepare_lexicon(dump)
         segmenter = Segmenter(lexicon)
@@ -930,9 +777,7 @@ class CNProbaseBuilder:
             if self._external_recognizer is not None
             else NamedEntityRecognizer(lexicon)
         )
-        corpus, page_segments, segment_workers = _segment_dump(
-            segmenter, dump, executor
-        )
+        corpus, page_segments = _segment_pages(segmenter, dump)
         pmi = PMIStatistics(smoothing=self.config.pmi_smoothing)
         pmi.add_corpus(corpus)
         titles = {page.page_id: page.title for page in dump}
@@ -945,7 +790,6 @@ class CNProbaseBuilder:
             corpus=corpus,
             titles=titles,
             page_segments=page_segments,
-            segment_workers=segment_workers,
         )
 
     @staticmethod
@@ -977,114 +821,6 @@ class CNProbaseBuilder:
         if self.config.harvest_lexicon:
             return harvest_lexicon(dump)
         return Lexicon.base()
-
-
-# -- executor task payloads ----------------------------------------------------
-#
-# Both the in-process and the process backends run these module-level
-# functions over these picklable payloads — one code path, so the
-# backends cannot diverge.  Shared immutable state arrives as the
-# executor's primed payload (a WorkerContext, or the bare segmenter for
-# the resources phase); per-task state rides in the payload itself.
-
-
-@dataclass(frozen=True)
-class _SourceTask:
-    """One generation stage run: its factory, the earlier sources'
-    output it may read, and (for incremental replay) the narrowed
-    page scope — ``None`` means a full-scope run."""
-
-    name: str
-    factory: Callable[[], object]
-    per_source: dict[str, list[IsARelation]]
-    generation_scope: frozenset[str] | None = None
-
-
-@dataclass(frozen=True)
-class _SourceOutcome:
-    """What a source run sends back — including the context fields a
-    stage mutates (invisible to the parent when run in a process)."""
-
-    relations: list[IsARelation] | None
-    seconds: float
-    discovery: DiscoveryResult | None = None
-    training_report: TrainingReport | None = None
-
-
-@dataclass(frozen=True)
-class _VerifierTask:
-    """One verifier shard: the stage factory plus its relation chunk."""
-
-    name: str
-    factory: Callable[[], object]
-    relations: list[IsARelation]
-
-
-def _execute_source(shared: WorkerContext, task: _SourceTask) -> _SourceOutcome:
-    """Run one generation stage against a task-private context."""
-    started = perf_counter()
-    context = shared.materialize()
-    context.per_source.update(task.per_source)
-    if task.generation_scope is not None:
-        context.generation_scope = task.generation_scope
-    relations = task.factory().generate(context)
-    return _SourceOutcome(
-        relations=relations,
-        seconds=perf_counter() - started,
-        discovery=context.discovery,
-        training_report=context.training_report,
-    )
-
-
-def _execute_verifier(
-    shared: WorkerContext, task: _VerifierTask
-) -> FilterDecision:
-    """Verify one relation chunk through a fresh stage instance."""
-    return task.factory().verify(shared.materialize(), task.relations)
-
-
-def _segment_chunk(
-    segmenter: Segmenter, pages: list[tuple[str, list[str]]]
-) -> list[tuple[str, list[list[str]]]]:
-    """Segment one chunk of ``(page_id, snippets)`` pairs."""
-    return [
-        (page_id, segmenter.segment_corpus(snippets))
-        for page_id, snippets in pages
-    ]
-
-
-def _segment_dump(
-    segmenter: Segmenter,
-    dump: EncyclopediaDump,
-    executor: Executor | None = None,
-) -> tuple[list[list[str]], dict[str, list[list[str]]], int]:
-    """:func:`_segment_pages`, fanned out over page chunks on real cores.
-
-    Only an out-of-process executor is worth it — segmentation is pure
-    CPython, so threads would serialize on the GIL and just pay pool
-    overhead.  The per-page mapping is reassembled in dump order, so
-    the flat corpus is exactly the serial one's.
-    """
-    n_workers = 1
-    if executor is not None and executor.out_of_process:
-        n_workers = executor.effective_workers(len(dump), len(dump))
-    if n_workers <= 1:
-        corpus, page_segments = _segment_pages(segmenter, dump)
-        return corpus, page_segments, 1
-    pages = [(page.page_id, list(page.text_snippets())) for page in dump]
-    chunks = _split_chunks(pages, n_workers)
-    results = executor.run(
-        _segment_chunk, chunks, len(chunks),
-        shared=segmenter, stage="resources",
-    )
-    page_segments: dict[str, list[list[str]]] = {}
-    for chunk_result in results:
-        for page_id, segments in chunk_result:
-            page_segments[page_id] = segments
-    corpus: list[list[str]] = []
-    for page in dump:
-        corpus.extend(page_segments[page.page_id])
-    return corpus, page_segments, len(chunks)
 
 
 def _segment_pages(
@@ -1120,19 +856,6 @@ def _harvest_contributions(page) -> list[tuple[str, int]]:
     )
     contributions.extend((alias, 150) for alias in _page_aliases(page))
     return contributions
-
-
-def _split_chunks(items: list, n: int) -> list[list]:
-    """Split *items* into at most *n* contiguous chunks of near-equal size."""
-    size, extra = divmod(len(items), n)
-    chunks: list[list] = []
-    start = 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        if end > start:
-            chunks.append(items[start:end])
-        start = end
-    return chunks
 
 
 def harvest_lexicon(dump: EncyclopediaDump) -> Lexicon:

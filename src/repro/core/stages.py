@@ -22,26 +22,16 @@ A stage is any object satisfying one of two structural protocols:
 Both receive a :class:`BuildContext` carrying the shared NLP resources
 (lexicon, segmenter, tagger, recognizer, PMI statistics, segmented
 corpus, page titles) prepared exactly once by the driver, so stages stop
-re-deriving them.  Per-stage wall-clock, candidate counts, worker counts
-and cache hits land in a :class:`StageTrace` on the build result.
+re-deriving them.  Per-stage wall-clock, candidate counts and cache hits
+land in a :class:`StageTrace` on the build result.
 
-Stages additionally carry two optional scheduling declarations the
-:class:`ExecutionPlan` consumes:
-
-- ``requires`` (sources) — names of earlier sources whose output the
-  stage reads through :meth:`BuildContext.relations_from`; sources with
-  no unmet requirement run concurrently in one *wave* when the build is
-  given workers.  Parallelism is opt-in: a source that declares nothing
-  is scheduled after **every** source registered before it (the exact
-  serial contract pre-dating the planner), so existing third-party
-  stages keep seeing their predecessors' output;
-- ``per_relation_pure`` (verifiers) — a promise that
-  ``verify(context, chunk)`` over any partition of the relation list,
-  concatenated in order, equals one ``verify`` over the whole list; the
-  driver shards such verifiers over relation chunks.
-
-Neither declaration changes results: a plan executed with one worker and
-with N workers produces byte-identical taxonomies.
+A source may declare ``requires``: the names of earlier sources whose
+output it reads through :meth:`BuildContext.relations_from`.  The
+:class:`ExecutionPlan` orders sources into *waves* by it, so a source
+runs after every active source it requires, whatever order they were
+registered in.  A source that declares nothing is scheduled after
+**every** source registered before it, so existing third-party stages
+keep seeing their predecessors' output.
 """
 
 from __future__ import annotations
@@ -156,12 +146,9 @@ class StageRecord:
     ``seconds`` then keeps the time that probe cost) — so ablation runs
     still show the full pipeline shape.
 
-    ``workers`` is how many workers actually served the stage (sharded
-    verifiers; >1 on a source means it shared its wave with others),
-    ``backend`` is the executor that served it (``serial`` / ``threads``
-    / ``processes``), and ``cache_hit`` marks work skipped because a
-    cache answered (today: the ``resources`` driver step under the
-    build-context cache).
+    ``cache_hit`` marks work skipped because a cache answered: the
+    ``resources`` step under the build-context cache, or a
+    ``page_local`` source replaying the previous build's candidates.
     """
 
     name: str
@@ -169,9 +156,7 @@ class StageRecord:
     seconds: float
     count: int
     ran: bool = True
-    workers: int = 1
     cache_hit: bool = False
-    backend: str = "serial"
 
 
 @dataclass
@@ -217,9 +202,7 @@ class StageTrace:
                 "seconds": r.seconds,
                 "count": r.count,
                 "ran": r.ran,
-                "workers": r.workers,
                 "cache_hit": r.cache_hit,
-                "backend": r.backend,
             }
             for r in self.records
         }
@@ -407,43 +390,29 @@ class StageRegistry:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How one build will execute a registry: waves, shards, workers.
+    """The order one build runs a registry in: source waves, verifiers.
 
     ``source_waves`` are topological levels of the active sources'
     ``requires`` graph: every source in a wave has all of its active
-    requirements satisfied by earlier waves, so a wave's members can run
-    concurrently.  Registration order is preserved inside each wave and
-    is the order results are merged in, which is why a plan executed
-    with any worker count produces identical output.
+    requirements satisfied by earlier waves.  A build runs the waves in
+    order and each wave's members in registration order; a wave's
+    output becomes visible when the wave ends.  Results are merged in
+    registration order whatever the waves.
 
-    ``verifiers`` run strictly in order (each consumes the previous
-    one's survivors); parallelism there comes from sharding a
-    ``per_relation_pure`` verifier over relation chunks instead.
+    ``verifiers`` run strictly in order, each consuming the previous
+    one's survivors.
     """
 
     source_waves: tuple[tuple[StageEntry, ...], ...]
     verifiers: tuple[StageEntry, ...]
-    workers: int = 1
-    #: Effective execution backend: ``serial`` / ``threads`` /
-    #: ``processes``.  A one-worker plan is always ``serial`` whatever
-    #: the config asked for — there is nothing to parallelize.
-    backend: str = "serial"
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1 and self.backend != "serial"
 
     @property
     def n_sources(self) -> int:
         return sum(len(wave) for wave in self.source_waves)
 
-    @property
-    def max_wave_width(self) -> int:
-        return max((len(wave) for wave in self.source_waves), default=0)
-
     def describe(self) -> str:
-        """Human-readable schedule (the CLI prints this at -v)."""
-        lines = [f"workers={self.workers} backend={self.backend}"]
+        """Human-readable schedule, one line per wave."""
+        lines = []
         for i, wave in enumerate(self.source_waves, start=1):
             names = ", ".join(entry.name for entry in wave)
             lines.append(f"wave {i}: {names}")
@@ -452,32 +421,17 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-def plan_execution(
-    registry: StageRegistry,
-    config: object,
-    workers: int = 1,
-    backend: str | None = None,
-) -> ExecutionPlan:
+def plan_execution(registry: StageRegistry, config: object) -> ExecutionPlan:
     """Compute the wave schedule for *registry* under *config*.
 
     A requirement naming a disabled or unregistered stage does not
     block scheduling — the dependent source simply sees no output from
-    it (``relations_from`` returns ``[]``), exactly as in serial
-    execution.  A source whose entry declares no ``requires`` at all is
-    given an implicit dependency on every active source ahead of it in
-    registration order, preserving the pre-planner serial contract.  A
-    genuine ``requires`` cycle among active sources raises
+    it (``relations_from`` returns ``[]``).  A source whose entry
+    declares no ``requires`` at all is given an implicit dependency on
+    every active source ahead of it in registration order.  A genuine
+    ``requires`` cycle among active sources raises
     :class:`~repro.errors.PipelineError`.
-
-    *backend* defaults to ``config.backend`` (``threads`` when the
-    config has no such field); a plan with one worker resolves to
-    ``serial`` regardless.
     """
-    workers = max(1, int(workers))
-    if backend is None:
-        backend = getattr(config, "backend", "threads")
-    if workers <= 1:
-        backend = "serial"
     active = [e for e in registry.sources() if e.active(config)]
     active_names = {e.name for e in active}
     requires: dict[str, tuple[str, ...]] = {}
@@ -506,10 +460,7 @@ def plan_execution(
         placed.update(entry.name for entry in wave)
         pending = [e for e in pending if e.name not in placed]
     verifiers = tuple(e for e in registry.verifiers() if e.active(config))
-    return ExecutionPlan(
-        source_waves=tuple(waves), verifiers=verifiers, workers=workers,
-        backend=backend,
-    )
+    return ExecutionPlan(source_waves=tuple(waves), verifiers=verifiers)
 
 
 def default_registry() -> StageRegistry:

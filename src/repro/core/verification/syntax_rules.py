@@ -128,11 +128,6 @@ class SyntaxVerifier:
     """Registry adapter: the syntax-rule verification stage."""
 
     name = "syntax"
-    # Each relation's verdict depends only on that relation (thematic
-    # lexicon, identity, head-stem on its own surfaces), never on the
-    # rest of the candidate list — so the driver may shard this verifier
-    # over relation chunks and concatenate the decisions.
-    per_relation_pure = True
 
     def verify(self, context, relations: list[IsARelation]) -> FilterDecision:
         return SyntaxRuleFilter(context.segmenter, context.tagger).filter(

@@ -46,12 +46,6 @@ class Lexicon:
         # (version, {word: log_prob(word)}, log_prob of an unknown word)
         self._log_probs: tuple[int, dict[str, float], float] | None = None
 
-    def __getstate__(self) -> dict:
-        # The log-prob table is derived state, rebuilt on first use.
-        state = self.__dict__.copy()
-        state["_log_probs"] = None
-        return state
-
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -177,8 +171,8 @@ class Lexicon:
 
         Each value is :meth:`log_prob`'s own expression, float for
         float (``log(total)`` is taken once, which yields the same
-        float).  The table is built on first use after a mutation and
-        is never pickled.  Callers must not mutate it.
+        float).  The table is built on first use after a mutation.
+        Callers must not mutate it.
         """
         # Threads that race here build equal tables and each publish a
         # whole tuple, so a reader never sees a table of another version.

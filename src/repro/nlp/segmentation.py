@@ -49,31 +49,8 @@ class Segmenter:
         cache_size: int | None = DEFAULT_SEGMENT_CACHE,
     ) -> None:
         self._lexicon = lexicon if lexicon is not None else Lexicon.base()
-        self._cache_size = cache_size
-        # lru_cache is thread-safe, which the parallel build relies on:
-        # several stages share one segmenter across worker threads.
         self._cached_viterbi = lru_cache(maxsize=cache_size)(self._viterbi)
         self._cached_version = self._lexicon.version
-
-    def __getstate__(self) -> dict:
-        # The lru_cache-wrapped bound method is unpicklable (and its
-        # entries are worthless in another process); ship the lexicon
-        # and cache size, rebuild the memo cold on the other side.
-        # Results are unaffected: the cache only ever replays what
-        # _viterbi would recompute.
-        return {
-            "lexicon": self._lexicon,
-            "cache_size": self._cache_size,
-            "cached_version": self._cached_version,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._lexicon = state["lexicon"]
-        self._cache_size = state["cache_size"]
-        self._cached_viterbi = lru_cache(maxsize=self._cache_size)(
-            self._viterbi
-        )
-        self._cached_version = state["cached_version"]
 
     @property
     def lexicon(self) -> Lexicon:

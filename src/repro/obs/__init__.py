@@ -72,18 +72,16 @@ class TelemetryHub:
     def emit(self, kind: str, **fields) -> dict:
         return self.events.emit(kind, **fields)
 
-    def record_stage_trace(
-        self, trace, *, mode: str = "full", backend: str = "serial"
-    ) -> None:
+    def record_stage_trace(self, trace, *, mode: str = "full") -> None:
         """Absorb a build's ``StageTrace`` into the registry.
 
         Duck-typed on purpose: ``trace.records`` yields objects with
         ``name`` / ``kind`` / ``seconds`` / ``count`` / ``ran``, and
         ``trace.total_seconds`` is the wall time of the whole build --
         exactly the `repro.core.stages.StageTrace` shape, without
-        importing the build layer from here.  *backend* labels the
-        end-to-end ``build_seconds`` summary so perf trajectories can
-        separate thread builds from process builds.
+        importing the build layer from here.  *mode* (``full`` or
+        ``incremental``) labels the build counter and the end-to-end
+        ``build_seconds`` summary.
         """
         stage_seconds = self.registry.gauge(
             "build_stage_seconds", "Seconds spent in each build stage"
@@ -102,7 +100,7 @@ class TelemetryHub:
         ).labels(mode=mode).inc()
         self.registry.summary(
             "build_seconds", "End-to-end build wall time"
-        ).labels(mode=mode, backend=backend).observe(trace.total_seconds)
+        ).labels(mode=mode).observe(trace.total_seconds)
 
 
 _default_hub = TelemetryHub()

@@ -61,6 +61,11 @@ DELTA_FORMAT_VERSION = 1
 
 DELTA_KIND = "taxonomy-delta"
 
+_RECORD_KINDS = (
+    "entity_add", "entity_remove", "entity_change",
+    "relation_add", "relation_remove", "relation_change",
+)
+
 
 def _entity_dict(entity: Entity) -> dict:
     return {
@@ -429,6 +434,10 @@ class _DeltaParts:
                 f"got {type(record).__name__}"
             )
         kind = record.get("kind")
+        if kind not in _RECORD_KINDS:
+            raise TaxonomyError(
+                f"{where}: unknown delta record kind {kind!r}"
+            )
         try:
             if kind == "entity_add":
                 self.entities_added.append(_entity_from(record))
@@ -442,22 +451,20 @@ class _DeltaParts:
                 self.relations_added.append(_relation_from(record))
             elif kind == "relation_remove":
                 self.relations_removed.append(_relation_from(record))
-            elif kind == "relation_change":
+            else:
                 self.relations_changed.append(
                     (
                         _relation_from(record["old"]),
                         _relation_from(record["new"]),
                     )
                 )
-            else:
-                raise TaxonomyError(
-                    f"{where}: unknown delta record kind {kind!r}"
-                )
         except KeyError as exc:  # a missing field or old/new half
             raise TaxonomyError(
                 f"{where}: malformed {kind} record: missing {exc}"
             ) from exc
-        except TypeError as exc:  # a non-object half, a non-string key
+        except (TypeError, TaxonomyError) as exc:
+            # a non-object half, a non-string key, or a value the
+            # Entity / IsARelation constructor refuses
             raise TaxonomyError(
                 f"{where}: malformed {kind} record: {exc}"
             ) from exc

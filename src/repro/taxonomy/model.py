@@ -42,16 +42,6 @@ def is_known_source(name: str) -> bool:
     return name in KNOWN_SOURCES or name in _EXTRA_SOURCES
 
 
-def extra_source_names() -> frozenset[str]:
-    """The runtime-registered provenances (beyond :data:`KNOWN_SOURCES`).
-
-    The process-pool build backend ships these to worker processes: a
-    ``spawn``-started worker has a fresh module state, so a custom
-    stage constructing relations there needs its source name
-    re-registered before validation sees it.
-    """
-    return frozenset(_EXTRA_SOURCES)
-
 # Hyponym kinds: entity-concept vs subconcept-concept relations, reported
 # separately by the paper (32.4M vs 527K).
 HYPONYM_ENTITY = "entity"

@@ -554,19 +554,7 @@ class Taxonomy:
                         f"{where}: record must be a JSON object, "
                         f"got {type(record).__name__}"
                     )
-                try:
-                    taxonomy._load_record(record, where)
-                except KeyError as exc:
-                    raise TaxonomyError(
-                        f"{where}: {record.get('kind')} record "
-                        f"missing {exc}"
-                    ) from exc
-                except TypeError as exc:
-                    # a null or mixed-type score, an unhashable alias
-                    raise TaxonomyError(
-                        f"{where}: malformed {record.get('kind')} "
-                        f"record: {exc}"
-                    ) from exc
+                taxonomy._load_record(record, where)
         return taxonomy
 
     def _load_record(self, record: dict, where: str) -> None:
@@ -574,26 +562,38 @@ class Taxonomy:
         if kind == "header":
             check_format_version(record, TAXONOMY_FORMAT_VERSION, where)
             self.name = record.get("name", self.name)
-        elif kind == "entity":
-            self.add_entity(
-                Entity(
-                    page_id=record["page_id"],
-                    name=record["name"],
-                    aliases=tuple(record.get("aliases", ())),
-                )
-            )
-        elif kind == "relation":
-            self.add_relation(
-                IsARelation(
-                    hyponym=record["hyponym"],
-                    hypernym=record["hypernym"],
-                    source=record["source"],
-                    hyponym_kind=record["hyponym_kind"],
-                    score=record.get("score", 1.0),
-                )
-            )
-        else:
+            return
+        if kind not in ("entity", "relation"):
             raise TaxonomyError(f"{where}: unknown record kind {kind!r}")
+        try:
+            if kind == "entity":
+                self.add_entity(
+                    Entity(
+                        page_id=record["page_id"],
+                        name=record["name"],
+                        aliases=tuple(record.get("aliases", ())),
+                    )
+                )
+            else:
+                self.add_relation(
+                    IsARelation(
+                        hyponym=record["hyponym"],
+                        hypernym=record["hypernym"],
+                        source=record["source"],
+                        hyponym_kind=record["hyponym_kind"],
+                        score=record.get("score", 1.0),
+                    )
+                )
+        except KeyError as exc:
+            raise TaxonomyError(
+                f"{where}: {kind} record missing {exc}"
+            ) from exc
+        except (TypeError, TaxonomyError) as exc:
+            # a null or mixed-type score, an unhashable alias, or a
+            # value the Entity / IsARelation constructor refuses
+            raise TaxonomyError(
+                f"{where}: malformed {kind} record: {exc}"
+            ) from exc
 
 
 class ReadOptimizedTaxonomy:

@@ -9,7 +9,6 @@ from repro.analysis import (
     ErrorTaxonomyChecker,
     LockDisciplineChecker,
     ParsedModule,
-    PickleSafetyChecker,
 )
 
 
@@ -128,58 +127,6 @@ class TestLockDiscipline:
         ))
         assert len(messages) == 1
         assert "Child.read reads self._n" in messages[0]
-
-
-class TestPickleSafety:
-    def test_flags_lambda_submitted_to_run(self):
-        messages = check(PickleSafetyChecker(), (
-            "def build(executor):\n"
-            "    return executor.run(lambda x: x + 1, [1, 2])\n"
-        ))
-        assert len(messages) == 1
-        assert "lambda" in messages[0]
-
-    def test_flags_nested_def_submitted(self):
-        messages = check(PickleSafetyChecker(), (
-            "def build(pool, items):\n"
-            "    def work(item):\n"
-            "        return item * 2\n"
-            "    return pool.submit(work, items)\n"
-        ))
-        assert len(messages) == 1
-        assert "nested function 'work'" in messages[0]
-
-    def test_module_level_function_is_fine(self):
-        assert check(PickleSafetyChecker(), (
-            "def work(item):\n"
-            "    return item * 2\n"
-            "def build(pool, items):\n"
-            "    return pool.submit(work, items)\n"
-        )) == []
-
-    def test_flags_closure_stored_on_worker_context(self):
-        messages = check(PickleSafetyChecker(), (
-            "def prepare(dump):\n"
-            "    return WorkerContext(resources=lambda: dump)\n"
-        ))
-        assert len(messages) == 1
-        assert "WorkerContext" in messages[0]
-
-    def test_worker_context_must_stay_frozen(self):
-        messages = check(PickleSafetyChecker(), (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class WorkerContext:\n"
-            "    seed: int = 0\n"
-        ))
-        assert len(messages) == 1
-        assert "frozen=True" in messages[0]
-        assert check(PickleSafetyChecker(), (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerContext:\n"
-            "    seed: int = 0\n"
-        )) == []
 
 
 class TestErrorTaxonomy:

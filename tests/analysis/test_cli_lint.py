@@ -22,19 +22,19 @@ def violating_tree(tmp_path):
 
 
 def test_shipped_tree_is_clean(capsys):
-    # the acceptance bar: all four checkers over the installed package,
+    # the acceptance bar: all three checkers over the installed package,
     # exit 0 — pragmas and the shipped baseline account for everything
     assert main(["lint"]) == 0
     out = capsys.readouterr().out
     assert "0 new finding(s)" in out
 
 
-def test_shipped_tree_json_reports_all_four_checkers(capsys):
+def test_shipped_tree_json_reports_all_three_checkers(capsys):
     assert main(["lint", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings_new"] == 0
     assert set(payload["checkers"]) == {
-        "determinism", "lock-discipline", "pickle-safety", "error-taxonomy",
+        "determinism", "lock-discipline", "error-taxonomy",
     }
     assert payload["modules_scanned"] > 50
 
@@ -58,11 +58,14 @@ def test_json_format_lists_finding_sites(violating_tree, capsys):
 
 def test_select_limits_the_checkers(violating_tree, capsys):
     assert main(["lint", "--path", str(violating_tree),
-                 "--select", "lock-discipline,pickle-safety"]) == 0
+                 "--select", "lock-discipline,error-taxonomy"]) == 0
     assert main(["lint", "--select", "nonsense"]) == 2
     assert "unknown checker id" in capsys.readouterr().err
-    # the deprecation checker went with the shims it guarded
+    # the deprecation checker went with the shims it guarded, and the
+    # pickle-safety checker with the process pool
     assert main(["lint", "--select", "deprecation"]) == 2
+    assert "unknown checker id" in capsys.readouterr().err
+    assert main(["lint", "--select", "pickle-safety"]) == 2
     assert "unknown checker id" in capsys.readouterr().err
 
 

@@ -154,20 +154,6 @@ class TestEquivalenceContract:
         assert incremental.delta.is_empty
         assert incremental.resource_mode == "cache"  # same fingerprint
 
-    def test_parallel_incremental_build_is_identical(
-        self, base_dump, tmp_path
-    ):
-        serial = CNProbaseBuilder(
-            small_config(workers=1), resource_cache=ResourceCache()
-        )
-        parallel = CNProbaseBuilder(
-            small_config(workers=4), resource_cache=ResourceCache()
-        )
-        dump_new = perturb(base_dump)
-        a = assert_equivalent(serial, base_dump, dump_new, tmp_path, "w1")
-        b = assert_equivalent(parallel, base_dump, dump_new, tmp_path, "w4")
-        assert a.delta == b.delta
-
     def test_cold_previous_without_per_source_is_exact(
         self, base_dump, tmp_path
     ):
@@ -241,7 +227,7 @@ class TestResourceSignature:
             base_dump
         )
         flipped = CNProbaseBuilder(
-            small_config(enable_ner=False, enable_syntax=False, workers=2),
+            small_config(enable_ner=False, enable_syntax=False),
             resource_cache=cache,
         ).build(base_dump)
         assert flipped.stage_trace.get("resources").cache_hit

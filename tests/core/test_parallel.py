@@ -1,19 +1,16 @@
-"""Tests for parallel execution: ExecutionPlan, worker equivalence,
-verifier sharding and the build-context resource cache."""
+"""Tests for build scheduling: the ExecutionPlan's dependency waves,
+the run and merge order they give a build, and the build-context
+resource cache."""
 
 import pytest
 
-from repro.core.pipeline import (
-    CNProbaseBuilder,
-    PipelineConfig,
-    ResourceCache,
-    _split_chunks,
-)
-from repro.core.generation.neural_gen import NeuralGenConfig
+from repro.core.generation.tags import TagSource
+from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.core.stages import StageRegistry, default_registry, plan_execution
 from repro.encyclopedia import SyntheticWorld
 from repro.errors import PipelineError
 from repro.nlp.lexicon import Lexicon
+from repro.taxonomy.model import IsARelation
 
 
 class StubSource:
@@ -23,12 +20,23 @@ class StubSource:
         return []
 
 
-def fast_config(workers: int = 1, **kwargs) -> PipelineConfig:
+class TagReader:
+    """Proposes one relation when, and only when, it can read tag's."""
+
+    name = "tag-reader"
+
+    def generate(self, context):
+        if not context.relations_from("tag"):
+            return []
+        return [IsARelation(
+            "阅读概念", "人物", source="tag-reader",
+            hyponym_kind="concept",
+        )]
+
+
+def fast_config(**kwargs) -> PipelineConfig:
     kwargs.setdefault("enable_abstract", False)
-    # The test world is tiny — force pools on so these tests keep
-    # exercising the real parallel paths past the work floor.
-    kwargs.setdefault("parallel_floor", 0)
-    return PipelineConfig(workers=workers, **kwargs)
+    return PipelineConfig(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -36,33 +44,19 @@ def world():
     return SyntheticWorld.generate(seed=17, n_entities=250)
 
 
-def build_pair(world, **kwargs):
-    """The same dump built serially and with four workers, isolated caches."""
-    results = []
-    for workers in (1, 4):
-        builder = CNProbaseBuilder(
-            fast_config(workers=workers, **kwargs),
-            resource_cache=ResourceCache(),
-        )
-        results.append(builder.build(world.dump()))
-    return results
-
-
 class TestExecutionPlan:
     def test_default_waves(self):
-        plan = plan_execution(default_registry(), PipelineConfig(), workers=4)
+        plan = plan_execution(default_registry(), PipelineConfig())
         waves = [[e.name for e in wave] for wave in plan.source_waves]
         assert waves == [["bracket", "tag"], ["abstract", "infobox"]]
         assert [e.name for e in plan.verifiers] == [
             "syntax", "ner", "incompatible",
         ]
-        assert plan.parallel and plan.max_wave_width == 2
 
     def test_disabled_requirement_does_not_block(self):
         plan = plan_execution(
             default_registry(),
             PipelineConfig(enable_bracket=False),
-            workers=4,
         )
         waves = [[e.name for e in wave] for wave in plan.source_waves]
         # abstract/infobox still run (and will see empty priors), in wave 1
@@ -71,7 +65,7 @@ class TestExecutionPlan:
     def test_unregistered_requirement_does_not_block(self):
         registry = StageRegistry()
         registry.register_source("stub", StubSource, requires=("missing",))
-        plan = plan_execution(registry, PipelineConfig(), workers=2)
+        plan = plan_execution(registry, PipelineConfig())
         assert [[e.name for e in w] for w in plan.source_waves] == [["stub"]]
 
     def test_cycle_detected(self):
@@ -97,7 +91,7 @@ class TestExecutionPlan:
         # contract: it runs after every source registered before it.
         registry = default_registry()
         registry.register_source("legacy", StubSource)
-        plan = plan_execution(registry, PipelineConfig(), workers=4)
+        plan = plan_execution(registry, PipelineConfig())
         waves = [[e.name for e in w] for w in plan.source_waves]
         assert waves == [
             ["bracket", "tag"], ["abstract", "infobox"], ["legacy"],
@@ -107,32 +101,16 @@ class TestExecutionPlan:
     def test_explicit_empty_requires_opts_into_first_wave(self):
         registry = default_registry()
         registry.register_source("eager", StubSource, requires=())
-        plan = plan_execution(registry, PipelineConfig(), workers=4)
+        plan = plan_execution(registry, PipelineConfig())
         assert "eager" in [e.name for e in plan.source_waves[0]]
 
     def test_unannotated_source_sees_predecessor_output(self, world):
-        # Even at workers=4, a legacy source reading relations_from on a
-        # source it never declared must observe its output.
-        class TagReader:
-            name = "tag-reader"
-
-            def generate(self, context):
-                from repro.taxonomy.model import IsARelation
-
-                priors = context.relations_from("tag")
-                if not priors:
-                    return []
-                return [IsARelation(
-                    "阅读概念", "人物", source="tag-reader",
-                    hyponym_kind="concept",
-                )]
-
-        from repro.core.stages import default_registry as make_registry
-
-        registry = make_registry()
+        # A legacy source reading relations_from on a source it never
+        # declared must observe its output.
+        registry = default_registry()
         registry.register_source("tag-reader", TagReader)
         builder = CNProbaseBuilder(
-            fast_config(workers=4), registry=registry,
+            fast_config(), registry=registry,
             resource_cache=ResourceCache(),
         )
         result = builder.build(world.dump())
@@ -143,102 +121,40 @@ class TestExecutionPlan:
         assert duplicate.get("abstract").requires == ("bracket",)
 
     def test_describe_lists_waves(self):
-        plan = plan_execution(default_registry(), PipelineConfig(), workers=4)
+        plan = plan_execution(default_registry(), PipelineConfig())
         text = plan.describe()
-        assert "workers=4" in text and "wave 1: bracket, tag" in text
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(PipelineError, match="workers"):
-            CNProbaseBuilder(PipelineConfig(workers=0))
+        assert "wave 1: bracket, tag" in text
+        assert "verifiers: syntax, ner, incompatible" in text
 
 
-class TestSplitChunks:
-    def test_near_equal_contiguous(self):
-        chunks = _split_chunks(list(range(10)), 4)
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
-        assert sum(chunks, []) == list(range(10))
-
-    def test_fewer_items_than_chunks(self):
-        assert _split_chunks([1, 2], 4) == [[1], [2]]
-
-    def test_empty(self):
-        assert _split_chunks([], 3) == []
-
-
-class TestParallelEquivalence:
-    """ISSUE satellite: workers=1 vs workers=4 on the same dump."""
-
-    @pytest.fixture(scope="class")
-    def pair(self, world):
-        return build_pair(world)
-
-    def test_save_output_identical(self, pair, tmp_path):
-        serial, parallel = pair
-        a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        serial.taxonomy.save(a)
-        parallel.taxonomy.save(b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_removed_by_counts_identical(self, pair):
-        serial, parallel = pair
-        assert {k: len(v) for k, v in serial.removed_by.items()} == \
-            {k: len(v) for k, v in parallel.removed_by.items()}
-
-    def test_removed_relations_identical_and_ordered(self, pair):
-        serial, parallel = pair
-        for name, removed in serial.removed_by.items():
-            assert [r.key for r in removed] == \
-                [r.key for r in parallel.removed_by[name]]
-
-    def test_stage_trace_order_deterministic(self, pair):
-        serial, parallel = pair
-        assert [r.name for r in serial.stage_trace.records] == \
-            [r.name for r in parallel.stage_trace.records]
-
-    def test_per_source_relations_identical(self, pair):
-        serial, parallel = pair
-        assert list(serial.per_source_relations) == \
-            list(parallel.per_source_relations)
-        for name, relations in serial.per_source_relations.items():
-            assert [r.key for r in relations] == \
-                [r.key for r in parallel.per_source_relations[name]]
-
-    def test_sources_merge_in_registration_order(self, pair):
-        # Wave grouping runs tag before infobox, but the merge order fed
-        # to the candidate pool must stay the registered one — that is
-        # what keeps any-workers output bit-for-bit equal to the seed
-        # pipeline's.
-        for result in pair:
-            assert list(result.per_source_relations) == [
-                "bracket", "infobox", "tag",
-            ]
-
-    def test_sharded_verifier_traced_with_workers(self, pair):
-        _, parallel = pair
-        assert parallel.stage_trace.get("syntax").workers == 4
-        # ner fits on the full relation list, so it must not shard
-        assert parallel.stage_trace.get("ner").workers == 1
-
-    def test_wave_members_share_worker_count(self, pair):
-        _, parallel = pair
-        assert parallel.stage_trace.get("bracket").workers == 2
-        assert parallel.stage_trace.get("tag").workers == 2
-
-
-class TestParallelEquivalenceWithNeural:
-    def test_neural_wave_identical(self, world, tmp_path):
-        serial, parallel = build_pair(
-            world,
-            enable_abstract=True,
-            neural=NeuralGenConfig(epochs=2, embed_dim=12, hidden_dim=12),
-            max_generation_pages=60,
+class TestRunOrder:
+    def test_sources_merge_in_registration_order(self, world):
+        # The waves run tag before infobox, but the merge order fed to
+        # the candidate pool stays the registered one: that is what
+        # keeps the saved bytes independent of the wave grouping.
+        builder = CNProbaseBuilder(
+            fast_config(), resource_cache=ResourceCache()
         )
-        a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        serial.taxonomy.save(a)
-        parallel.taxonomy.save(b)
-        assert a.read_bytes() == b.read_bytes()
-        if serial.stage_trace.get("abstract").ran:
-            assert parallel.stage_trace.get("abstract").ran
+        waves = [[e.name for e in w] for w in builder.plan().source_waves]
+        assert waves == [["bracket", "tag"], ["infobox"]]
+        result = builder.build(world.dump())
+        assert list(result.per_source_relations) == [
+            "bracket", "infobox", "tag",
+        ]
+
+    def test_source_registered_ahead_of_its_requirement_reads_it(
+        self, world
+    ):
+        registry = StageRegistry()
+        registry.register_source("tag-reader", TagReader, requires=("tag",))
+        registry.register_source("tag", TagSource)
+        builder = CNProbaseBuilder(
+            fast_config(), registry=registry,
+            resource_cache=ResourceCache(),
+        )
+        result = builder.build(world.dump())
+        assert result.stage_trace.get("tag-reader").count == 1
+        assert list(result.per_source_relations) == ["tag-reader", "tag"]
 
 
 class TestResourceCache:

@@ -1,7 +1,6 @@
 """Tests for the DAG-Viterbi segmenter."""
 
 import math
-import pickle
 
 import pytest
 from hypothesis import example, given
@@ -257,13 +256,3 @@ class TestTableKernel:
         }
         assert list(table) == ["甲", "甲乙", "丙丁"]
         assert unknown == reference_log_prob(lexicon, "戊")
-
-    def test_table_is_left_out_of_the_pickle(self):
-        lexicon = Lexicon.base()
-        cold = pickle.dumps(lexicon)
-        Segmenter(lexicon).segment("蚂蚁金服首席战略官")
-        assert pickle.dumps(lexicon) == cold
-        clone = pickle.loads(cold)
-        assert Segmenter(clone).segment("蚂蚁金服首席战略官") == (
-            Segmenter(lexicon).segment("蚂蚁金服首席战略官")
-        )

@@ -491,10 +491,14 @@ class TestWireRoundTrip:
         {"kind": "entity_change",
          "old": {"page_id": "x#0", "name": "x", "aliases": []},
          "new": {"page_id": "x#0", "name": "x", "aliases": [None]}},
+        {"kind": "entity_add", "page_id": "", "name": "x", "aliases": []},
+        {"kind": "entity_add", "page_id": "p1", "name": "", "aliases": []},
+        {"kind": "relation_add", "hyponym": "x#0", "hypernym": "歌手",
+         "source": 5, "hyponym_kind": "entity", "score": 1.0},
     ])
     def test_untypeable_record_names_its_place(self, tmp_path, bad):
         """A wire record is named by its index, a file record by its
-        line, and neither escapes as a ``TypeError``."""
+        line, exactly once, and neither escapes as a ``TypeError``."""
         delta = TaxonomyDelta.compute(base_taxonomy(), evolved_taxonomy())
         payload = delta.to_wire()
         payload["records"].append(bad)
@@ -502,6 +506,7 @@ class TestWireRoundTrip:
             TaxonomyDelta.from_wire(payload)
         index = len(payload["records"]) - 1
         assert str(excinfo.value).startswith(f"wire: record {index}: ")
+        assert str(excinfo.value).count("wire: record") == 1
         path = tmp_path / "delta.jsonl"
         save_delta(delta, path)
         with path.open("a", encoding="utf-8") as handle:
@@ -510,6 +515,7 @@ class TestWireRoundTrip:
         with pytest.raises(TaxonomyError) as excinfo:
             load_delta(path)
         assert str(excinfo.value).startswith(f"{path}:{line}: ")
+        assert str(excinfo.value).count(f"{path}:") == 1
 
 
 class TestSlice:

@@ -179,10 +179,23 @@ class TestPersistence:
             ' "hyponym_kind": "entity"}',
         ), id="missing-hypernym"),
         pytest.param((_ENTITY, '["kind", "entity"]'), id="array-line"),
+        pytest.param(
+            ('{"kind": "entity", "page_id": "", "name": "甲"}',),
+            id="empty-page-id",
+        ),
+        pytest.param(
+            ('{"kind": "entity", "page_id": "a#0", "name": ""}',),
+            id="empty-name",
+        ),
+        pytest.param((
+            _ENTITY,
+            '{"kind": "relation", "hyponym": "a#0", "hypernym": "乙",'
+            ' "source": "nope", "hyponym_kind": "entity", "score": 1.0}',
+        ), id="unknown-source"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, lines):
-        """A bad last line ends in a TaxonomyError naming ``file:line``,
-        never a builtin exception."""
+        """A bad last line ends in a TaxonomyError naming ``file:line``
+        exactly once, never a builtin exception."""
         path = tmp_path / "bad.jsonl"
         header = '{"kind": "header", "name": "t", "format_version": 1}'
         path.write_text(
@@ -192,6 +205,7 @@ class TestPersistence:
         with pytest.raises(TaxonomyError) as excinfo:
             Taxonomy.load(path)
         assert str(excinfo.value).startswith(f"{path}:{len(lines) + 1}: ")
+        assert str(excinfo.value).count(f"{path}:") == 1
 
 
 def reference_lines(taxonomy):

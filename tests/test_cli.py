@@ -155,38 +155,6 @@ class TestStages:
         assert "unknown stage" in capsys.readouterr().err
 
 
-class TestParallelBuildCLI:
-    def test_workers_build_identical_output(self, artefacts, tmp_path):
-        dump_path, taxonomy_path = artefacts
-        out_path = tmp_path / "parallel.jsonl"
-        code = main([
-            "build", "--dump", str(dump_path), "--out", str(out_path),
-            "--no-abstract", "--workers", "4",
-        ])
-        assert code == 0
-        assert out_path.read_bytes() == taxonomy_path.read_bytes()
-
-    def test_invalid_workers_fails_cleanly(self, artefacts, tmp_path, capsys):
-        dump_path, _ = artefacts
-        code = main([
-            "build", "--dump", str(dump_path),
-            "--out", str(tmp_path / "t.jsonl"),
-            "--no-abstract", "--workers", "0",
-        ])
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
-
-    def test_no_resource_cache_flag(self, artefacts, tmp_path):
-        dump_path, taxonomy_path = artefacts
-        out_path = tmp_path / "uncached.jsonl"
-        code = main([
-            "build", "--dump", str(dump_path), "--out", str(out_path),
-            "--no-abstract", "--no-resource-cache",
-        ])
-        assert code == 0
-        assert out_path.read_bytes() == taxonomy_path.read_bytes()
-
-
 class TestTraceSidecar:
     def test_build_writes_trace(self, artefacts):
         import json
@@ -197,15 +165,14 @@ class TestTraceSidecar:
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
         assert "bracket" in trace["stages"]
         record = trace["stages"]["bracket"]
-        assert {"kind", "seconds", "count", "ran", "workers",
-                "cache_hit"} <= set(record)
+        assert {"kind", "seconds", "count", "ran", "cache_hit"} <= set(record)
 
     def test_stages_prints_trace_columns(self, artefacts, capsys):
         _, taxonomy_path = artefacts
         trace_path = taxonomy_path.parent / (taxonomy_path.name + ".trace.json")
         assert main(["stages", "--trace", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "workers" in out and "cache" in out
+        assert "cache" in out
         assert "bracket" in out and "total:" in out
 
     def test_stages_missing_trace_fails_cleanly(self, tmp_path, capsys):

@@ -59,10 +59,9 @@ def test_the_lint_actually_scans_the_packages():
     # never mint ids or timestamps from ambient entropy
     assert {"obs/metrics.py", "obs/trace.py", "obs/events.py",
             "obs/clock.py"} <= names
-    # so do the build backends: scheduling order is the only thing
-    # standing between "parallel" and "nondeterministic"
-    assert {"core/executors.py", "core/pipeline.py",
-            "core/stages.py"} <= names
+    # so does the build pipeline: its run and merge order is what
+    # keeps a build byte-identical
+    assert {"core/pipeline.py", "core/stages.py"} <= names
     # the generalized lint reaches every package, serving included
     assert {"serving/router.py", "taxonomy/service.py", "cli.py"} <= names
 
