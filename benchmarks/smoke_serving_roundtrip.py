@@ -3,8 +3,10 @@
 Exercises the real deployment path end to end — ``cn-probase serve`` in
 a **subprocess** (the CLI, not an in-process server), readiness via
 ``--ready-file``, queries and an authenticated hot-swap through
-:class:`TaxonomyClient`, then a clean ``/admin/shutdown``.  Appends the
-timings to ``benchmarks/out/BENCH_parallel.json`` under
+:class:`TaxonomyClient`, one malformed request over a raw socket (a
+``Content-Length: -1`` POST must get a 400 within 2 s, and the next
+query must still be answered), then a clean ``/admin/shutdown``.
+Appends the timings to ``benchmarks/out/BENCH_parallel.json`` under
 ``"serving_roundtrip"``.
 
 Run:  python benchmarks/smoke_serving_roundtrip.py
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,7 @@ from trajectory import merge_bench_json  # noqa: E402
 ADMIN_TOKEN = "smoke-admin-token"
 READY_TIMEOUT_SECONDS = 30.0
 N_QUERIES = 300
+FRAMING_TIMEOUT_SECONDS = 2.0
 
 
 def build_taxonomy_file(seed: int, path: Path) -> object:
@@ -85,6 +89,27 @@ def wait_for_ready(ready_file: Path, process: subprocess.Popen) -> str:
     raise SystemExit(f"server not ready within {READY_TIMEOUT_SECONDS}s")
 
 
+def bad_length_status(url: str) -> int:
+    """Status of a ``Content-Length: -1`` POST sent over a raw socket.
+
+    The server must answer and close the connection within
+    ``FRAMING_TIMEOUT_SECONDS``; a hang fails the smoke with
+    ``TimeoutError`` instead of stalling it.
+    """
+    host, port = url.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection(
+        (host, int(port)), timeout=FRAMING_TIMEOUT_SECONDS
+    ) as sock:
+        sock.sendall(
+            b"POST /v1/men2ent HTTP/1.1\r\nHost: smoke\r\n"
+            b"Content-Length: -1\r\n\r\n"
+        )
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return int(received.split(b" ", 2)[1])
+
+
 def main() -> None:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,7 +157,14 @@ def main() -> None:
 
                 # → query (new version serving, all shards republished)
                 assert client.version()["shard_versions"] == ["v2"] * 4
-                client.men2ent(mention)
+                answer = client.men2ent(mention)
+
+                # → a framing error ends in one 400, and serving goes on
+                status = bad_length_status(url)
+                assert status == 400, f"Content-Length: -1 got {status}"
+                assert client.men2ent(mention) == answer, (
+                    "query after the 400 not answered as before"
+                )
                 served = client.server_metrics()
                 assert served["swaps"] == 1
 

@@ -10,8 +10,8 @@ Architecture (request path, top to bottom)::
 
     TaxonomyClient          keep-alive SDK: batching, retries, own metrics
         │  JSON over HTTP
-    ClusterHTTPServer       ThreadingHTTPServer, one thread per connection
-        │
+    ClusterHTTPServer       ThreadingHTTPServer, one thread per connection;
+        │                   the handler parses its own request head
     ReplicatedRouter        key→shard routing + R replicas per shard,
         │                   retry-on-failure, health marks, probes
     ShardedSnapshotStore    N crc32-hashed shards of one frozen
@@ -133,6 +133,15 @@ Wire format (all JSON, UTF-8, ``ensure_ascii=False``):
   (never retried by the client), 503 when no healthy replica can serve
   a shard (transient — the client's retry/backoff applies), plus
   401/403/404/500
+- framing errors → the stdlib's HTML error page with ``Connection:
+  close``, before any body is read: 400 for a ``Content-Length`` that
+  is not one non-negative decimal number (or is sent twice) and for a
+  header line without a colon, folded, or with whitespace before the
+  colon; 501 for any ``Transfer-Encoding``; 400/505/414/431 for a
+  malformed request line or an oversized head, as the stdlib answers
+- ``http_requests_total`` counts an unknown ``/v1/<name>`` under
+  ``path="other"``, and only the three wire APIs feed
+  ``http_request_seconds``
 
 ``cn-probase serve <taxonomy> --shards N --replicas R --port P`` wires
 the stack up from a taxonomy file; :func:`build_cluster` does the same

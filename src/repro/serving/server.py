@@ -10,6 +10,15 @@ HTTP/1.1 keep-alive, so a thread serves every request its client
 sends until the client hangs up; :meth:`ClusterHTTPServer.close` ends
 the connections still open.
 
+The handler parses its own request head into a dict (the stdlib's
+``email``-based header parser was most of a single read's server CPU)
+and writes each response head and body as one buffer.  The request
+line follows the stdlib's rules and status codes.  Framing is strict:
+a header line without a colon, a folded line, whitespace before the
+colon, or a ``Content-Length`` that is not one non-negative decimal
+number is 400, any ``Transfer-Encoding`` is 501, and each ends the
+connection without reading a body.
+
 Endpoints (see the package docstring for the full wire format):
 
 - ``GET /v1/{men2ent,getConcept,getEntity}?q=<arg>`` — single query
@@ -50,6 +59,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 from urllib.parse import parse_qs, urlsplit
@@ -69,15 +82,43 @@ from repro.taxonomy.store import Taxonomy
 #: not workload, exactly like ``PROBE_KEY`` traffic.
 OPS_PATHS = ("/metrics", "/healthz", "/version", "/admin/")
 
+#: The stdlib's bounds on a request head (``http.client``'s ``_MAXLINE``
+#: and ``_MAXHEADERS``): a longer line, or more lines counting the blank
+#: one that ends the head, is answered 431.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+_HEAD_ENDS = (b"\r\n", b"\n", b"")
+
 
 def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """``date_time_string()`` for one wall-clock second, formatted once."""
+    return formatdate(second, usegmt=True)
+
+
+class _RequestHeaders(dict):
+    """A request head's fields, keyed by lower-cased name.
+
+    ``get`` takes a name in any case.  A repeated name keeps its first
+    value, as ``email.message.Message.get`` did.
+    """
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
 
 
 class TaxonomyRequestHandler(BaseHTTPRequestHandler):
     """Dispatch one request against ``self.server.service``."""
 
     server_version = "cn-probase/1.0"
+    #: ``version_string()``, which the stdlib rebuilds for every response
+    _server_header = f"{server_version} {BaseHTTPRequestHandler.sys_version}"
     protocol_version = "HTTP/1.1"
     #: TCP_NODELAY on the accepted socket, and every response buffered
     #: and flushed once by ``_send``: on a keep-alive connection a
@@ -90,6 +131,146 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logs stay out of test/benchmark output
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline``, then read the head after it.
+
+        The request line follows ``BaseHTTPRequestHandler.parse_request``
+        rule for rule: 400 for a bad version or word count, 505 from
+        HTTP/2.0 on, a two-word line is an HTTP/0.9 GET, a leading
+        ``//`` collapses to ``/``, keep-alive from HTTP/1.1 on.  Every
+        error is sent here; ``False`` tells the caller to stop.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            # "HTTP/" major "." minor, each at most 10 decimal digits
+            major, dot, minor = version[5:].partition(".")
+            if not (
+                version.startswith("HTTP/") and dot
+                and major.isdecimal() and len(major) <= 10
+                and minor.isdecimal() and len(minor) <= 10
+            ):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad request version ({version!r})",
+                )
+                return False
+            number = (int(major), int(minor))
+            if number >= (1, 1):  # and protocol_version is HTTP/1.1
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                f"Bad request syntax ({requestline!r})",
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({command!r})",
+                )
+                return False
+        if path.startswith("//"):  # no open redirect to //host/path
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        return self._read_head()
+
+    def _read_head(self) -> bool:
+        """Read the header lines into ``self.headers``; check the framing.
+
+        The lines go into a :class:`_RequestHeaders`, not the ``email``
+        Message ``http.client.parse_headers`` builds, with the stdlib's
+        431 bounds; ``Connection`` and ``Expect: 100-continue`` act as
+        there.  Framing errors end the connection through ``send_error``
+        before any body is read: 400 for a line without a colon, a
+        folded line, whitespace before the colon, or a
+        ``Content-Length`` that is not one non-negative decimal number;
+        501 for any ``Transfer-Encoding``.
+        """
+        headers = _RequestHeaders()
+        content_length = None
+        readline = self.rfile.readline
+        for count in range(1, _MAX_HEAD_LINES + 2):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading "
+                    "header line",
+                )
+                return False
+            if count > _MAX_HEAD_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAX_HEAD_LINES} headers",
+                )
+                return False
+            if line in _HEAD_ENDS:
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or not name or " " in name or "\t" in name:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad header line",
+                    "a header line is Name: value, unfolded, with no "
+                    "whitespace before the colon",
+                )
+                return False
+            name = name.lower()
+            value = value.lstrip(" \t").rstrip("\r\n")
+            if name == "content-length":
+                digits = value.rstrip(" \t")
+                if content_length is not None or not digits.isdecimal():
+                    self.send_error(
+                        HTTPStatus.BAD_REQUEST,
+                        "Bad Content-Length",
+                        "Content-Length must be one non-negative "
+                        "decimal number",
+                    )
+                    return False
+                content_length = int(digits)
+            headers.setdefault(name, value)
+        if "transfer-encoding" in headers:
+            self.send_error(
+                HTTPStatus.NOT_IMPLEMENTED,
+                "Transfer-Encoding not supported",
+                "send the body with a Content-Length",
+            )
+            return False
+        self.headers = headers
+        self._content_length = content_length or 0
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def handle_expect_100(self) -> bool:
         # the buffered wfile would hold the interim "100 Continue" back
@@ -114,15 +295,26 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Write the response as one buffer and flush it.
+
+        The head is the bytes ``send_response``, two ``send_header``
+        calls and ``end_headers`` would write; an HTTP/0.9 request gets
+        the body alone, as there.
+        """
         # stop the clock before the first byte goes out: once the
         # client can read it, the client's span (which encloses ours) may end
         self._ready_at = perf_counter()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        if self.request_version != "HTTP/0.9":
+            body = (
+                f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self._server_header}\r\n"
+                f"Date: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1") + body
         self.wfile.write(body)
-        self.wfile.flush()  # status line, headers and body: one write
+        self.wfile.flush()
 
     def _drain_body(self) -> bytes:
         """Read the request body off the socket unconditionally.
@@ -130,8 +322,9 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         With HTTP/1.1 keep-alive an unread body would be parsed as the
         next request line, so every POST drains it up front — including
         the paths (bad auth, unknown endpoint) that never look at it.
+        ``parse_request`` has checked the length.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length
         return self.rfile.read(length) if length else b""
 
     @staticmethod
@@ -603,30 +796,43 @@ class ClusterHTTPServer(ThreadingHTTPServer):
             "http_request_seconds",
             "Server-side latency of /v1 query requests, by api.",
         )
+        #: each wire API's path → its counter and latency children, made
+        #: on the API's first request: ``labels()`` sorts its label dict
+        #: under the registry lock, too dear for every request
+        self._api_children: dict[str, tuple] = {}
 
     def observe_request(
         self, path: str, seconds: float, outcome: str, trace_id
     ) -> None:
         """Account one finished request; record a server span if traced.
 
-        Ops/admin paths (``OPS_PATHS``) are counted but excluded from
-        the latency summary — a metrics scrape or health probe is
-        plumbing, not workload, exactly like ``PROBE_KEY`` traffic.
+        Only the wire APIs' queries land in the latency summary.  Ops
+        and admin paths (``OPS_PATHS``) are counted but kept out of it
+        (a metrics scrape or health probe is plumbing, not workload,
+        exactly like ``PROBE_KEY`` traffic), and every other path,
+        unknown ``/v1/`` names included, is counted as ``other``, so
+        junk requests cannot grow either family.
         """
         is_query = path.startswith("/v1/")
         api = path[len("/v1/") :] if is_query else None
-        if is_query:
-            label = f"/v1/{api}"
+        children = self._api_children.get(path)
+        if children is None and api in WIRE_API_METHODS:
+            children = self._api_children[path] = (
+                self._http_requests.labels(path=path),
+                self._http_seconds.labels(api=api),
+            )
+        if children is not None:
+            requests, latency = children
+            requests.inc()
+            latency.observe(seconds)
         elif any(
             path == ops or (ops.endswith("/") and path.startswith(ops))
             for ops in OPS_PATHS
         ):
             label = path if not path.startswith("/admin/") else "/admin/*"
+            self._http_requests.labels(path=label).inc()
         else:
-            label = "other"
-        self._http_requests.labels(path=label).inc()
-        if is_query:
-            self._http_seconds.labels(api=api).observe(seconds)
+            self._http_requests.labels(path="other").inc()
         if trace_id:
             self.hub.record_span(
                 trace_id=trace_id,
