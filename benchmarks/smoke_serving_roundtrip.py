@@ -3,9 +3,12 @@
 Exercises the real deployment path end to end — ``cn-probase serve`` in
 a **subprocess** (the CLI, not an in-process server), readiness via
 ``--ready-file``, queries and an authenticated hot-swap through
-:class:`TaxonomyClient`, one malformed request over a raw socket (a
-``Content-Length: -1`` POST must get a 400 within 2 s, and the next
-query must still be answered), then a clean ``/admin/shutdown``.
+:class:`TaxonomyClient`, three framing checks over raw sockets (a
+``Content-Length: -1`` POST must get a 400 within 2 s; a keep-alive GET
+with a body, followed by a second GET on the same connection, must get
+two JSON 200s; a POST whose body ends short of its length must get
+exactly one 400 within 2 s; and the next query must still be answered
+as before), then a clean ``/admin/shutdown``.
 Appends the timings to ``benchmarks/out/BENCH_parallel.json`` under
 ``"serving_roundtrip"``.
 
@@ -89,25 +92,81 @@ def wait_for_ready(ready_file: Path, process: subprocess.Popen) -> str:
     raise SystemExit(f"server not ready within {READY_TIMEOUT_SECONDS}s")
 
 
-def bad_length_status(url: str) -> int:
-    """Status of a ``Content-Length: -1`` POST sent over a raw socket.
+def raw_exchange(url: str, request: bytes, half_close: bool = False) -> bytes:
+    """Every byte the server sends back for *request*, until it closes.
 
-    The server must answer and close the connection within
-    ``FRAMING_TIMEOUT_SECONDS``; a hang fails the smoke with
-    ``TimeoutError`` instead of stalling it.
+    With *half_close* the sender ends its side after the request, as one
+    whose body ended early does.  The server must answer and close the
+    connection within ``FRAMING_TIMEOUT_SECONDS``; a hang fails the
+    smoke with ``TimeoutError`` instead of stalling it.
     """
     host, port = url.removeprefix("http://").rsplit(":", 1)
     with socket.create_connection(
         (host, int(port)), timeout=FRAMING_TIMEOUT_SECONDS
     ) as sock:
-        sock.sendall(
-            b"POST /v1/men2ent HTTP/1.1\r\nHost: smoke\r\n"
-            b"Content-Length: -1\r\n\r\n"
-        )
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         received = b""
         while chunk := sock.recv(65536):
             received += chunk
+    return received
+
+
+def split_responses(received: bytes) -> list[tuple[int, bytes]]:
+    """``(status, body)`` of each response in *received*, in order.
+
+    Every response must carry a ``Content-Length``, and the bytes must
+    end where the last body does.
+    """
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 "), (
+            f"not an HTTP/1.1 response: {received[:60]!r}"
+        )
+        status = int(head.split(b" ", 2)[1])
+        length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n")[0])
+        responses.append((status, rest[:length]))
+        received = rest[length:]
+    return responses
+
+
+def bad_length_status(url: str) -> int:
+    """Status of a ``Content-Length: -1`` POST sent over a raw socket."""
+    received = raw_exchange(
+        url,
+        b"POST /v1/men2ent HTTP/1.1\r\nHost: smoke\r\n"
+        b"Content-Length: -1\r\n\r\n",
+    )
     return int(received.split(b" ", 2)[1])
+
+
+def get_with_body_statuses(url: str) -> list[tuple[int, dict]]:
+    """A keep-alive GET with a 12-byte body, then a second GET on the
+    same connection: ``(status, JSON body)`` of every response."""
+    received = raw_exchange(
+        url,
+        b"GET /healthz HTTP/1.1\r\nHost: smoke\r\nContent-Length: 12\r\n"
+        b"\r\nGARBAGE /x\r\n"
+        b"GET /healthz HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n",
+    )
+    return [
+        (status, json.loads(body))
+        for status, body in split_responses(received)
+    ]
+
+
+def short_body_statuses(url: str) -> list[int]:
+    """Statuses of a POST whose body ends 50 bytes short of its length."""
+    body = json.dumps({"arguments": ["x"]}).encode("utf-8")
+    received = raw_exchange(
+        url,
+        b"POST /v1/men2ent HTTP/1.1\r\nHost: smoke\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body) + 50, body),
+        half_close=True,
+    )
+    return [status for status, _ in split_responses(received)]
 
 
 def main() -> None:
@@ -164,6 +223,17 @@ def main() -> None:
                 assert status == 400, f"Content-Length: -1 got {status}"
                 assert client.men2ent(mention) == answer, (
                     "query after the 400 not answered as before"
+                )
+                # → a GET's body is drained, not read as the next request
+                answers = get_with_body_statuses(url)
+                assert [status for status, _ in answers] == [200, 200] and all(
+                    payload["status"] == "ok" for _, payload in answers
+                ), f"GET with a body, then a GET, got {answers}"
+                # → a body that ends short is one 400, never served
+                statuses = short_body_statuses(url)
+                assert statuses == [400], f"a short body got {statuses}"
+                assert client.men2ent(mention) == answer, (
+                    "query after the body checks not answered as before"
                 )
                 served = client.server_metrics()
                 assert served["swaps"] == 1

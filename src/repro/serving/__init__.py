@@ -8,7 +8,10 @@ deployment shape, stdlib-only:
 
 Architecture (request path, top to bottom)::
 
-    TaxonomyClient          keep-alive SDK: batching, retries, own metrics
+    TaxonomyClient          keep-alive SDK: batching, retries, own metrics;
+        │                   writes each request in one piece and reads
+        │                   its own response head on pooled http.client
+        │                   connections
         │  JSON over HTTP
     ClusterHTTPServer       ThreadingHTTPServer, one thread per connection;
         │                   the handler parses its own request head
@@ -84,7 +87,13 @@ Architecture (request path, top to bottom)::
 - **Client** (:mod:`repro.serving.client`): a
   :class:`~repro.serving.client.TaxonomyClient` exposing the canonical
   :class:`~repro.taxonomy.service.BatchedServingAPI` surface, so
-  ``replay_calls`` drives a remote cluster unchanged.
+  ``replay_calls`` drives a remote cluster unchanged.  It writes each
+  request, head and body, in one ``sendall`` (the bytes
+  ``HTTPConnection.request`` writes) and reads each response head
+  itself, without the ``email`` parser, on pooled ``http.client``
+  connections.  A request the wire cannot carry (a target with a
+  space, a control or a non-ASCII character; a header value with CR or
+  LF) is an :class:`~repro.errors.APIError` before anything is sent.
 
 Wire format (all JSON, UTF-8, ``ensure_ascii=False``):
 
@@ -138,7 +147,9 @@ Wire format (all JSON, UTF-8, ``ensure_ascii=False``):
   is not one non-negative decimal number (or is sent twice) and for a
   header line without a colon, folded, or with whitespace before the
   colon; 501 for any ``Transfer-Encoding``; 400/505/414/431 for a
-  malformed request line or an oversized head, as the stdlib answers
+  malformed request line or an oversized head, as the stdlib answers;
+  400, never routed, for a body that ends before its
+  ``Content-Length`` (every body is read exactly, a GET's too)
 - ``http_requests_total`` counts an unknown ``/v1/<name>`` under
   ``path="other"``, and only the three wire APIs feed
   ``http_request_seconds``

@@ -22,6 +22,24 @@ a ``with`` block) ends them.  Unlike the urllib transport it replaced,
 the client does not honour the ``*_proxy`` environment variables: it
 always connects straight to *base_url*.
 
+``http.client`` only connects (the HTTPS wrap, the timeout and
+``TCP_NODELAY`` stay its ``connect()``).  The client writes each
+request itself, head and body in one ``sendall``, with the bytes
+``HTTPConnection.request`` would write, and reads each response off the
+socket itself: the status line, then ``Content-Length`` and
+``Connection`` out of the head, under ``http.client``'s bounds (a
+65,536-byte line, 100 header lines), without the ``email`` parser
+``getresponse`` runs on every head.  A connection goes back to the
+pool only when its body was read in full, the response keeps it open
+and no byte past the body arrived with it.  A head the reader cannot
+trust (no status line, a bad one, an over-long head, a bad
+``Content-Length``, any ``Transfer-Encoding``) or a body cut short is a
+transport error, retried like a reset.  A request the wire cannot
+carry (a target with a space, a control character or a non-ASCII
+character; a header value with CR or LF) is refused with
+:class:`~repro.errors.APIError` before the first attempt: nothing is
+sent, counted or retried.
+
 The client keeps its own :class:`ServiceMetrics` ledger of end-to-end
 (wire-inclusive) latencies, which is what ``replay_calls`` returns
 when driven with a client, plus a :class:`ClientWireStats`
@@ -35,6 +53,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import select
 import threading
 import time
@@ -50,6 +69,7 @@ from repro.obs import (
     get_hub,
 )
 from repro.obs.metrics import MetricSnapshot, Sample
+from repro.serving.server import MAX_HEAD_LINES, MAX_LINE
 from repro.taxonomy.service import (
     PROBE_KEY,
     WIRE_API_METHODS,
@@ -70,6 +90,21 @@ _CONNECTION_CLASSES = {
 #: broken HTTP exchange (bad status line, body cut short)
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
+#: the most one ``recv`` asks for
+_RECV_BYTES = 65536
+
+#: finds what a request target may not hold: anything but visible
+#: ASCII, i.e. what ``http.client`` refuses (controls, space) or fails
+#: to encode
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]").search
+
+#: finds what no header value may hold: a line break, or a character
+#: that does not encode as Latin-1
+_BAD_HEADER_VALUE = re.compile(r"[\r\n]|[^\x00-\xff]").search
+
+#: the ``Content-Type`` line of every call but the text ``/metrics``
+_JSON_CONTENT_TYPE = ("Content-Type", "application/json; charset=utf-8")
+
 
 def _hung_up(connection: http.client.HTTPConnection) -> bool:
     """Whether an idle connection's socket has something to read.
@@ -81,6 +116,138 @@ def _hung_up(connection: http.client.HTTPConnection) -> bool:
     poller = select.poll()
     poller.register(connection.sock, select.POLLIN)
     return bool(poller.poll(0))
+
+
+def _host_field(connection: http.client.HTTPConnection) -> str:
+    """The ``Host`` value ``putrequest`` writes for *connection*.
+
+    The host as ASCII (IDNA if it is not), in brackets if it is an
+    IPv6 address, and ``:port`` only off the scheme's default port.
+    """
+    host, port = connection.host, connection.port
+    try:
+        host = host.encode("ascii").decode("ascii")
+    except UnicodeEncodeError:
+        host = host.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host}]"
+    return host if port == connection.default_port else f"{host}:{port}"
+
+
+def _read_response(sock) -> tuple[int, str, bytes, bool]:
+    """One response off *sock*: ``(status, reason, body, reusable)``.
+
+    The status line is split as ``http.client`` splits it; of the
+    header lines only ``Content-Length`` and ``Connection`` count, and
+    any ``Transfer-Encoding`` is refused (the server never sends one).
+    The body is exactly ``Content-Length`` bytes, or, without one,
+    everything up to EOF.  The connection closes as ``http.client``
+    decides (HTTP/1.1 on ``Connection: close``, HTTP/1.0 unless kept
+    alive, and without a length), and *reusable* is also false when a
+    byte past the body arrived with it: that byte belongs to no
+    request this client sent.  Every refusal is an ``HTTPException``.
+    """
+    recv = sock.recv
+    data = recv(_RECV_BYTES)
+    end = data.find(b"\r\n\r\n")
+    while end < 0:
+        if not data:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response"
+            )
+        if data.count(b"\n") > MAX_HEAD_LINES:
+            raise http.client.HTTPException(
+                f"got more than {MAX_HEAD_LINES} headers"
+            )
+        if len(data) - data.rfind(b"\n") - 1 > MAX_LINE:
+            raise http.client.LineTooLong("response head line")
+        more = recv(_RECV_BYTES)
+        if not more:
+            raise http.client.HTTPException(
+                "connection closed inside the response head"
+            )
+        # resume the search where a terminator split across the two
+        # pieces could begin; a negative start would count from the end
+        resume = max(0, len(data) - 3)
+        data += more
+        end = data.find(b"\r\n\r\n", resume)
+    lines = data[:end].split(b"\r\n")
+    # the status line, then header lines: with the blank one, at most
+    # MAX_HEAD_LINES
+    if len(lines) > MAX_HEAD_LINES:
+        raise http.client.HTTPException(
+            f"got more than {MAX_HEAD_LINES} headers"
+        )
+    if end + 2 > MAX_LINE and max(map(len, lines)) + 2 > MAX_LINE:
+        raise http.client.LineTooLong("response head line")
+
+    status_line = str(lines[0], "iso-8859-1")
+    words = status_line.split(None, 2)
+    if len(words) == 2:
+        words.append("")
+    if len(words) != 3:
+        raise http.client.BadStatusLine(status_line)
+    version, status, reason = words
+    if not (
+        version.startswith("HTTP/") and len(status) == 3
+        and status.isdecimal() and status[0] != "0"
+    ):
+        raise http.client.BadStatusLine(status_line)
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http_10 = True
+    elif version.startswith("HTTP/1."):
+        http_10 = False
+    else:
+        raise http.client.UnknownProtocol(version)
+
+    length = connection = None
+    for line in lines[1:]:
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise http.client.HTTPException(f"bad header line {line!r}")
+        name = name.lower()
+        if name == b"content-length":
+            value = value.strip(b" \t")
+            if length is not None or not value.isdigit():
+                raise http.client.HTTPException(
+                    f"bad Content-Length {value!r}"
+                )
+            length = int(value)
+        elif name == b"connection":
+            if connection is None:  # the first one counts, as in email
+                connection = value.lower()
+        elif name == b"transfer-encoding":
+            raise http.client.HTTPException(
+                f"unsupported Transfer-Encoding {value.strip()!r}"
+            )
+    if http_10:
+        will_close = connection is None or b"keep-alive" not in connection
+    else:
+        will_close = connection is not None and b"close" in connection
+
+    start = end + 4
+    if length is None:  # the body runs to EOF, and so does the connection
+        pieces = [data[start:]]
+        while piece := recv(_RECV_BYTES):
+            pieces.append(piece)
+        return int(status), reason.strip(), b"".join(pieces), False
+    stop = start + length
+    body = data[start:stop]
+    if len(body) < length:
+        pieces = [body]
+        missing = length - len(body)
+        while missing:
+            # never past the body: a stray byte after it stays in the
+            # socket, where the next checkout's ``_hung_up`` sees it
+            piece = recv(min(missing, _RECV_BYTES))
+            if not piece:
+                raise http.client.IncompleteRead(b"".join(pieces), missing)
+            pieces.append(piece)
+            missing -= len(piece)
+        body = b"".join(pieces)
+    elif len(data) > stop:  # bytes past the body
+        will_close = True
+    return int(status), reason.strip(), body, not will_close
 
 
 class ClientWireStats:
@@ -172,6 +339,11 @@ class TaxonomyClient(BatchedServingAPI):
                 f"backoff_cap_seconds ({backoff_cap_seconds}) must be >= "
                 f"backoff_seconds ({backoff_seconds})"
             )
+        if admin_token is not None and _BAD_HEADER_VALUE(admin_token):
+            raise APIError(
+                "admin_token must hold no CR or LF and only Latin-1 "
+                "characters"
+            )
         self._base_url = base_url.rstrip("/")
         parts = urllib.parse.urlsplit(self._base_url)
         self._connection_class = _CONNECTION_CLASSES.get(parts.scheme)
@@ -182,6 +354,14 @@ class TaxonomyClient(BatchedServingAPI):
             )
         self._netloc = parts.netloc
         self._path_prefix = parts.path
+        try:  # the stdlib's host and port parse, checked once, here
+            host = _host_field(self._connection_class(self._netloc))
+        except (http.client.InvalidURL, UnicodeError) as exc:
+            raise APIError(f"base_url {base_url!r}: {exc}") from exc
+        #: the fields after the request line that every request carries
+        self._host_fields = (
+            f"Host: {host}\r\nAccept-Encoding: identity\r\n"
+        )
         #: idle keep-alive connections, most recently used last
         self._idle: list[http.client.HTTPConnection] = []
         self._pool_lock = threading.Lock()
@@ -260,7 +440,8 @@ class TaxonomyClient(BatchedServingAPI):
         skipped here, before the caller's attempt begins: a server
         restart costs no retry, and an admin mutation (one attempt,
         never resent) is not spent on a dead connection.  A new
-        connection connects on its first request.
+        connection connects in ``_round_trip``, through
+        ``HTTPConnection.connect``.
         """
         while True:
             with self._pool_lock:
@@ -272,33 +453,68 @@ class TaxonomyClient(BatchedServingAPI):
             connection.close()
         return self._connection_class(self._netloc, timeout=self._timeout)
 
-    def _round_trip(
-        self, method: str, path: str, body: bytes | None, headers: dict
-    ) -> tuple[int, str, bytes]:
+    def _encode_request(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: Sequence[tuple[str, str]],
+    ) -> bytes:
+        """The request's bytes, head and body, as one buffer.
+
+        They are the bytes ``HTTPConnection.request`` writes for the
+        same call: the request line, ``Host``, ``Accept-Encoding:
+        identity``, ``Content-Length`` when there is a body, then
+        *headers* in order.  A target or header value the wire cannot
+        carry raises :class:`APIError`.
+        """
+        target = self._path_prefix + path
+        if _BAD_TARGET(target):
+            raise APIError(
+                f"{target!r}: a request target takes visible ASCII only, "
+                "with no space or control character"
+            )
+        head = f"{method} {target} HTTP/1.1\r\n{self._host_fields}"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        for name, value in headers:
+            if _BAD_HEADER_VALUE(value):
+                raise APIError(
+                    f"{path}: the {name} header must hold no CR or LF and "
+                    "only Latin-1 characters"
+                )
+            head += f"{name}: {value}\r\n"
+        request = (head + "\r\n").encode("latin-1")
+        return request if body is None else request + body
+
+    def _round_trip(self, request: bytes) -> tuple[int, str, bytes]:
         """One HTTP exchange: ``(status, reason, body)``, body fully read.
 
-        The one place a request meets the wire.  The connection goes
-        back to the pool only after a complete response that does not
-        close it.  On any exception, a timeout included, it is closed
-        instead, since its stream position is unknown, and the
-        exception propagates (see ``_TRANSPORT_ERRORS``).
+        The one place a request meets the wire: *request* goes out in
+        one ``sendall`` and :func:`_read_response` reads the answer.
+        The connection goes back to the pool only after a complete
+        response that keeps it open and left nothing unread.  On any
+        exception, a timeout included, it is closed instead, since its
+        stream position is unknown, and the exception propagates (see
+        ``_TRANSPORT_ERRORS``).
         """
         connection = self._connection()
         try:
-            connection.request(
-                method, self._path_prefix + path, body=body, headers=headers
+            if connection.sock is None:
+                connection.connect()
+            connection.sock.sendall(request)
+            status, reason, payload, reusable = _read_response(
+                connection.sock
             )
-            response = connection.getresponse()
-            payload = response.read()
         except BaseException:
             connection.close()
             raise
-        if response.will_close:
-            connection.close()
-        else:
+        if reusable:
             with self._pool_lock:
                 self._idle.append(connection)
-        return response.status, response.reason, payload
+        else:
+            connection.close()
+        return status, reason, payload
 
     def _request(
         self,
@@ -321,23 +537,26 @@ class TaxonomyClient(BatchedServingAPI):
         status report rather than an error (the 503 ``/healthz``
         answers when a shard has no healthy replicas) is returned
         instead of retried — health callers want to *read* that state,
-        not throw on it.
+        not throw on it.  A request the wire cannot carry raises
+        :class:`APIError` before the first attempt.
         """
-        headers = {"Content-Type": "application/json; charset=utf-8"}
+        headers = [_JSON_CONTENT_TYPE]
         if trace_id is not None:
-            headers[TRACE_HEADER] = trace_id
+            headers.append((TRACE_HEADER, trace_id))
         if admin:
             if self._admin_token is None:
                 raise APIError(
                     "admin call needs a client constructed with admin_token"
                 )
-            headers["Authorization"] = f"Bearer {self._admin_token}"
+            headers.append(("Authorization", f"Bearer {self._admin_token}"))
         data = (
             json.dumps(body, ensure_ascii=False).encode("utf-8")
             if body is not None
             else None
         )
-        method = "POST" if data is not None else "GET"
+        request = self._encode_request(
+            "POST" if data is not None else "GET", path, data, headers
+        )
         attempts = (self._retries + 1) if idempotent else 1
         last_error: Exception | None = None
         for attempt in range(attempts):
@@ -351,9 +570,7 @@ class TaxonomyClient(BatchedServingAPI):
                 time.sleep(slept)
             self.wire_stats.observe_request()
             try:
-                status, reason, raw = self._round_trip(
-                    method, path, data, headers
-                )
+                status, reason, raw = self._round_trip(request)
             except _TRANSPORT_ERRORS as exc:
                 last_error = exc
                 continue
@@ -399,10 +616,10 @@ class TaxonomyClient(BatchedServingAPI):
         the ``version`` that answered it (``api_name`` is a wire name,
         e.g. ``"getConcept"``).  The singles return just the results.
         """
-        query = urllib.parse.urlencode({"q": argument})
+        query = urllib.parse.quote_plus(argument)  # urlencode's bytes
         trace_id = self._trace_id_for(argument)
         started = time.perf_counter()
-        payload = self._request(f"/v1/{api_name}?{query}", trace_id=trace_id)
+        payload = self._request(f"/v1/{api_name}?q={query}", trace_id=trace_id)
         results = payload.get("results")
         if not isinstance(results, list):
             raise APIError(f"{api_name}: malformed response {payload!r}")
@@ -470,8 +687,9 @@ class TaxonomyClient(BatchedServingAPI):
     def server_metrics_text(self) -> str:
         """The server's Prometheus-style text exposition (one attempt)."""
         path = "/metrics?format=text"
+        request = self._encode_request("GET", path, None, ())
         try:
-            status, reason, raw = self._round_trip("GET", path, None, {})
+            status, reason, raw = self._round_trip(request)
         except _TRANSPORT_ERRORS as exc:
             raise APIError(f"{path}: {exc}") from exc
         if not 200 <= status < 300:

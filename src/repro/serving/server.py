@@ -17,7 +17,10 @@ line follows the stdlib's rules and status codes.  Framing is strict:
 a header line without a colon, a folded line, whitespace before the
 colon, or a ``Content-Length`` that is not one non-negative decimal
 number is 400, any ``Transfer-Encoding`` is 501, and each ends the
-connection without reading a body.
+connection without reading a body.  Every request's body is read
+exactly, a GET's too, in pieces of at most 64 KiB; one that ends
+before its ``Content-Length`` is 400, ends the connection and is never
+routed.
 
 Endpoints (see the package docstring for the full wire format):
 
@@ -82,11 +85,14 @@ from repro.taxonomy.store import Taxonomy
 #: not workload, exactly like ``PROBE_KEY`` traffic.
 OPS_PATHS = ("/metrics", "/healthz", "/version", "/admin/")
 
-#: The stdlib's bounds on a request head (``http.client``'s ``_MAXLINE``
-#: and ``_MAXHEADERS``): a longer line, or more lines counting the blank
-#: one that ends the head, is answered 431.
-_MAX_LINE = 65536
-_MAX_HEAD_LINES = 100
+#: The stdlib's bounds on a head (``http.client``'s ``_MAXLINE`` and
+#: ``_MAXHEADERS``): a longer line, or more lines counting the blank one
+#: that ends the head.  A request head past them is answered 431; the
+#: client refuses a response head past them.
+MAX_LINE = 65536
+MAX_HEAD_LINES = 100
+#: the most one read of a request body asks for
+_BODY_PIECE = 65536
 _HEAD_ENDS = (b"\r\n", b"\n", b"")
 
 
@@ -208,21 +214,21 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         headers = _RequestHeaders()
         content_length = None
         readline = self.rfile.readline
-        for count in range(1, _MAX_HEAD_LINES + 2):
-            line = readline(_MAX_LINE + 1)
-            if len(line) > _MAX_LINE:
+        for count in range(1, MAX_HEAD_LINES + 2):
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
                 self.send_error(
                     HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
                     "Line too long",
-                    f"got more than {_MAX_LINE} bytes when reading "
+                    f"got more than {MAX_LINE} bytes when reading "
                     "header line",
                 )
                 return False
-            if count > _MAX_HEAD_LINES:
+            if count > MAX_HEAD_LINES:
                 self.send_error(
                     HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
                     "Too many headers",
-                    f"got more than {_MAX_HEAD_LINES} headers",
+                    f"got more than {MAX_HEAD_LINES} headers",
                 )
                 return False
             if line in _HEAD_ENDS:
@@ -316,16 +322,35 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self.wfile.flush()
 
-    def _drain_body(self) -> bytes:
-        """Read the request body off the socket unconditionally.
+    def _drain_body(self) -> bool:
+        """Read the request body off the socket into ``self._body``.
 
         With HTTP/1.1 keep-alive an unread body would be parsed as the
-        next request line, so every POST drains it up front — including
-        the paths (bad auth, unknown endpoint) that never look at it.
-        ``parse_request`` has checked the length.
+        next request line, so every request drains it up front, a GET's
+        included, as do the paths (bad auth, unknown endpoint) that
+        never look at it.  ``parse_request`` has checked the length.
+        It is read in pieces of at most ``_BODY_PIECE`` bytes, so memory
+        follows the bytes that arrive, not the length declared.  A body
+        that ends before its length is answered 400 through
+        ``send_error``, which closes the connection; ``False`` then
+        tells the caller not to route the request.
         """
-        length = self._content_length
-        return self.rfile.read(length) if length else b""
+        remaining = self._content_length
+        pieces = []
+        while remaining:
+            piece = self.rfile.read(min(remaining, _BODY_PIECE))
+            if not piece:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Body shorter than Content-Length",
+                    f"the connection ended {remaining} bytes short of "
+                    "the declared body",
+                )
+                return False
+            pieces.append(piece)
+            remaining -= len(piece)
+        self._body = b"".join(pieces)
+        return True
 
     @staticmethod
     def _parse_json_body(raw: bytes) -> dict:
@@ -362,7 +387,8 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, route) -> None:
         """Route one request with tracing + request accounting.
 
-        An ``X-Trace-Id`` header binds the trace context around the
+        The body is drained first, whatever the method.  An
+        ``X-Trace-Id`` header binds the trace context around the
         whole dispatch, so every span the service front records during
         this request correlates with the server span recorded here.
         The server span ends when the response is ready, before it is
@@ -372,6 +398,8 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         trace_id = self.headers.get(TRACE_HEADER) or None
         self._ready_at = None
         started = perf_counter()
+        if not self._drain_body():
+            return  # a short body: answered 400, never routed nor counted
         outcome = "ok"
         try:
             if trace_id is not None:
@@ -425,7 +453,7 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such endpoint: {url.path}")
 
     def _route_post(self, url) -> None:
-        raw_body = self._drain_body()
+        raw_body = self._body
         if url.path == "/admin/swap":
             if self._authorized():
                 self._admin_swap(raw_body)

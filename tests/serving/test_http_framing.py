@@ -312,16 +312,22 @@ def server():
     server.close()
 
 
-def exchange(server, raw: bytes, timeout: float = 2.0) -> bytes:
+def exchange(
+    server, raw: bytes, timeout: float = 2.0, half_close: bool = False
+) -> bytes:
     """Send *raw* on a fresh connection; every byte until the server closes.
 
-    A server that keeps the connection open, or hangs, fails the
-    test with ``TimeoutError`` after *timeout* seconds.
+    With *half_close* the client then ends its side of the stream, as a
+    sender whose body ended early does.  A server that keeps the
+    connection open, or hangs, fails the test with ``TimeoutError``
+    after *timeout* seconds.
     """
     host, port = server.server_address[:2]
     received = []
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         while chunk := sock.recv(65536):
             received.append(chunk)
     return b"".join(received)
@@ -410,6 +416,58 @@ class TestFramingErrors:
             connection.close()
 
 
+class TestBodyFraming:
+    """A body is read exactly: a GET's too, and one that ends short is a
+    400 that is never routed."""
+
+    def test_a_get_body_is_drained_and_the_next_request_answered(
+        self, server
+    ):
+        wire = exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n"
+            b"\r\nGARBAGE /x\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+        first, _, rest = wire.partition(b"\r\n\r\n")
+        length = int(first.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        second = rest[length:]
+        assert first.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(rest[:length])["status"] == "ok"
+        status, headers, body = one_response(second)
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+        with TaxonomyClient(server.url, retries=0, timeout=2.0) as client:
+            assert client.men2ent("华仔") == ["刘德华#0"]
+
+    @pytest.mark.parametrize(
+        "length, body",
+        [
+            (10 ** 29, BODY),  # a 30-digit length
+            (len(BODY) + 50, BODY),  # 50 bytes short
+        ],
+        ids=["30-digit-length", "50-bytes-short"],
+    )
+    def test_a_body_that_ends_short_is_one_400_never_routed(
+        self, server, length, body
+    ):
+        served = server.service.metrics.total_calls
+        wire = exchange(
+            server,
+            b"POST /v1/men2ent HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+            b"\r\n%s" % (length, body),
+            half_close=True,
+        )
+        status, headers, html = one_response(wire)
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert b"Body shorter than Content-Length" in html
+        assert server.service.metrics.total_calls == served
+        # the server still answers, on a fresh connection
+        with TaxonomyClient(server.url, retries=0, timeout=2.0) as client:
+            assert client.men2ent("华仔") == ["刘德华#0"]
+
+
 # -- the HTTP metric families -------------------------------------------------
 
 
@@ -435,11 +493,29 @@ class TestMetricLabels:
                     for name in ("http_requests_total", "http_request_seconds")
                 }
 
+            def settled(sent: int) -> None:
+                """Wait until the server has counted all *sent* requests:
+                it counts each one just after writing its response."""
+                deadline = time.monotonic() + 5.0
+                while True:
+                    counted = {
+                        dict(s["labels"])["path"]: s["value"]
+                        for s in hub.registry.as_dict()[
+                            "http_requests_total"
+                        ]["samples"]
+                    }
+                    if counted.get("other") == sent:
+                        return
+                    assert time.monotonic() < deadline, counted
+                    time.sleep(0.001)
+
             try:
                 junk(0)
+                settled(1)
                 after_first = samples()
                 for n in range(1, 300):
                     junk(n)
+                settled(300)
                 assert samples() == after_first
                 counted = {
                     dict(s["labels"])["path"]: s["value"]

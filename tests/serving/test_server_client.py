@@ -620,13 +620,64 @@ class TestApplyDeltaEndpoint:
             server.close()
 
 
+#: responses the client cannot read, each with whether the server hangs
+#: up after it: every one must end the attempt in a transport error
+MALFORMED_RESPONSES = {
+    "eof-before-status-line": (b"", True),
+    "bad-status-line": (
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n", False
+    ),
+    "not-http": (b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+    "unknown-version": (
+        b"HTTP/2.0 200 OK\r\nContent-Length: 0\r\n\r\n", False
+    ),
+    "head-cut-short": (b"HTTP/1.1 200 OK\r\nContent-Le", True),
+    "line-too-long": (
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", False
+    ),
+    "too-many-headers": (
+        b"HTTP/1.1 200 OK\r\n" + b"X-N: v\r\n" * 100 + b"\r\n", False
+    ),
+    "header-without-colon": (
+        b"HTTP/1.1 200 OK\r\nContent-Length 2\r\n\r\n{}", False
+    ),
+    "bad-content-length": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", False
+    ),
+    "negative-content-length": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\n{}", False
+    ),
+    "two-content-lengths": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+        b"Content-Length: 2\r\n\r\n{}", False,
+    ),
+    "transfer-encoding": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n", False,
+    ),
+    "body-cut-short": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{\"results\"", True
+    ),
+}
+
+
 class TestRetrySemantics:
-    """Batched-read POSTs retry; admin mutations are never resent."""
+    """Batched-read POSTs retry; admin mutations are never resent; a
+    response the client cannot read is retried on a fresh connection."""
 
     class _CountingServer:
-        """A scripted HTTP server: per-path request counts + failures."""
+        """A scripted HTTP server: per-path request counts + failures.
 
-        def __init__(self, fail_times: dict[str, int]):
+        *raw* maps a path to the bytes its first request is answered
+        with instead, and whether the server then hangs up; without
+        hanging up it waits for the connection's next request.
+        """
+
+        def __init__(
+            self,
+            fail_times: dict[str, int],
+            raw: dict[str, tuple[bytes, bool]] | None = None,
+        ):
             import threading
             from http.server import (
                 BaseHTTPRequestHandler,
@@ -655,6 +706,14 @@ class TestRetrySemantics:
                     raw = self.rfile.read(length) if length else b""
                     path = self.path.split("?")[0]
                     counts[path] = counts.get(path, 0) + 1
+                    if counts[path] == 1 and path in outer.raw:
+                        wire, hang_up = outer.raw[path]
+                        try:
+                            self.wfile.write(wire)
+                        except OSError:  # the client gave up reading
+                            pass
+                        self.close_connection = hang_up
+                        return
                     if counts[path] <= outer.fail_times.get(path, 0):
                         self._reply(500, {"error": "scripted failure"})
                         return
@@ -674,6 +733,7 @@ class TestRetrySemantics:
                 do_GET = do_POST = _serve  # noqa: N815
 
             self.fail_times = fail_times
+            self.raw = raw or {}
             self.counts = counts
             self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
             host, port = self._server.server_address[:2]
@@ -689,8 +749,8 @@ class TestRetrySemantics:
 
     @pytest.fixture
     def scripted(self, request):
-        def start(fail_times):
-            server = self._CountingServer(fail_times)
+        def start(fail_times, raw=None):
+            server = self._CountingServer(fail_times, raw)
             request.addfinalizer(server.close)
             return server
 
@@ -746,3 +806,47 @@ class TestRetrySemantics:
         ) as client:
             with pytest.raises(APIError, match="after 1 attempts"):
                 client.shutdown_server()
+
+    @pytest.mark.parametrize(
+        "wire, hang_up",
+        list(MALFORMED_RESPONSES.values()),
+        ids=list(MALFORMED_RESPONSES),
+    )
+    def test_an_unreadable_response_is_retried_on_a_fresh_connection(
+        self, scripted, connects, wire, hang_up
+    ):
+        server = scripted({}, raw={"/v1/getConcept": (wire, hang_up)})
+        with TaxonomyClient(
+            server.url, retries=1, backoff_seconds=0.0, timeout=30.0
+        ) as client:
+            started = time.perf_counter()
+            assert client.get_concepts("刘德华#0") == []
+            elapsed = time.perf_counter() - started
+            stats = client.wire_stats.as_dict()
+        # refused on sight: a reader that waited for more bytes on the
+        # open connection would have run into the 30-s timeout
+        assert elapsed < 10.0, f"took {elapsed:.1f}s"
+        assert server.counts["/v1/getConcept"] == 2
+        assert (stats["requests"], stats["retries"]) == (2, 1)
+        # the first connection was closed, not pooled: a pooled one the
+        # server still holds open would have been reused for the retry
+        assert len(connects) == 2
+
+    def test_a_stale_second_response_never_answers_the_next_call(
+        self, scripted
+    ):
+        stale = json.dumps({"results": ["stale"]}).encode("utf-8")
+        fresh = json.dumps({"results": ["first"]}).encode("utf-8")
+        wire = b"".join(
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body)
+            for body in (fresh, stale)
+        )
+        # both responses to one request, in one write, connection open
+        server = scripted({}, raw={"/v1/getConcept": (wire, False)})
+        with TaxonomyClient(server.url, retries=0, timeout=2.0) as client:
+            assert client.get_concepts("刘德华#0") == ["first"]
+            assert client.get_concepts("刘德华#0") == []
+            assert client.get_concepts("刘德华#0") == []
+        assert server.counts["/v1/getConcept"] == 3
+
