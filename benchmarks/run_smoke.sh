@@ -48,12 +48,14 @@ python -m pytest -x -q benchmarks/bench_table1_comparison.py \
     benchmarks/bench_ablation_separation.py \
     benchmarks/bench_sources_precision.py benchmarks/bench_qa_coverage.py \
     benchmarks/bench_predicate_discovery.py benchmarks/bench_scaling.py
-# dev-mode leak gate: an unclosed socket or file in the serving and CLI
-# tests fails the run.  The pytest category goes after `-m pytest`:
-# Python's own -W cannot import pytest at start-up and drops it.
+# dev-mode leak gate: an unclosed socket or file in the serving, CLI,
+# taxonomy, encyclopedia and file-writer tests fails the run.  The
+# pytest category goes after `-m pytest`: Python's own -W cannot import
+# pytest at start-up and drops it.
 python -X dev -W error::ResourceWarning -m pytest \
     -W error::pytest.PytestUnraisableExceptionWarning -x -q \
-    tests/serving tests/test_cli.py
+    tests/serving tests/test_cli.py tests/taxonomy tests/encyclopedia \
+    tests/test_files.py
 # the examples are the documented entry points: each must still run
 for example in examples/*.py; do
     echo "example: $example"

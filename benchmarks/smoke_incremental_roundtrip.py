@@ -41,7 +41,7 @@ from repro.encyclopedia import (  # noqa: E402
 )
 from repro.errors import APIError  # noqa: E402
 from repro.serving import TaxonomyClient  # noqa: E402
-from repro.taxonomy import Taxonomy  # noqa: E402
+from repro.taxonomy import Taxonomy, load_delta  # noqa: E402
 from trajectory import merge_bench_json  # noqa: E402
 
 ADMIN_TOKEN = "smoke-incremental-token"
@@ -127,7 +127,7 @@ def main() -> None:
             with TaxonomyClient(url, admin_token=ADMIN_TOKEN) as client:
                 assert client.healthz()["version"] == "v1"
 
-                delta = Taxonomy.load_delta(delta_path)
+                delta = load_delta(delta_path)
                 probe_concept = next(
                     (r.hypernym for r in delta.relations_added
                      if r.hyponym_kind == "entity"),

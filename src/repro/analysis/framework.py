@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.errors import AnalysisError
+from repro.files import write_atomic
 
 #: ``# lint: allow[determinism] reason`` — the in-place acknowledgement
 #: of a benign violation.  Several ids may share one pragma
@@ -293,9 +294,8 @@ class Baseline:
                 for key, reason in sorted(self.entries.items())
             ],
         }
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
+        write_atomic(
+            path, [json.dumps(payload, ensure_ascii=False, indent=2) + "\n"]
         )
 
 

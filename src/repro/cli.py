@@ -86,7 +86,8 @@ from repro.core.pipeline import (
 from repro.core.stages import default_registry
 from repro.encyclopedia import SyntheticWorld, diff_dumps, load_dump, save_dump
 from repro.errors import APIError, ReproError
-from repro.taxonomy import Taxonomy
+from repro.files import write_atomic
+from repro.taxonomy import Taxonomy, load_delta, save_delta
 from repro.taxonomy.service import WIRE_API_METHODS
 
 
@@ -128,7 +129,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         )
         result = builder.build_incremental(dump, previous)
         delta_path = Path(f"{args.out}.delta.jsonl")
-        Taxonomy.save_delta(result.delta, delta_path)
+        save_delta(result.delta, delta_path)
         diff = result.diff
         print(f"dump diff: {len(diff.added)} added, "
               f"{len(diff.changed)} changed, {len(diff.removed)} removed "
@@ -152,17 +153,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
               f"{record.count} {units[record.kind]} "
               f"in {record.seconds:.2f}s{extras}")
     trace_path = _trace_path(args.out)
-    trace_path.write_text(
-        json.dumps(
-            {
-                "total_seconds": result.stage_trace.total_seconds,
-                "stages": result.stage_trace.as_dict(),
-            },
-            ensure_ascii=False,
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
+    write_atomic(trace_path, [json.dumps(
+        {
+            "total_seconds": result.stage_trace.total_seconds,
+            "stages": result.stage_trace.as_dict(),
+        },
+        ensure_ascii=False,
+        indent=2,
+    )])
     print(f"wrote taxonomy to {args.out}")
     print(f"wrote stage trace to {trace_path}")
     return 0
@@ -232,9 +230,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         preview = ", ".join(ids[:8]) + (", ..." if len(ids) > 8 else "")
         print(f"{label}: {len(ids)} ({preview})")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(diff.as_dict(), ensure_ascii=False, indent=2),
-            encoding="utf-8",
+        write_atomic(
+            args.json,
+            [json.dumps(diff.as_dict(), ensure_ascii=False, indent=2)],
         )
         print(f"wrote diff to {args.json}")
     return 0
@@ -261,7 +259,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_squash(args: argparse.Namespace) -> int:
-    from repro.taxonomy.delta import compose, load_delta, save_delta
+    from repro.taxonomy.delta import compose
 
     deltas = [load_delta(path) for path in args.deltas]
     composed = compose(deltas)
@@ -398,6 +396,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             restored[signum] = signal.signal(signum, handle_signal)
         except (ValueError, OSError):  # non-main thread or unsupported
             pass
+    wrote_ready = False
     try:
         stats = taxonomy.stats()
         print(f"serving {args.taxonomy} "
@@ -412,20 +411,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # is accepting, so a reader acting on this file cannot race
             # the server coming up.  pid + port as JSON lets the reader
             # reject a stale file left by a crashed predecessor (the
-            # pid is dead, or alive but a different process).
+            # pid is dead, or alive but a different process).  It
+            # appears whole (temp file + rename): a poller that sees it
+            # non-empty never reads half of it.
             host, port = server.server_address[:2]
-            ready_path.write_text(
-                json.dumps({"pid": os.getpid(), "host": host, "port": port})
-                + "\n",
-                encoding="utf-8",
-            )
+            write_atomic(ready_path, [json.dumps(
+                {"pid": os.getpid(), "host": host, "port": port}
+            ) + "\n"])
+            wrote_ready = True
         server.wait()
         print("server stopped")
     except KeyboardInterrupt:
         print("shutting down")
     finally:
         server.close()
-        if ready_path is not None:
+        if wrote_ready:
             try:  # clean shutdown removes the readiness marker
                 ready_path.unlink()
             except OSError:

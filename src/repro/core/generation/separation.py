@@ -218,9 +218,6 @@ class BracketSource:
 
     def generate(self, context) -> list[IsARelation]:
         extractor = BracketExtractor(
-            context.segmenter,
-            context.pmi,
-            context.tagger,
-            agglomerative=context.config.agglomerative_separation,
+            context.segmenter, context.pmi, context.tagger
         )
         return extractor.extract(context.dump)

@@ -106,7 +106,6 @@ class PipelineConfig:
     predicate_min_aligned: int = 2
     predicate_min_support: float = 0.28
     predicate_max_selected: int = 12
-    agglomerative_separation: bool = False
     # neural extraction can be capped for wall-clock control; None = all
     max_generation_pages: int | None = None
     harvest_lexicon: bool = True

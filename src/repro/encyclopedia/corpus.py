@@ -2,6 +2,9 @@
 
 One JSON object per line keeps dumps streamable and diff-friendly; the
 format round-trips exactly through :meth:`EncyclopediaPage.to_dict`.
+Dumps are read and written through :mod:`repro.files`, like taxonomy
+files: a line that is not a JSON object is a :class:`CorpusError`
+naming its ``file:line``, and a save never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -11,35 +14,21 @@ from pathlib import Path
 
 from repro.encyclopedia.model import EncyclopediaDump, EncyclopediaPage
 from repro.errors import CorpusError
+from repro.files import read_jsonl, write_atomic
 
 
 def save_dump(dump: EncyclopediaDump, path: str | Path) -> int:
     """Write *dump* to *path* as JSONL; returns the number of pages."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with target.open("w", encoding="utf-8") as handle:
-        for page in dump:
-            handle.write(json.dumps(page.to_dict(), ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    write_atomic(path, (
+        json.dumps(page.to_dict(), ensure_ascii=False) + "\n"
+        for page in dump
+    ))
+    return len(dump)
 
 
 def load_dump(path: str | Path) -> EncyclopediaDump:
     """Load a JSONL dump written by :func:`save_dump`."""
-    source = Path(path)
-    if not source.exists():
-        raise CorpusError(f"dump file not found: {source}")
     dump = EncyclopediaDump()
-    with source.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{source}:{line_no}: invalid JSON: {exc}") from exc
-            dump.add(EncyclopediaPage.from_dict(record))
+    for _, record in read_jsonl(path, CorpusError, "dump"):
+        dump.add(EncyclopediaPage.from_dict(record))
     return dump

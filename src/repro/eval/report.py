@@ -9,11 +9,11 @@ each bench's section in the shared ``BENCH_parallel.json``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ReproError
+from repro.files import write_atomic
 
 
 def _display_width(text: str) -> int:
@@ -63,24 +63,18 @@ def format_percent(value: float) -> str:
 def merge_bench_entry(path: str | Path, key: str, payload: dict) -> dict:
     """Atomically merge ``{key: payload}`` into the JSON file at *path*.
 
-    Returns the merged document.  Missing parent directories are
-    created, and the update is written to a temp file in the same
-    directory and moved into place with ``os.replace``, so a crashed
-    benchmark can never leave a truncated JSON behind for the next run
-    to choke on.  An existing file that is not a JSON object raises
-    rather than being silently clobbered.
+    Returns the merged document.  The update goes through
+    :func:`~repro.files.write_atomic`, so a crashed benchmark can never
+    leave a truncated JSON behind for the next run to choke on.  An
+    existing file that is not a JSON object raises rather than being
+    silently clobbered.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     data: dict = {}
     if target.exists():
         data = json.loads(target.read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ReproError(f"{target} does not hold a JSON object")
     data[key] = payload
-    temp = target.with_name(target.name + ".tmp")
-    temp.write_text(
-        json.dumps(data, ensure_ascii=False, indent=2), encoding="utf-8"
-    )
-    os.replace(temp, target)
+    write_atomic(target, [json.dumps(data, ensure_ascii=False, indent=2)])
     return data

@@ -16,11 +16,11 @@ and writes each response head and body as one buffer.  The request
 line follows the stdlib's rules and status codes.  Framing is strict:
 a header line without a colon, a folded line, whitespace before the
 colon, or a ``Content-Length`` that is not one non-negative decimal
-number is 400, any ``Transfer-Encoding`` is 501, and each ends the
-connection without reading a body.  Every request's body is read
-exactly, a GET's too, in pieces of at most 64 KiB; one that ends
-before its ``Content-Length`` is 400, ends the connection and is never
-routed.
+number is 400, any ``Transfer-Encoding`` is 501, a ``Content-Length``
+above :data:`MAX_BODY` is 413, and each ends the connection without
+reading a body.  Every request's body is read exactly, a GET's too, in
+pieces of at most 64 KiB; one that ends before its ``Content-Length``
+is 400, ends the connection and is never routed.
 
 Endpoints (see the package docstring for the full wire format):
 
@@ -91,6 +91,13 @@ OPS_PATHS = ("/metrics", "/healthz", "/version", "/admin/")
 #: client refuses a response head past them.
 MAX_LINE = 65536
 MAX_HEAD_LINES = 100
+#: The longest request body the server reads; a longer declared
+#: ``Content-Length`` is answered 413 before any body byte is read.  The
+#: largest body the cluster itself sends is an inline catch-up delta
+#: composed over a 32-entry ``DeltaHistory``.  On the 6,000-entity
+#: benchmark world one night's delta (2 % churn) is 4.4 KB inline, so
+#: 32 of them come to ~140 KB; the whole taxonomy as one delta is 2.5 MB.
+MAX_BODY = 16 * 2**20
 #: the most one read of a request body asks for
 _BODY_PIECE = 65536
 _HEAD_ENDS = (b"\r\n", b"\n", b"")
@@ -209,7 +216,8 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         before any body is read: 400 for a line without a colon, a
         folded line, whitespace before the colon, or a
         ``Content-Length`` that is not one non-negative decimal number;
-        501 for any ``Transfer-Encoding``.
+        501 for any ``Transfer-Encoding``; 413 for a ``Content-Length``
+        above :data:`MAX_BODY`.
         """
         headers = _RequestHeaders()
         content_length = None
@@ -261,6 +269,13 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
                 HTTPStatus.NOT_IMPLEMENTED,
                 "Transfer-Encoding not supported",
                 "send the body with a Content-Length",
+            )
+            return False
+        if content_length is not None and content_length > MAX_BODY:
+            self.send_error(
+                HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
+                "Body too large",
+                f"a request body is at most {MAX_BODY} bytes",
             )
             return False
         self.headers = headers
@@ -328,12 +343,12 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         With HTTP/1.1 keep-alive an unread body would be parsed as the
         next request line, so every request drains it up front, a GET's
         included, as do the paths (bad auth, unknown endpoint) that
-        never look at it.  ``parse_request`` has checked the length.
-        It is read in pieces of at most ``_BODY_PIECE`` bytes, so memory
-        follows the bytes that arrive, not the length declared.  A body
-        that ends before its length is answered 400 through
-        ``send_error``, which closes the connection; ``False`` then
-        tells the caller not to route the request.
+        never look at it.  ``parse_request`` has checked the length, at
+        most :data:`MAX_BODY`.  It is read in pieces of at most
+        ``_BODY_PIECE`` bytes, so memory follows the bytes that arrive,
+        not the length declared.  A body that ends before its length is
+        answered 400 through ``send_error``, which closes the connection;
+        ``False`` then tells the caller not to route the request.
         """
         remaining = self._content_length
         pieces = []
@@ -694,7 +709,7 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
         contract as a failed ``/admin/swap``.
         """
         from repro.serving.sharding import shard_for
-        from repro.taxonomy.delta import TaxonomyDelta
+        from repro.taxonomy.delta import TaxonomyDelta, load_delta
 
         body = self._parse_json_body(raw_body)
         source = body.get("delta")
@@ -755,7 +770,7 @@ class TaxonomyRequestHandler(BaseHTTPRequestHandler):
                 )
         try:
             if isinstance(source, str):
-                delta = Taxonomy.load_delta(source)
+                delta = load_delta(source)
             else:
                 delta = TaxonomyDelta.from_wire(source, "request body")
             published = publish(delta, **kwargs)

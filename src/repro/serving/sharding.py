@@ -33,14 +33,14 @@ from typing import Sequence
 from repro.errors import APIError, TaxonomyError
 from repro.obs import current_trace_id, get_hub
 from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
-from repro.taxonomy.model import HYPONYM_ENTITY
+from repro.taxonomy.model import HYPONYM_ENTITY, TaxonomyStats
 from repro.taxonomy.service import (
     PROBE_KEY,
     WIRE_API_METHODS,
     BatchedServingAPI,
     ServiceMetrics,
 )
-from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy, TaxonomyStats
+from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 
 
 def shard_for(key: str, n_shards: int) -> int:

@@ -21,13 +21,10 @@ from repro.taxonomy.model import (
     SOURCE_TAG,
     Entity,
     IsARelation,
-)
-from repro.taxonomy.graph import TaxonomyGraph
-from repro.taxonomy.store import (
-    ReadOptimizedTaxonomy,
-    Taxonomy,
     TaxonomyStats,
 )
+from repro.taxonomy.graph import TaxonomyGraph
+from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 from repro.taxonomy.delta import TaxonomyDelta, load_delta, save_delta
 from repro.taxonomy.service import (
     ServiceMetrics,

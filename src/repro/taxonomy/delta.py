@@ -38,7 +38,9 @@ Persistence is JSONL like the taxonomy itself: a header line with a
 ``format_version``, then one record per line, written atomically.
 Delta files have always been versioned, so a header *missing*
 ``format_version`` is malformed (unlike taxonomy files, which accept
-the legacy pre-versioning layout).
+the legacy pre-versioning layout).  The header and the records are
+laid out, typed and encoded by :mod:`repro.taxonomy.codec`, for files
+and for the inline form alike.
 """
 
 from __future__ import annotations
@@ -51,77 +53,41 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import DeltaConflictError, TaxonomyError
-from repro.taxonomy.model import HYPONYM_ENTITY, Entity, IsARelation
-
-if TYPE_CHECKING:
-    from repro.taxonomy.store import Taxonomy, TaxonomyStats
-
-#: Version of the delta JSONL layout; bump on incompatible changes.
-DELTA_FORMAT_VERSION = 1
-
-DELTA_KIND = "taxonomy-delta"
-
-_RECORD_KINDS = (
-    "entity_add", "entity_remove", "entity_change",
-    "relation_add", "relation_remove", "relation_change",
+from repro.files import read_jsonl, write_atomic
+from repro.taxonomy.codec import (
+    decode_delta_header,
+    decode_entity,
+    decode_relation,
+    delta_header,
+    entity_dict,
+    entity_fields,
+    record_lines,
+    relation_dict,
+    relation_fields,
+)
+from repro.taxonomy.model import (
+    HYPONYM_ENTITY,
+    Entity,
+    IsARelation,
+    TaxonomyStats,
 )
 
+if TYPE_CHECKING:
+    from repro.taxonomy.store import Taxonomy
 
-def _entity_dict(entity: Entity) -> dict:
-    return {
-        "page_id": entity.page_id,
-        "name": entity.name,
-        "aliases": list(entity.aliases),
-    }
-
-
-def _text(data: dict, field: str) -> str:
-    """``data[field]``, which must be a JSON string.
-
-    Keys are hashed and sorted as strings downstream, so a number or a
-    list here must be refused at parse time; the ``TypeError`` becomes
-    a :class:`~repro.errors.TaxonomyError` naming the record in
-    :meth:`_DeltaParts.dispatch`.
-    """
-    value = data[field]
-    if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def _entity_from(data: dict) -> Entity:
-    aliases = data.get("aliases", [])
-    if not isinstance(aliases, list) or not all(
-        isinstance(alias, str) for alias in aliases
-    ):
-        raise TypeError(
-            f"aliases must be a list of strings, got {aliases!r}"
-        )
-    return Entity(
-        page_id=_text(data, "page_id"),
-        name=_text(data, "name"),
-        aliases=tuple(aliases),
-    )
-
-
-def _relation_dict(relation: IsARelation) -> dict:
-    return {
-        "hyponym": relation.hyponym,
-        "hypernym": relation.hypernym,
-        "source": relation.source,
-        "hyponym_kind": relation.hyponym_kind,
-        "score": relation.score,
-    }
-
-
-def _relation_from(data: dict) -> IsARelation:
-    return IsARelation(
-        hyponym=_text(data, "hyponym"),
-        hypernym=_text(data, "hypernym"),
-        source=data["source"],
-        hyponym_kind=data["hyponym_kind"],
-        score=data.get("score", 1.0),
-    )
+#: The six body record kinds, in file and wire order: the delta field
+#: each fills and the codec of its records (decoder, dict, JSON text).
+#: A ``*_change`` record carries its ``(old, new)`` pair as two objects.
+_ENTITY_CODEC = (decode_entity, entity_dict, entity_fields)
+_RELATION_CODEC = (decode_relation, relation_dict, relation_fields)
+_RECORD_KINDS = {
+    "entity_add": ("entities_added", _ENTITY_CODEC),
+    "entity_remove": ("entities_removed", _ENTITY_CODEC),
+    "entity_change": ("entities_changed", _ENTITY_CODEC),
+    "relation_add": ("relations_added", _RELATION_CODEC),
+    "relation_remove": ("relations_removed", _RELATION_CODEC),
+    "relation_change": ("relations_changed", _RELATION_CODEC),
+}
 
 
 @dataclass(frozen=True)
@@ -151,7 +117,7 @@ class TaxonomyDelta:
     relations_added: tuple[IsARelation, ...] = ()
     relations_removed: tuple[IsARelation, ...] = ()
     relations_changed: tuple[tuple[IsARelation, IsARelation], ...] = ()
-    new_stats: "TaxonomyStats | None" = None
+    new_stats: TaxonomyStats | None = None
     new_n_relations: int = 0
     base_content_hash: str | None = None
     new_content_hash: str | None = None
@@ -328,27 +294,30 @@ class TaxonomyDelta:
     # -- persistence -------------------------------------------------------------
 
     def records(self) -> Iterator[dict]:
-        """The JSONL body records, in a stable canonical order."""
-        for entity in self.entities_added:
-            yield {"kind": "entity_add", **_entity_dict(entity)}
-        for entity in self.entities_removed:
-            yield {"kind": "entity_remove", **_entity_dict(entity)}
-        for old, new in self.entities_changed:
-            yield {
-                "kind": "entity_change",
-                "old": _entity_dict(old),
-                "new": _entity_dict(new),
-            }
-        for relation in self.relations_added:
-            yield {"kind": "relation_add", **_relation_dict(relation)}
-        for relation in self.relations_removed:
-            yield {"kind": "relation_remove", **_relation_dict(relation)}
-        for old, new in self.relations_changed:
-            yield {
-                "kind": "relation_change",
-                "old": _relation_dict(old),
-                "new": _relation_dict(new),
-            }
+        """The body records as :meth:`to_wire` ships them, in file order."""
+        for kind, (field, (_, as_dict, _)) in _RECORD_KINDS.items():
+            for item in getattr(self, field):
+                if kind.endswith("_change"):
+                    old, new = item
+                    yield {"kind": kind, "old": as_dict(old),
+                           "new": as_dict(new)}
+                else:
+                    yield {"kind": kind, **as_dict(item)}
+
+    def lines(self) -> Iterator[str]:
+        """The JSONL lines :func:`save_delta` writes: the header, then
+        :meth:`records` in the codec's line encoding."""
+        header = {"kind": "header", **delta_header(self)}
+        yield json.dumps(header, ensure_ascii=False) + "\n"
+        for kind, (field, (_, _, fields)) in _RECORD_KINDS.items():
+            if not kind.endswith("_change"):
+                yield from record_lines(kind, fields, getattr(self, field))
+                continue
+            for old, new in getattr(self, field):
+                yield (
+                    f'{{"kind": "{kind}", "old": {{{fields(old)}}}, '
+                    f'"new": {{{fields(new)}}}}}\n'
+                )
 
     def to_wire(self) -> dict:
         """The delta as one JSON-serializable object (header + records).
@@ -358,17 +327,7 @@ class TaxonomyDelta:
         persistence (:func:`save_delta`) is the same header and records,
         one JSON document per line instead of one object.
         """
-        stats = self.new_stats.as_dict() if self.new_stats is not None else None
-        return {
-            "format": DELTA_KIND,
-            "format_version": DELTA_FORMAT_VERSION,
-            "name": self.name,
-            "new_n_relations": self.new_n_relations,
-            "new_stats": stats,
-            "base_content_hash": self.base_content_hash,
-            "new_content_hash": self.new_content_hash,
-            "records": list(self.records()),
-        }
+        return {**delta_header(self), "records": list(self.records())}
 
     @classmethod
     def from_wire(cls, payload: dict, where: str = "wire") -> "TaxonomyDelta":
@@ -376,7 +335,9 @@ class TaxonomyDelta:
 
         Raises :class:`~repro.errors.TaxonomyError` on anything
         malformed — wrong ``format``, missing or garbage
-        ``format_version``, unknown record kinds — never ``KeyError``.
+        ``format_version``, unknown record kinds, a record the codec
+        refuses — naming *where* or ``<where>: record <i>``, never a
+        builtin exception.
         """
         if not isinstance(payload, dict):
             raise TaxonomyError(
@@ -388,202 +349,73 @@ class TaxonomyDelta:
             raise TaxonomyError(
                 f"{where}: delta payload needs a 'records' list"
             )
-        return _assemble_delta(payload, records, where)
+        return _decode(payload, where, (
+            (f"{where}: record {index}", record)
+            for index, record in enumerate(records)
+        ))
 
 
 def save_delta(delta: TaxonomyDelta, path: str | Path) -> None:
     """Write *delta* as JSONL, atomically (temp file + ``os.replace``)."""
-    from repro.taxonomy.store import _atomic_write  # late: avoid cycle
-
-    target = Path(path)
-    stats = delta.new_stats.as_dict() if delta.new_stats is not None else None
-
-    def _write(handle) -> None:
-        header = {
-            "kind": "header",
-            "format": DELTA_KIND,
-            "format_version": DELTA_FORMAT_VERSION,
-            "name": delta.name,
-            "new_n_relations": delta.new_n_relations,
-            "new_stats": stats,
-            "base_content_hash": delta.base_content_hash,
-            "new_content_hash": delta.new_content_hash,
-        }
-        handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for record in delta.records():
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-    _atomic_write(target, _write)
-
-
-class _DeltaParts:
-    """Accumulates typed record lists while parsing a delta body."""
-
-    def __init__(self) -> None:
-        self.entities_added: list[Entity] = []
-        self.entities_removed: list[Entity] = []
-        self.entities_changed: list[tuple[Entity, Entity]] = []
-        self.relations_added: list[IsARelation] = []
-        self.relations_removed: list[IsARelation] = []
-        self.relations_changed: list[tuple[IsARelation, IsARelation]] = []
-
-    def dispatch(self, record: dict, where: str) -> None:
-        if not isinstance(record, dict):
-            raise TaxonomyError(
-                f"{where}: delta record must be a JSON object, "
-                f"got {type(record).__name__}"
-            )
-        kind = record.get("kind")
-        if kind not in _RECORD_KINDS:
-            raise TaxonomyError(
-                f"{where}: unknown delta record kind {kind!r}"
-            )
-        try:
-            if kind == "entity_add":
-                self.entities_added.append(_entity_from(record))
-            elif kind == "entity_remove":
-                self.entities_removed.append(_entity_from(record))
-            elif kind == "entity_change":
-                self.entities_changed.append(
-                    (_entity_from(record["old"]), _entity_from(record["new"]))
-                )
-            elif kind == "relation_add":
-                self.relations_added.append(_relation_from(record))
-            elif kind == "relation_remove":
-                self.relations_removed.append(_relation_from(record))
-            else:
-                self.relations_changed.append(
-                    (
-                        _relation_from(record["old"]),
-                        _relation_from(record["new"]),
-                    )
-                )
-        except KeyError as exc:  # a missing field or old/new half
-            raise TaxonomyError(
-                f"{where}: malformed {kind} record: missing {exc}"
-            ) from exc
-        except (TypeError, TaxonomyError) as exc:
-            # a non-object half, a non-string key, or a value the
-            # Entity / IsARelation constructor refuses
-            raise TaxonomyError(
-                f"{where}: malformed {kind} record: {exc}"
-            ) from exc
-
-    def build(
-        self,
-        name: str,
-        new_stats: "TaxonomyStats | None",
-        new_n_relations: int,
-        base_content_hash: str | None = None,
-        new_content_hash: str | None = None,
-    ) -> TaxonomyDelta:
-        return TaxonomyDelta(
-            name=name,
-            entities_added=tuple(self.entities_added),
-            entities_removed=tuple(self.entities_removed),
-            entities_changed=tuple(self.entities_changed),
-            relations_added=tuple(self.relations_added),
-            relations_removed=tuple(self.relations_removed),
-            relations_changed=tuple(self.relations_changed),
-            new_stats=new_stats,
-            new_n_relations=new_n_relations,
-            base_content_hash=base_content_hash,
-            new_content_hash=new_content_hash,
-        )
-
-
-def _parse_delta_header(
-    header: dict, where: str
-) -> tuple[str, "TaxonomyStats | None", int, str | None, str | None]:
-    """Validate a delta header; returns
-    ``(name, new_stats, new_n_relations, base_content_hash,
-    new_content_hash)``.
-
-    Every delta ever written carried a ``format_version`` (the format
-    was born versioned in the PR that introduced it), so a missing or
-    garbage version is a malformed file, not a legacy one — both raise
-    :class:`~repro.errors.TaxonomyError` with the offending location.
-    """
-    from repro.taxonomy.store import TaxonomyStats, check_format_version
-
-    if header.get("format") != DELTA_KIND:
-        raise TaxonomyError(
-            f"{where}: not a taxonomy delta "
-            f"(format={header.get('format')!r})"
-        )
-    if "format_version" not in header:
-        raise TaxonomyError(
-            f"{where}: delta header is missing format_version"
-        )
-    check_format_version(header, DELTA_FORMAT_VERSION, where)
-    name = header.get("name", "CN-Probase")
-    try:
-        new_n_relations = int(header.get("new_n_relations", 0))
-    except (TypeError, ValueError) as exc:
-        raise TaxonomyError(
-            f"{where}: malformed new_n_relations "
-            f"{header.get('new_n_relations')!r}"
-        ) from exc
-    stats = header.get("new_stats")
-    new_stats: "TaxonomyStats | None" = None
-    if stats is not None:
-        try:
-            new_stats = TaxonomyStats(
-                n_entities=stats["entities"],
-                n_concepts=stats["concepts"],
-                n_entity_concept=stats["entity_concept_relations"],
-                n_subconcept_concept=stats["subconcept_concept_relations"],
-            )
-        except (TypeError, KeyError) as exc:
-            raise TaxonomyError(
-                f"{where}: malformed new_stats header: {exc}"
-            ) from exc
-    hashes: list[str | None] = []
-    for field in ("base_content_hash", "new_content_hash"):
-        value = header.get(field)
-        if value is not None and not isinstance(value, str):
-            raise TaxonomyError(
-                f"{where}: malformed {field} {value!r}"
-            )
-        hashes.append(value)
-    return name, new_stats, new_n_relations, hashes[0], hashes[1]
-
-
-def _assemble_delta(
-    header: dict, records: Iterable[dict], where: str
-) -> TaxonomyDelta:
-    parsed = _parse_delta_header(header, where)
-    parts = _DeltaParts()
-    for index, record in enumerate(records):
-        parts.dispatch(record, f"{where}: record {index}")
-    return parts.build(*parsed)
+    write_atomic(path, delta.lines())
 
 
 def load_delta(path: str | Path) -> TaxonomyDelta:
     """Read a delta written by :func:`save_delta`."""
-    source = Path(path)
-    if not source.exists():
-        raise TaxonomyError(f"delta file not found: {source}")
-    header: tuple | None = None
-    parts = _DeltaParts()
-    with source.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TaxonomyError(
-                    f"{source}:{line_no}: invalid JSON: {exc}"
-                ) from exc
-            if isinstance(record, dict) and record.get("kind") == "header":
-                header = _parse_delta_header(record, f"{source}:{line_no}")
-            else:
-                parts.dispatch(record, f"{source}:{line_no}")
+    header = None
+    records = []
+    for where, record in read_jsonl(path, TaxonomyError, "delta"):
+        if record.get("kind") == "header":
+            header = where, record
+        else:
+            records.append((where, record))
     if header is None:
-        raise TaxonomyError(f"{source}: missing taxonomy-delta header line")
-    return parts.build(*header)
+        raise TaxonomyError(f"{path}: missing taxonomy-delta header line")
+    return _decode(header[1], header[0], records)
+
+
+def _decode(
+    header: dict, where: str, records: Iterable[tuple[str, object]]
+) -> TaxonomyDelta:
+    """A delta from its header (at *where*) and its ``(where, record)``
+    body; every error names the place of the header or record."""
+    try:
+        fields = decode_delta_header(header)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{where}: {exc}") from exc
+    parts: dict[str, list] = {
+        field: [] for field, _ in _RECORD_KINDS.values()
+    }
+    for record_where, record in records:
+        try:
+            field, item = _decode_record(record)
+        except TaxonomyError as exc:
+            raise TaxonomyError(f"{record_where}: {exc}") from exc
+        parts[field].append(item)
+    return TaxonomyDelta(
+        **fields, **{field: tuple(items) for field, items in parts.items()}
+    )
+
+
+def _decode_record(record) -> tuple[str, object]:
+    """``(delta field, record or (old, new) pair)`` of one body record."""
+    if not isinstance(record, dict):
+        raise TaxonomyError(
+            f"delta record must be a JSON object, "
+            f"got {type(record).__name__}"
+        )
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in _RECORD_KINDS:
+        raise TaxonomyError(f"unknown delta record kind {kind!r}")
+    field, (decode, _, _) = _RECORD_KINDS[kind]
+    if not kind.endswith("_change"):
+        return field, decode(record)
+    halves = record.get("old"), record.get("new")
+    if not all(isinstance(half, dict) for half in halves):
+        raise TaxonomyError(
+            f"{kind} record needs an old and a new object, got {halves!r}"
+        )
+    return field, (decode(halves[0]), decode(halves[1]))
 
 
 def compose(deltas: Sequence[TaxonomyDelta]) -> TaxonomyDelta:

@@ -107,3 +107,26 @@ class IsARelation:
             hyponym_kind=self.hyponym_kind,
             score=self.score,
         )
+
+
+@dataclass(frozen=True)
+class TaxonomyStats:
+    """Headline counts as the paper reports them (Section IV)."""
+
+    n_entities: int
+    n_concepts: int
+    n_entity_concept: int
+    n_subconcept_concept: int
+
+    @property
+    def n_isa_total(self) -> int:
+        return self.n_entity_concept + self.n_subconcept_concept
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "entities": self.n_entities,
+            "concepts": self.n_concepts,
+            "entity_concept_relations": self.n_entity_concept,
+            "subconcept_concept_relations": self.n_subconcept_concept,
+            "isa_relations_total": self.n_isa_total,
+        }

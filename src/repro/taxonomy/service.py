@@ -47,7 +47,8 @@ from repro.obs.metrics import (
     summary_quantiles,
 )
 from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
-from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy, TaxonomyStats
+from repro.taxonomy.model import TaxonomyStats
+from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 
 #: The reserved lookup key health probes use.  Guaranteed to miss (real
 #: keys never start with ``__``), and excluded from the per-API metrics

@@ -22,117 +22,31 @@ plain dict hit, which is what
 from __future__ import annotations
 
 import hashlib
-import json
-import math
-import os
-import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import TaxonomyError
+from repro.files import read_jsonl, write_atomic
+from repro.taxonomy.codec import (
+    decode_entity,
+    decode_relation,
+    decode_taxonomy_header,
+    entity_fields,
+    record_lines,
+    relation_fields,
+    taxonomy_header,
+)
 from repro.taxonomy.graph import TaxonomyGraph
 from repro.taxonomy.model import (
-    HYPONYM_CONCEPT,
     HYPONYM_ENTITY,
     Entity,
     IsARelation,
+    TaxonomyStats,
 )
 
 if TYPE_CHECKING:
     from repro.taxonomy.delta import TaxonomyDelta
-
-#: Version of the taxonomy JSONL layout; bump on incompatible changes.
-#: :meth:`Taxonomy.load` accepts headers without the field (legacy PR-1
-#: files) and refuses versions newer than this with a clear error.
-TAXONOMY_FORMAT_VERSION = 1
-
-
-def check_format_version(
-    header: dict, supported: int, where: str
-) -> None:
-    """Reject a JSONL header from a future format; accept legacy ones."""
-    version = header.get("format_version")
-    if version is None:
-        return  # legacy file, pre-versioning layout
-    # bool is an int subclass, but `"format_version": true` is garbage
-    if isinstance(version, bool) or not isinstance(version, int) \
-            or version < 1:
-        raise TaxonomyError(
-            f"{where}: malformed format_version {version!r}"
-        )
-    if version > supported:
-        raise TaxonomyError(
-            f"{where}: file has format_version {version}, but this "
-            f"build understands at most {supported}; upgrade the library"
-        )
-
-
-def _json_value(value) -> str:
-    """``json.dumps(value, ensure_ascii=False)``, cheaply for the usual types.
-
-    A ``str`` goes straight to ``encode_basestring``, the quoting
-    function that ``json.dumps`` itself calls; a finite ``float`` is
-    written with ``float.__repr__``, json's own rule for finite floats.
-    Every other value (a non-string alias, an integer, boolean, ``None``
-    or non-finite score, a subclass of either type) goes through
-    ``json.dumps``, so the text is the same for anything it accepts.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, ensure_ascii=False)
-
-
-def _atomic_write(target: Path, write: Callable) -> None:
-    """Write a file via temp-file + ``os.replace`` in the target directory.
-
-    A crash mid-write leaves the previous file (or nothing) in place —
-    never a torn JSONL that ``load``/``serve`` would trip on.  The temp
-    file lives next to the target so the final rename stays on one
-    filesystem (``os.replace`` is atomic only within a filesystem).
-    """
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            write(handle)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-@dataclass(frozen=True)
-class TaxonomyStats:
-    """Headline counts as the paper reports them (Section IV)."""
-
-    n_entities: int
-    n_concepts: int
-    n_entity_concept: int
-    n_subconcept_concept: int
-
-    @property
-    def n_isa_total(self) -> int:
-        return self.n_entity_concept + self.n_subconcept_concept
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "entities": self.n_entities,
-            "concepts": self.n_concepts,
-            "entity_concept_relations": self.n_entity_concept,
-            "subconcept_concept_relations": self.n_subconcept_concept,
-            "isa_relations_total": self.n_isa_total,
-        }
 
 
 class Taxonomy:
@@ -314,43 +228,21 @@ class Taxonomy:
         lines regardless of the insertion order they were built in.
         This single serialization feeds both :meth:`save` and
         :meth:`content_hash`, so the hash is *of the saved bytes* by
-        construction.
-
-        Each record line is one f-string over :func:`_json_value`, the
-        record kernel: it yields the text
-        ``json.dumps(record, ensure_ascii=False)`` gives for the same
-        dict (keys in the same order, ``", "`` and ``": "``
-        separators), without building a JSON encoder per record.  The
-        per-record ``json.dumps`` loop it replaced is kept verbatim as
-        the reference in
+        construction.  Each record line comes from the line encoder of
+        :mod:`repro.taxonomy.codec`; the per-record ``json.dumps`` loop
+        it replaced is kept as the reference in
         ``tests/taxonomy/test_store.py::TestCanonicalLineKernel``.
         """
-        header = {
-            "kind": "header",
-            "name": self.name,
-            "format_version": TAXONOMY_FORMAT_VERSION,
-        }
-        yield json.dumps(header, ensure_ascii=False) + "\n"
-        value = _json_value
-        entities = self._entities
-        for page_id in sorted(entities):
-            entity = entities[page_id]
-            yield (
-                f'{{"kind": "entity", "page_id": {value(entity.page_id)}, '
-                f'"name": {value(entity.name)}, '
-                f'"aliases": [{", ".join(map(value, entity.aliases))}]}}\n'
-            )
-        relations = self._relations
-        for key in sorted(relations):
-            relation = relations[key]
-            yield (
-                f'{{"kind": "relation", '
-                f'"hyponym": {value(relation.hyponym)}, '
-                f'"hypernym": {value(relation.hypernym)}, '
-                f'"source": {value(relation.source)}, '
-                f'"hyponym_kind": {value(relation.hyponym_kind)}, '
-                f'"score": {value(relation.score)}}}\n'
-            )
+        yield taxonomy_header(self.name)
+        entities, relations = self._entities, self._relations
+        yield from record_lines(
+            "entity", entity_fields,
+            map(entities.__getitem__, sorted(entities)),
+        )
+        yield from record_lines(
+            "relation", relation_fields,
+            map(relations.__getitem__, sorted(relations)),
+        )
 
     def save(self, path: str | Path) -> None:
         """Write the taxonomy as JSONL: one entity or relation per line.
@@ -361,12 +253,7 @@ class Taxonomy:
         incremental-rebuild equivalence contract compares and what
         :meth:`content_hash` addresses.
         """
-
-        def _write(handle) -> None:
-            for line in self._canonical_lines():
-                handle.write(line)
-
-        _atomic_write(Path(path), _write)
+        write_atomic(path, self._canonical_lines())
 
     def content_hash(self) -> str:
         """sha256 hex digest of the canonical saved bytes.
@@ -384,6 +271,29 @@ class Taxonomy:
         for line in self._canonical_lines():
             digest.update(line.encode("utf-8"))
         return digest.hexdigest()
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Taxonomy":
+        """Read a taxonomy written by :meth:`save`.
+
+        Lines are decoded by :mod:`repro.taxonomy.codec`, and a malformed
+        one raises :class:`TaxonomyError` naming its ``file:line``.
+        """
+        taxonomy = cls()
+        for where, record in read_jsonl(path, TaxonomyError, "taxonomy"):
+            kind = record.get("kind")
+            try:
+                if kind == "entity":
+                    taxonomy.add_entity(decode_entity(record))
+                elif kind == "relation":
+                    taxonomy.add_relation(decode_relation(record))
+                elif kind == "header":
+                    taxonomy.name = decode_taxonomy_header(record)
+                else:
+                    raise TaxonomyError(f"unknown record kind {kind!r}")
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{where}: {exc}") from exc
+        return taxonomy
 
     def freeze(self) -> "ReadOptimizedTaxonomy":
         """A read-optimized view of the current state (see below)."""
@@ -509,92 +419,6 @@ class Taxonomy:
                 self._graph.add_edge(
                     relation.hyponym, relation.hypernym, relation.score
                 )
-
-    # -- delta persistence ------------------------------------------------------
-
-    @staticmethod
-    def save_delta(delta: "TaxonomyDelta", path: str | Path) -> None:
-        """Write *delta* as JSONL (atomic; see :mod:`repro.taxonomy.delta`)."""
-        from repro.taxonomy.delta import save_delta
-
-        save_delta(delta, path)
-
-    @staticmethod
-    def load_delta(path: str | Path) -> "TaxonomyDelta":
-        """Read a delta written by :meth:`save_delta`."""
-        from repro.taxonomy.delta import load_delta
-
-        return load_delta(path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Taxonomy":
-        """Read a taxonomy written by :meth:`save`.
-
-        A malformed line raises :class:`TaxonomyError` naming
-        ``file:line``, never a bare ``KeyError`` or ``TypeError``.
-        """
-        source = Path(path)
-        if not source.exists():
-            raise TaxonomyError(f"taxonomy file not found: {source}")
-        taxonomy = cls()
-        with source.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{source}:{line_no}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TaxonomyError(
-                        f"{where}: invalid JSON: {exc}"
-                    ) from exc
-                if not isinstance(record, dict):
-                    raise TaxonomyError(
-                        f"{where}: record must be a JSON object, "
-                        f"got {type(record).__name__}"
-                    )
-                taxonomy._load_record(record, where)
-        return taxonomy
-
-    def _load_record(self, record: dict, where: str) -> None:
-        kind = record.get("kind")
-        if kind == "header":
-            check_format_version(record, TAXONOMY_FORMAT_VERSION, where)
-            self.name = record.get("name", self.name)
-            return
-        if kind not in ("entity", "relation"):
-            raise TaxonomyError(f"{where}: unknown record kind {kind!r}")
-        try:
-            if kind == "entity":
-                self.add_entity(
-                    Entity(
-                        page_id=record["page_id"],
-                        name=record["name"],
-                        aliases=tuple(record.get("aliases", ())),
-                    )
-                )
-            else:
-                self.add_relation(
-                    IsARelation(
-                        hyponym=record["hyponym"],
-                        hypernym=record["hypernym"],
-                        source=record["source"],
-                        hyponym_kind=record["hyponym_kind"],
-                        score=record.get("score", 1.0),
-                    )
-                )
-        except KeyError as exc:
-            raise TaxonomyError(
-                f"{where}: {kind} record missing {exc}"
-            ) from exc
-        except (TypeError, TaxonomyError) as exc:
-            # a null or mixed-type score, an unhashable alias, or a
-            # value the Entity / IsARelation constructor refuses
-            raise TaxonomyError(
-                f"{where}: malformed {kind} record: {exc}"
-            ) from exc
-
 
 class ReadOptimizedTaxonomy:
     """A frozen, serving-shaped view of a built taxonomy.

@@ -178,6 +178,16 @@ class TestPersistence:
         with pytest.raises(CorpusError):
             load_dump(path)
 
+    def test_a_line_that_is_not_an_object_names_its_line(
+        self, page, tmp_path
+    ):
+        path = tmp_path / "dump.jsonl"
+        save_dump(EncyclopediaDump([page]), path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('["a"]\n')
+        with pytest.raises(CorpusError, match=f"^{path}:2: .*JSON object"):
+            load_dump(path)
+
     def test_blank_lines_skipped(self, page, tmp_path):
         path = tmp_path / "dump.jsonl"
         save_dump(EncyclopediaDump([page]), path)

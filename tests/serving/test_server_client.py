@@ -459,13 +459,13 @@ class TestApplyDeltaEndpoint:
     """POST /admin/apply-delta: incremental publish over the wire."""
 
     def _delta_file(self, tmp_path, marker_old="歌手", marker_new="影帝"):
-        from repro.taxonomy.delta import TaxonomyDelta
+        from repro.taxonomy.delta import TaxonomyDelta, save_delta
 
         delta = TaxonomyDelta.compute(
             make_taxonomy(marker_old), make_taxonomy(marker_new)
         )
         path = tmp_path / "delta.jsonl"
-        Taxonomy.save_delta(delta, path)
+        save_delta(delta, path)
         return path
 
     def test_apply_delta_round_trip(self, tmp_path):

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import TaxonomyError
+from repro.taxonomy.codec import DELTA_FORMAT_VERSION
 from repro.taxonomy.delta import (
-    DELTA_FORMAT_VERSION,
     DeltaHistory,
     TaxonomyDelta,
     compose,
@@ -15,6 +15,8 @@ from repro.taxonomy.delta import (
 )
 from repro.taxonomy.model import Entity, IsARelation
 from repro.taxonomy.store import Taxonomy
+
+from malformed import MALFORMED, delta_record
 
 
 def base_taxonomy() -> Taxonomy:
@@ -180,10 +182,10 @@ class TestPersistence:
     def test_round_trip_preserves_unicode(self, tmp_path):
         delta = TaxonomyDelta.compute(base_taxonomy(), evolved_taxonomy())
         path = tmp_path / "delta.jsonl"
-        Taxonomy.save_delta(delta, path)
+        save_delta(delta, path)
         raw = path.read_text(encoding="utf-8")
         assert "王菲" in raw  # ensure_ascii=False: human-readable deltas
-        assert Taxonomy.load_delta(path) == delta
+        assert load_delta(path) == delta
 
     def test_applying_a_loaded_delta_reproduces_target(self, tmp_path):
         old, new = base_taxonomy(), evolved_taxonomy()
@@ -495,6 +497,10 @@ class TestWireRoundTrip:
         {"kind": "entity_add", "page_id": "p1", "name": "", "aliases": []},
         {"kind": "relation_add", "hyponym": "x#0", "hypernym": "歌手",
          "source": 5, "hyponym_kind": "entity", "score": 1.0},
+        *(
+            pytest.param(delta_record(*case.values), id=case.id)
+            for case in MALFORMED
+        ),
     ])
     def test_untypeable_record_names_its_place(self, tmp_path, bad):
         """A wire record is named by its index, a file record by its

@@ -51,6 +51,18 @@ class TestBuild:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_build_on_a_dump_line_that_is_not_an_object_exits_2(
+        self, tmp_path, capsys
+    ):
+        dump_path = tmp_path / "dump.jsonl"
+        dump_path.write_text('["a"]\n', encoding="utf-8")
+        code = main([
+            "build", "--dump", str(dump_path),
+            "--out", str(tmp_path / "t.jsonl"), "--no-abstract",
+        ])
+        assert code == 2
+        assert f"error: {dump_path}:1: " in capsys.readouterr().err
+
 
 class TestStats:
     def test_prints_counts(self, artefacts, capsys):
@@ -338,7 +350,7 @@ class TestIncrementalBuild:
         import dataclasses
 
         from repro.encyclopedia import EncyclopediaDump, load_dump, save_dump
-        from repro.taxonomy import Taxonomy
+        from repro.taxonomy import Taxonomy, load_delta
 
         dump_path, taxonomy_path = artefacts
         dump = load_dump(dump_path)
@@ -373,7 +385,7 @@ class TestIncrementalBuild:
         )
         assert delta_path.exists()
         previous = Taxonomy.load(taxonomy_path)
-        previous.apply_delta(Taxonomy.load_delta(delta_path))
+        previous.apply_delta(load_delta(delta_path))
         applied_path = tmp_path / "applied.jsonl"
         previous.save(applied_path)
         assert applied_path.read_bytes() == full_path.read_bytes()
