@@ -12,7 +12,7 @@ also count exactly the ``men2ent`` calls and hits the smoke sent,
 probes excluded.
 
 Run:  python benchmarks/smoke_metrics_parity.py
-(run_smoke.sh runs it after the workload-scenario benchmark)
+(run_smoke.sh runs it after the chaos-replication smoke)
 """
 
 from __future__ import annotations

@@ -67,7 +67,9 @@ section of the perf trajectory, which is how ``run_smoke.sh`` gates
 on it.
 
 Every subcommand is importable (:func:`main` takes an argv list), which
-is how the test suite drives it.
+is how the test suite drives it.  A subcommand imports the build
+pipeline, the encyclopedia or the serving stack inside its handler, so
+``serve`` starts without numpy and the build stack.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.generation.neural_gen import NeuralGenConfig
-from repro.core.pipeline import (
-    CNProbaseBuilder,
-    PipelineConfig,
-    PreviousBuild,
-)
-from repro.core.stages import default_registry
-from repro.encyclopedia import SyntheticWorld, diff_dumps, load_dump, save_dump
 from repro.errors import APIError, ReproError
 from repro.files import write_atomic
 from repro.taxonomy import Taxonomy, load_delta, save_delta
@@ -92,6 +86,8 @@ from repro.taxonomy.service import WIRE_API_METHODS
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.encyclopedia import SyntheticWorld, save_dump
+
     world = SyntheticWorld.generate(seed=args.seed, n_entities=args.entities)
     n_pages = save_dump(world.dump(), args.out)
     print(f"wrote {n_pages} pages to {args.out}")
@@ -103,6 +99,15 @@ def _trace_path(out: str) -> Path:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.generation.neural_gen import NeuralGenConfig
+    from repro.core.pipeline import (
+        CNProbaseBuilder,
+        PipelineConfig,
+        PreviousBuild,
+    )
+    from repro.core.stages import default_registry
+    from repro.encyclopedia import load_dump
+
     dump = load_dump(args.dump)
     config = PipelineConfig(
         enable_abstract=not args.no_abstract,
@@ -169,6 +174,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_stages(args: argparse.Namespace) -> int:
     if args.trace is not None:
         return _print_trace(args.trace)
+    from repro.core.stages import default_registry
+
     registry = default_registry()
     print(f"{'name':<14} {'kind':<10} {'enabled':<8} origin")
     for entry in registry.entries():
@@ -215,6 +222,8 @@ def _print_trace(path: str) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.encyclopedia import diff_dumps, load_dump
+
     old = load_dump(args.old_dump)
     new = load_dump(args.new_dump)
     diff = diff_dumps(old, new)

@@ -3,7 +3,8 @@
 One JSON object per line keeps dumps streamable and diff-friendly; the
 format round-trips exactly through :meth:`EncyclopediaPage.to_dict`.
 Dumps are read and written through :mod:`repro.files`, like taxonomy
-files: a line that is not a JSON object is a :class:`CorpusError`
+files: a line that is not a JSON object, or not a well-typed page
+record (:meth:`EncyclopediaPage.from_dict`), is a :class:`CorpusError`
 naming its ``file:line``, and a save never leaves a torn file.
 """
 
@@ -27,8 +28,15 @@ def save_dump(dump: EncyclopediaDump, path: str | Path) -> int:
 
 
 def load_dump(path: str | Path) -> EncyclopediaDump:
-    """Load a JSONL dump written by :func:`save_dump`."""
+    """Load a JSONL dump written by :func:`save_dump`.
+
+    A malformed page record raises :class:`~repro.errors.CorpusError`
+    naming its ``file:line``.
+    """
     dump = EncyclopediaDump()
-    for _, record in read_jsonl(path, CorpusError, "dump"):
-        dump.add(EncyclopediaPage.from_dict(record))
+    for where, record in read_jsonl(path, CorpusError, "dump"):
+        try:
+            dump.add(EncyclopediaPage.from_dict(record))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
     return dump

@@ -36,10 +36,20 @@ class Triple:
 
     @classmethod
     def from_dict(cls, data: dict[str, str]) -> "Triple":
+        """Decode ``{"s": ..., "p": ..., "o": ...}``: three strings."""
+        if not isinstance(data, dict):
+            raise CorpusError(f"infobox triple must be an object, got {data!r}")
         try:
-            return cls(subject=data["s"], predicate=data["p"], value=data["o"])
+            subject, predicate, value = data["s"], data["p"], data["o"]
         except KeyError as exc:
             raise CorpusError(f"triple record missing key: {exc}") from exc
+        if not all(
+            isinstance(part, str) for part in (subject, predicate, value)
+        ):
+            raise CorpusError(
+                f"infobox triple s, p and o must be strings, got {data!r}"
+            )
+        return cls(subject=subject, predicate=predicate, value=value)
 
 
 @dataclass(frozen=True)
@@ -115,17 +125,53 @@ class EncyclopediaPage:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncyclopediaPage":
+        """Decode a page record, the layout :meth:`to_dict` writes.
+
+        Types are strict: ``page_id`` and ``title`` are strings (the
+        constructor refuses empty ones), ``bracket`` is ``null`` or a
+        string, ``abstract`` a string (absent: empty), ``tags`` a list
+        of strings and ``infobox`` a list of triples (absent: none).
+        Anything else raises :class:`~repro.errors.CorpusError`.
+        """
         try:
-            return cls(
-                page_id=data["page_id"],
-                title=data["title"],
-                bracket=data.get("bracket"),
-                abstract=data.get("abstract", ""),
-                infobox=tuple(Triple.from_dict(t) for t in data.get("infobox", ())),
-                tags=tuple(data.get("tags", ())),
-            )
+            page_id, title = data["page_id"], data["title"]
         except KeyError as exc:
             raise CorpusError(f"page record missing key: {exc}") from exc
+        for name, value in (("page_id", page_id), ("title", title)):
+            if not isinstance(value, str):
+                raise CorpusError(
+                    f"page {name} must be a string, got {value!r}"
+                )
+        bracket = data.get("bracket")
+        if bracket is not None and not isinstance(bracket, str):
+            raise CorpusError(
+                f"page bracket must be null or a string, got {bracket!r}"
+            )
+        abstract = data.get("abstract", "")
+        if not isinstance(abstract, str):
+            raise CorpusError(
+                f"page abstract must be a string, got {abstract!r}"
+            )
+        tags = data.get("tags", [])
+        if not isinstance(tags, list) or not all(
+            isinstance(tag, str) for tag in tags
+        ):
+            raise CorpusError(
+                f"page tags must be a list of strings, got {tags!r}"
+            )
+        infobox = data.get("infobox", [])
+        if not isinstance(infobox, list):
+            raise CorpusError(
+                f"page infobox must be a list of triples, got {infobox!r}"
+            )
+        return cls(
+            page_id=page_id,
+            title=title,
+            bracket=bracket,
+            abstract=abstract,
+            infobox=tuple(Triple.from_dict(triple) for triple in infobox),
+            tags=tuple(tags),
+        )
 
 
 @dataclass

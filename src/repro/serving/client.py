@@ -647,18 +647,9 @@ class TaxonomyClient(BatchedServingAPI):
         if not isinstance(results, list) or len(results) != len(arguments):
             raise APIError(f"{api_name}: malformed batch response")
         elapsed = time.perf_counter() - started
-        # One wire round trip served the whole batch; attribute the
-        # cost evenly so per-call means stay comparable with singles,
-        # and record the batch as one ledger group.
-        per_call = elapsed / len(results) if results else elapsed
-        samples: list[float] = []
-        hits = 0
-        for argument, result in zip(arguments, results):
-            if argument != PROBE_KEY:  # probes stay out of the ledgers
-                samples.append(per_call)
-                if result:
-                    hits += 1
-        self.metrics.observe_group(api_name, samples, hits)
+        # One wire round trip served the whole batch: its calls land at
+        # the batch's per-call mean, as at every serving front
+        self.metrics.observe_served(api_name, arguments, results, elapsed)
         if trace_id is not None:
             self._hub.record_span(
                 trace_id, "client", api_name, elapsed,

@@ -49,7 +49,6 @@ protocol does not carry.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field
 from repro.obs.clock import elapsed
 from typing import Sequence
@@ -66,6 +65,7 @@ from repro.serving.sharding import (
     _API_LOOKUPS,
     ShardedSnapshotStore,
     shard_for,
+    shard_ids,
 )
 from repro.taxonomy.delta import (
     DeltaHistory,
@@ -82,28 +82,13 @@ from repro.taxonomy.service import (
 
 def _timed_lookups(
     call, arguments: Sequence[str]
-) -> tuple[list[list[str]], list[float], int]:
-    """Answer *arguments* with *call*, timing each lookup alone.
-
-    Returns the answers in argument order, the per-call latency
-    samples and the hit count.  ``PROBE_KEY`` lookups are answered but
-    left out of the samples and the hits, so they stay out of the
-    ledgers.
-    """
-    results: list[list[str]] = []
-    samples: list[float] = []
-    hits = 0
-    for argument in arguments:
-        started = elapsed()
-        result = call(argument)
-        seconds = elapsed() - started
-        results.append(result)
-        if argument == PROBE_KEY:
-            continue
-        samples.append(seconds)
-        if result:
-            hits += 1
-    return results, samples, hits
+) -> tuple[list[list[str]], float]:
+    """Answer *arguments* with *call*: one ``map`` between two clock
+    reads.  Returns the answers in argument order and the group's
+    seconds."""
+    started = elapsed()
+    results = list(map(call, arguments))
+    return results, elapsed() - started
 
 
 class StoreShardReplica:
@@ -865,7 +850,9 @@ class ReplicatedRouter(BatchedServingAPI):
         in-line (outside the lock — probes do I/O), so a recovered
         backend rejoins the rotation without an operator call (a failed
         probe resets the countdown — cheap exponential-ish backoff).
-        Returns None when every replica is excluded or down.
+        Returns None when every replica is excluded or down; a replica
+        returned counts one ``stats.attempts`` in the same critical
+        section that chose it.
         """
         replicas = self._replicas[shard_id]
         with self._lock:
@@ -878,6 +865,7 @@ class ReplicatedRouter(BatchedServingAPI):
                 if replicas[index].healthy:
                     chosen = index
                     self._rr[shard_id] = (index + 1) % len(replicas)
+                    self.stats.attempts += 1
                     break
             probe_candidate: int | None = None
             for index, state in enumerate(replicas):
@@ -898,6 +886,7 @@ class ReplicatedRouter(BatchedServingAPI):
                     self._rr[shard_id] = (
                         probe_candidate + 1
                     ) % len(replicas)
+                    self.stats.attempts += 1
                 return probe_candidate
         return chosen
 
@@ -917,11 +906,10 @@ class ReplicatedRouter(BatchedServingAPI):
         version-reporting replica answers through its
         ``versioned_reader`` instead (see :meth:`_read_versioned`).  A
         replica failure marks it unhealthy and the *entire* group fails
-        over to the next one.  The answers, the per-call samples and
-        the hit count come from one pass over the group
-        (:func:`_timed_lookups`), and only the replica that answered
-        makes the group's one
-        :meth:`~repro.taxonomy.service.ServiceMetrics.observe_group`.
+        over to the next one.  The group is answered in one pass timed
+        once (:func:`_timed_lookups`), and only the replica that
+        answered records its calls, at the group's per-call mean
+        (:meth:`~repro.taxonomy.service.ServiceMetrics.observe_served`).
         """
         lookup_name = _API_LOOKUPS[api_name]
         attempts = self._retries + 1
@@ -934,8 +922,6 @@ class ReplicatedRouter(BatchedServingAPI):
             if index is None:
                 break
             state = self._replicas[shard_id][index]
-            with self._lock:
-                self.stats.attempts += 1
             try:
                 if state.versioned_reader is not None:
                     served = self._read_versioned(state, api_name, arguments)
@@ -966,12 +952,12 @@ class ReplicatedRouter(BatchedServingAPI):
                 if was_healthy:
                     self._emit_health(state, False, "serve_failure")
                 continue
-            results, samples, hits = served
-            self.metrics.observe_group(api_name, samples, hits)
+            results, seconds = served
+            self.metrics.observe_served(api_name, arguments, results, seconds)
             if trace_id is not None:
                 self._record_group_spans(
                     trace_id, api_name, shard_id, index, pin,
-                    sum(samples), elapsed() - group_started,
+                    seconds, elapsed() - group_started,
                 )
             return results
         detail = f": {last_error}" if last_error is not None else ""
@@ -988,7 +974,7 @@ class ReplicatedRouter(BatchedServingAPI):
 
     def _read_versioned(
         self, state, api_name: str, arguments: Sequence[str]
-    ) -> tuple[list[list[str]], list[float], int]:
+    ) -> tuple[list[list[str]], float]:
         """Serve a group through the replica's ``versioned_reader``.
 
         Returns what :func:`_timed_lookups` returns.  Raises (so the
@@ -1026,10 +1012,10 @@ class ReplicatedRouter(BatchedServingAPI):
     ) -> None:
         """Router + shard spans for one served group.
 
-        The shard span is the time spent inside the group's replica
-        lookups (probes excluded, as from the ledger); the router span
-        is the whole group including pick/failover, so the difference
-        reads directly as routing overhead.
+        The shard span is the group's timed lookups on the replica
+        that answered (the time its ledger calls share); the router
+        span is the whole group including pick/failover, so the
+        difference reads directly as routing overhead.
         """
         published = pin if pin is not None else self._published_state()
         version, content_hash = published.version_id, published.content_hash
@@ -1047,29 +1033,33 @@ class ReplicatedRouter(BatchedServingAPI):
     # -- serving hooks ---------------------------------------------------------
 
     def _single(self, api_name: str, argument: str) -> list[str]:
-        shard_id = shard_for(argument, self.n_shards)
-        return self._serve_group(api_name, shard_id, [argument])[0]
+        shard_id = shard_for(argument, len(self._replicas))
+        return self._serve_group(api_name, shard_id, (argument,))[0]
 
     def _batch(
         self, api_name: str, arguments: Sequence[str]
     ) -> list[list[str]]:
         # Group by shard so each shard's group lands on one replica —
         # the per-shard sub-batch a network front would send as one
-        # request.  Order is restored by position on merge.  For a
-        # store-backed router one shard set is pinned for the whole
-        # batch, so a swap landing between groups cannot mix versions
-        # in one response (the same guarantee the store itself gives).
+        # request.  Groups are served in the order their shards first
+        # appear, and the answers are dealt back by each key's shard.
+        # For a store-backed router one shard set is pinned for the
+        # whole batch, so a swap landing between groups cannot mix
+        # versions in one response (the same guarantee the store
+        # itself gives).
         pin = self._store.shard_set if self._store is not None else None
         n_shards = len(self._replicas)
-        groups: defaultdict[int, list[int]] = defaultdict(list)
-        for position, argument in enumerate(arguments):
-            groups[shard_for(argument, n_shards)].append(position)
-        results: list[list[str] | None] = [None] * len(arguments)
-        for shard_id, positions in groups.items():
-            group = self._serve_group(
-                api_name, shard_id, [arguments[p] for p in positions],
-                pin=pin,
+        placements = shard_ids(arguments, n_shards)
+        groups: dict[int, list[str]] = {}
+        for shard_id, key in zip(placements, arguments):
+            group = groups.get(shard_id)
+            if group is None:
+                groups[shard_id] = [key]
+            else:
+                group.append(key)
+        answers: list = [None] * n_shards
+        for shard_id, group in groups.items():
+            answers[shard_id] = iter(
+                self._serve_group(api_name, shard_id, group, pin=pin)
             )
-            for position, result in zip(positions, group):
-                results[position] = result
-        return results  # type: ignore[return-value]
+        return list(map(next, map(answers.__getitem__, placements)))

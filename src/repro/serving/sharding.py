@@ -25,8 +25,8 @@ mixed-version ("torn") read a per-shard swap loop would allow.
 from __future__ import annotations
 
 import threading
-import zlib
 from dataclasses import dataclass
+from zlib import crc32
 from repro.obs.clock import elapsed
 from typing import Sequence
 
@@ -53,7 +53,15 @@ def shard_for(key: str, n_shards: int) -> int:
     """
     if n_shards < 1:
         raise APIError(f"n_shards must be >= 1, got {n_shards}")
-    return zlib.crc32(key.encode("utf-8")) % n_shards
+    return crc32(key.encode("utf-8")) % n_shards
+
+
+def shard_ids(keys: Sequence[str], n_shards: int) -> list[int]:
+    """:func:`shard_for` of each of *keys*, in order, in one call: how
+    a serving front places a whole group of keys."""
+    if n_shards < 1:
+        raise APIError(f"n_shards must be >= 1, got {n_shards}")
+    return [crc32(key.encode("utf-8")) % n_shards for key in keys]
 
 
 #: api wire name → ReadOptimizedTaxonomy lookup method name (the
@@ -470,45 +478,50 @@ class ShardedSnapshotStore(BatchedServingAPI):
     def _serve(
         self, shard_set: ShardSet, api_name: str, arguments: Sequence[str]
     ) -> list[list[str]]:
-        """Answer a group of keys from the pinned *shard_set*.
+        """Answer a group of keys from the pinned *shard_set*, timed once.
 
         The one serving loop, as in
         :meth:`~repro.taxonomy.service.TaxonomyService._serve`: a batch
-        is one group, a single a group of one.  Each key resolves its
-        lookup on its own shard and times that lookup alone; the
-        group's samples and hits land in the ledger with one
-        :meth:`~repro.taxonomy.service.ServiceMetrics.observe_group`.
-        Probes exercise the lookup path but stay out of the ledger and
-        the spans.
+        is one group and a single a group of one.  Each shard's lookup
+        is resolved once per group and the keys are placed in one
+        :func:`shard_ids` call; the lookups then run in one pass
+        between two clock reads, and the group's calls land in the
+        ledger at its per-call mean.  Inside a trace context each key
+        is timed alone instead, to record its own span.  Probes
+        exercise the lookup path but stay out of the ledger and the
+        spans.
         """
         lookup_name = _API_LOOKUPS[api_name]
-        shards = shard_set.shards
-        n_shards = len(shards)
+        calls = [
+            getattr(shard.read_view, lookup_name) for shard in shard_set.shards
+        ]
+        placed = shard_ids(arguments, len(calls))
         trace_id = current_trace_id()
-        results: list[list[str]] = []
-        samples: list[float] = []
-        hits = 0
-        for argument in arguments:
-            shard = shards[shard_for(argument, n_shards)]
-            call = getattr(shard.read_view, lookup_name)
+        if trace_id is None:
             started = elapsed()
-            result = call(argument)
+            results = [
+                calls[shard_id](key) for shard_id, key in zip(placed, arguments)
+            ]
             seconds = elapsed() - started
-            results.append(result)
-            if argument == PROBE_KEY:
-                continue
-            samples.append(seconds)
-            if result:
-                hits += 1
-            if trace_id is not None:
+        else:
+            results = []
+            seconds = 0.0
+            for shard_id, key in zip(placed, arguments):
+                started = elapsed()
+                result = calls[shard_id](key)
+                took = elapsed() - started
+                results.append(result)
+                seconds += took
+                if key == PROBE_KEY:
+                    continue
                 self._hub.record_span(
-                    trace_id, "shard", api_name, seconds,
+                    trace_id, "shard", api_name, took,
                     outcome="hit" if result else "miss",
-                    shard=shard.shard_id,
+                    shard=shard_id,
                     version=shard_set.version_id,
                     content_hash=shard_set.content_hash,
                 )
-        self.metrics.observe_group(api_name, samples, hits)
+        self.metrics.observe_served(api_name, arguments, results, seconds)
         return results
 
     def _single(self, api_name: str, argument: str) -> list[str]:

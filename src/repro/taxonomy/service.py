@@ -25,8 +25,10 @@ while the taxonomy behind them is periodically rebuilt.
   :class:`ServiceMetrics` ledger that survives snapshot swaps and
   reports p50/p95/p99 tail latency, which is what the API-service
   example and the cluster's ``/metrics`` endpoint report.  A serving
-  front makes one ledger update per group of calls (a batch, or one
-  shard group of it), carrying each call's own sample.
+  front times a group of calls (a batch, or one shard group of it)
+  once and records each of its calls at the group's per-call mean, in
+  one ledger update (:meth:`ServiceMetrics.observe_served`); a single
+  is a group of one, timed alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from repro.obs.clock import elapsed
 from typing import Sequence
 
@@ -195,8 +198,9 @@ class ServiceMetrics:
     Observation is lock-protected: the service serves concurrent
     callers across swaps, and unsynchronised ``+=`` on the counters
     would silently drop increments under that load.  Serving fronts
-    update it once per group (:meth:`observe_group`: one lock
-    acquisition for a batch, or for one shard group of it), and
+    update it once per group (:meth:`observe_served`: one
+    :meth:`observe_group`, so one lock acquisition, for a batch or for
+    one shard group of it), and
     :meth:`latency` reads the entry under the same lock, since a first
     call to an API inserts it.
     """
@@ -216,7 +220,7 @@ class ServiceMetrics:
     ) -> None:
         """Account a group of *api* calls under one lock acquisition.
 
-        *seconds* holds each call's own latency in call order and
+        *seconds* holds one latency per call, in call order, and
         *hits* counts the calls answered non-empty.  An empty group (a
         batch made only of probes) changes nothing.
         """
@@ -227,6 +231,33 @@ class ServiceMetrics:
             if entry is None:
                 entry = self.per_api[api] = APILatency()
             entry.observe_group(seconds, hits)
+
+    def observe_served(
+        self,
+        api: str,
+        arguments: Sequence[str],
+        results: Sequence[list[str]],
+        seconds: float,
+    ) -> None:
+        """Account a group of *api* calls answered in *seconds* together.
+
+        Each counted call lands at the group's per-call mean, *seconds*
+        over every call the group answered, in one
+        :meth:`observe_group`; without probes the samples sum to the
+        group's time.  ``PROBE_KEY`` arguments were answered but are
+        not counted: they stay out of the calls and the hits, and their
+        share of the group's time leaves with them.
+        """
+        if not results:
+            return
+        mean = seconds / len(results)
+        if PROBE_KEY in arguments:
+            results = [
+                result for argument, result in zip(arguments, results)
+                if argument != PROBE_KEY
+            ]
+        hits = len(list(filter(None, results)))
+        self.observe_group(api, [mean] * len(results), hits)
 
     def latency(self, api: str) -> APILatency:
         with self._lock:
@@ -383,13 +414,25 @@ class BatchedServingAPI:
     @classmethod
     def _checked_batch(
         cls, api_name: str, arguments: Sequence[str]
-    ) -> Sequence[str]:
+    ) -> list[str]:
+        """A fresh list of *arguments*, each a non-empty string.
+
+        One C-level pass checks the whole batch; only a batch that
+        fails it goes key by key, so :meth:`_checked` raises the same
+        error a single would.
+        """
         if isinstance(arguments, str):
             raise APIError(
                 f"{api_name} batch expects a sequence of arguments, "
                 "got a single string"
             )
-        return [cls._checked(api_name, argument) for argument in arguments]
+        arguments = list(arguments)
+        if not all(map(isinstance, arguments, repeat(str))) or (
+            "" in arguments
+        ):
+            for argument in arguments:
+                cls._checked(api_name, argument)
+        return arguments
 
     # -- hooks -----------------------------------------------------------------
 
@@ -560,36 +603,40 @@ class TaxonomyService(BatchedServingAPI):
         api_name: str,
         arguments: Sequence[str],
     ) -> list[list[str]]:
-        """Answer a group of keys from *snapshot*: the one serving loop.
+        """Answer a group of keys from *snapshot*, timed once.
 
-        A batch is one group and a single is a group of one.  Each
-        lookup is timed alone; the group's samples and hits then land
-        in the ledger with one :meth:`ServiceMetrics.observe_group`.
-        Probes are answered but stay out of the ledger and the spans.
+        The one serving loop: a batch is one group and a single is a
+        group of one.  The lookups run as one ``map`` between two clock
+        reads, and the group's calls land in the ledger at its per-call
+        mean (:meth:`ServiceMetrics.observe_served`).  Inside a trace
+        context each key is timed alone instead, to record its own
+        span, and the group's time is the sum of its keys'.  Probes
+        are answered but stay out of the ledger and the spans.
         """
         call = getattr(snapshot.read_view, WIRE_API_METHODS[api_name][0])
         trace_id = current_trace_id()
-        results: list[list[str]] = []
-        samples: list[float] = []
-        hits = 0
-        for argument in arguments:
+        if trace_id is None:
             started = elapsed()
-            result = call(argument)
+            results = list(map(call, arguments))
             seconds = elapsed() - started
-            results.append(result)
-            if argument == PROBE_KEY:
-                continue
-            samples.append(seconds)
-            if result:
-                hits += 1
-            if trace_id is not None:
+        else:
+            results = []
+            seconds = 0.0
+            for argument in arguments:
+                started = elapsed()
+                result = call(argument)
+                took = elapsed() - started
+                results.append(result)
+                seconds += took
+                if argument == PROBE_KEY:
+                    continue
                 self._hub.record_span(
-                    trace_id, "service", api_name, seconds,
+                    trace_id, "service", api_name, took,
                     outcome="hit" if result else "miss",
                     version=snapshot.version_id,
                     content_hash=snapshot.content_hash,
                 )
-        self.metrics.observe_group(api_name, samples, hits)
+        self.metrics.observe_served(api_name, arguments, results, seconds)
         return results
 
     def _single(self, api_name: str, argument: str) -> list[str]:

@@ -1,5 +1,7 @@
 """Tests for the encyclopedia page/dump model and JSONL persistence."""
 
+import json
+
 import pytest
 
 from repro.encyclopedia.corpus import load_dump, save_dump
@@ -11,6 +13,29 @@ from repro.encyclopedia.model import (
     diff_dumps,
 )
 from repro.errors import CorpusError
+
+
+#: (field, wrong value, the error it must raise) for a page record
+MALFORMED_PAGES = [
+    ("page_id", 5, "page page_id must be a string"),
+    ("page_id", "", "page_id must be non-empty"),
+    ("page_id", None, "page page_id must be a string"),
+    ("title", ["刘德华"], "page title must be a string"),
+    ("title", "", "page '刘德华#0' has an empty title"),
+    ("bracket", 3, "page bracket must be null or a string"),
+    ("bracket", ["a"], "page bracket must be null or a string"),
+    ("abstract", None, "page abstract must be a string"),
+    ("abstract", 1.5, "page abstract must be a string"),
+    ("tags", "abc", "page tags must be a list of strings"),
+    ("tags", ["人物", 7], "page tags must be a list of strings"),
+    ("tags", None, "page tags must be a list of strings"),
+    ("infobox", {"s": "a", "p": "b", "o": "c"},
+     "page infobox must be a list of triples"),
+    ("infobox", ["abc"], "infobox triple must be an object"),
+    ("infobox", [{"s": "a", "p": "b", "o": 63}],
+     "infobox triple s, p and o must be strings"),
+    ("infobox", [{"s": "a", "p": "b"}], "triple record missing key: 'o'"),
+]
 
 
 @pytest.fixture
@@ -187,6 +212,33 @@ class TestPersistence:
             handle.write('["a"]\n')
         with pytest.raises(CorpusError, match=f"^{path}:2: .*JSON object"):
             load_dump(path)
+
+    @pytest.mark.parametrize(("field", "value", "message"), MALFORMED_PAGES)
+    def test_a_malformed_page_is_refused_with_its_line(
+        self, page, tmp_path, field, value, message
+    ):
+        record = page.to_dict()
+        record[field] = value
+        path = tmp_path / "dump.jsonl"
+        save_dump(EncyclopediaDump([page]), path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        with pytest.raises(CorpusError, match=f"^{path}:2: {message}"):
+            load_dump(path)
+
+    def test_typed_fields_keep_the_round_trip_and_the_digest(
+        self, page, tmp_path
+    ):
+        plain = EncyclopediaPage(page_id="a#0", title="a", bracket="")
+        dump = EncyclopediaDump([page, plain])
+        path = tmp_path / "dump.jsonl"
+        save_dump(dump, path)
+        loaded = load_dump(path)
+        assert loaded.pages == dump.pages
+        assert [p.digest() for p in loaded] == [p.digest() for p in dump]
+        copy = tmp_path / "copy.jsonl"
+        save_dump(loaded, copy)
+        assert copy.read_bytes() == path.read_bytes()
 
     def test_blank_lines_skipped(self, page, tmp_path):
         path = tmp_path / "dump.jsonl"

@@ -557,3 +557,147 @@ class TestGroupLedger:
                 for shard in ledger_groups()
                 for component in ("shard", "router")
             ]
+
+
+class CountingClock:
+    """A fake clock: counts its reads, and no two timings it gives are
+    the same length (the n-th read returns 1 + 2 + ... + n)."""
+
+    def __init__(self) -> None:
+        self.reads: list[float] = []
+
+    def __call__(self) -> float:
+        n = len(self.reads)
+        self.reads.append(float(n * (n + 1) // 2))
+        return self.reads[-1]
+
+    def timings(self, since: int) -> list[float]:
+        """The time between each pair of reads after the first *since*."""
+        reads = self.reads[since:]
+        return [end - start for start, end in zip(reads[::2], reads[1::2])]
+
+
+#: 64 keys over both shards, known and unknown; the first lands on
+#: shard 1, so first-seen shard order is not shard-id order
+GROUP_BATCH = ["华仔", "周杰伦", "刘德华"] + [f"无人{i}" for i in range(61)]
+GROUP_BATCH.sort(key=lambda key: shard_for(key, 2) == 0)
+
+
+def served_groups(front, batch) -> list[list[str]]:
+    """The groups *front* times a batch in: the batch itself, or the
+    router's shard groups in first-seen shard order."""
+    if not isinstance(front, ReplicatedRouter):
+        return [list(batch)]
+    order = dict.fromkeys(shard_for(key, 2) for key in batch)
+    return [[key for key in batch if shard_for(key, 2) == shard]
+            for shard in order]
+
+
+class TestGroupRule:
+    """Each in-process front times a served group once and records its
+    counted calls at the group's per-call mean; a single is timed alone."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import repro.serving.router as router_module
+        import repro.serving.sharding as sharding_module
+        import repro.taxonomy.service as service_module
+
+        fake = CountingClock()
+        for module in (service_module, sharding_module, router_module):
+            monkeypatch.setattr(module, "elapsed", fake)
+        return fake
+
+    @staticmethod
+    def fronts(hub):
+        return [
+            TaxonomyService(make_taxonomy(), hub=hub),
+            ShardedSnapshotStore(make_taxonomy(), n_shards=2, hub=hub),
+            build_cluster(make_taxonomy(), shards=2, replicas=2, hub=hub),
+        ]
+
+    def test_a_batch_reads_the_clock_twice_per_group(self, clock):
+        assert GROUP_BATCH[0] != GROUP_BATCH[-1]
+        assert len(GROUP_BATCH) == 64
+        assert shard_for(GROUP_BATCH[0], 2) == 1
+        with fresh_hub() as hub:
+            service, store, router = self.fronts(hub)
+            for front, reads in ((service, 2), (store, 2), (router, 4)):
+                before = len(clock.reads)
+                front.men2ent_batch(GROUP_BATCH)
+                assert len(clock.reads) - before == reads, front
+                before = len(clock.reads)
+                front.men2ent("华仔")
+                assert len(clock.reads) - before == 2, front
+
+    @pytest.mark.parametrize("batch", [
+        GROUP_BATCH,
+        [PROBE_KEY, "华仔", "无人", PROBE_KEY, "周杰伦", "王菲"],
+        [PROBE_KEY, PROBE_KEY],
+    ], ids=["64-keys", "probes-inside", "probes-only"])
+    def test_a_group_lands_at_its_mean(self, clock, batch):
+        with fresh_hub() as hub:
+            for front in self.fronts(hub):
+                since = len(clock.reads)
+                assert front.men2ent("华仔") == ["刘德华#0"]
+                entry = front.metrics.latency("men2ent")
+                assert list(entry._samples) == clock.timings(since)
+                calls, hits = entry.calls, entry.hits
+                since = len(clock.reads)
+                answers = front.men2ent_batch(batch)
+                groups = served_groups(front, batch)
+                expected: list[float] = []
+                for group, seconds in zip(groups, clock.timings(since)):
+                    # the mean is over every call the group answered;
+                    # a probe's share leaves with it
+                    n = sum(key != PROBE_KEY for key in group)
+                    mean = [seconds / len(group)] * n
+                    if n == len(group):
+                        assert sum(mean) == pytest.approx(seconds)
+                    expected += mean
+                counted = [
+                    answer for key, answer in zip(batch, answers)
+                    if key != PROBE_KEY
+                ]
+                assert entry.calls - calls == len(counted), front
+                assert entry.hits - hits == sum(map(bool, counted)), front
+                assert list(entry._samples)[1:] == expected, front
+
+    def test_a_traced_group_lands_at_the_mean_of_its_keys(self, clock):
+        batch = ["华仔", PROBE_KEY, "无人", "周杰伦"]
+        with fresh_hub() as hub:
+            service, store, _ = self.fronts(hub)
+            for front in (service, store):
+                since = len(clock.reads)
+                with trace_context("group-rule"):
+                    front.men2ent_batch(batch)
+                # each key timed alone for its span, the probe's too
+                timings = clock.timings(since)
+                assert len(timings) == len(batch)
+                seconds = sum(timings)
+                samples = list(front.metrics.latency("men2ent")._samples)
+                assert samples == [seconds / 4] * 3, front
+
+    def test_router_serves_groups_in_first_seen_shard_order(
+        self, monkeypatch
+    ):
+        with fresh_hub() as hub:
+            router = build_cluster(
+                make_taxonomy(), shards=2, replicas=2, hub=hub
+            )
+            served = []
+            serve_group = router._serve_group
+
+            def recording(api_name, shard_id, arguments, pin=None):
+                served.append((shard_id, list(arguments)))
+                return serve_group(api_name, shard_id, arguments, pin=pin)
+
+            monkeypatch.setattr(router, "_serve_group", recording)
+            answers = router.men2ent_batch(GROUP_BATCH)
+        assert served == [
+            (shard_for(group[0], 2), group)
+            for group in served_groups(router, GROUP_BATCH)
+        ]
+        assert [shard for shard, _ in served] == [1, 0]
+        view = make_taxonomy().freeze()
+        assert answers == [view.men2ent(key) for key in GROUP_BATCH]

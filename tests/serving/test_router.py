@@ -108,6 +108,25 @@ class TestFailover:
         # only retries+1 backends were touched
         assert sum(s["failures"] for s in router.health()[0]) == 2
 
+    def test_attempts_are_served_plus_failed_picks(self):
+        from repro.errors import ServiceUnavailableError
+
+        a = FakeReplica("a", {"k": ["x"]})
+        b = FakeReplica("b", {"k": ["x"]})
+        router = one_shard_router([a, b], probe_after=1)
+        a.failing = True
+        assert router.men2ent("k") == ["x"]  # a fails, b serves
+        b.failing = True
+        with pytest.raises(ServiceUnavailableError):
+            router.men2ent("k")  # b fails; a's in-line probe fails
+        a.failing = False
+        # nothing healthy: the pick probes a, and it serves
+        assert router.men2ent("k") == ["x"]
+        assert router.stats.probe_recoveries == 1
+        served = 2
+        assert router.stats.failovers == 2
+        assert router.stats.attempts == served + router.stats.failovers
+
     def test_metrics_only_count_served_answers(self):
         a = FakeReplica("a", {"k": ["x"]})
         b = FakeReplica("b", {"k": ["x"]})

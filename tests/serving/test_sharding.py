@@ -10,6 +10,7 @@ from repro.serving.sharding import (
     ShardSet,
     ShardedSnapshotStore,
     shard_for,
+    shard_ids,
 )
 from repro.taxonomy.model import Entity, IsARelation
 from repro.taxonomy.service import TaxonomyService
@@ -54,6 +55,16 @@ class TestShardFor:
     def test_invalid_shard_count(self):
         with pytest.raises(APIError):
             shard_for("key", 0)
+
+    def test_a_group_is_placed_as_its_keys_are(self):
+        keys = ["华仔", "实体7#0", "概念3", "x", "华仔", "__probe__"]
+        for n_shards in (1, 2, 3, 4):
+            assert shard_ids(keys, n_shards) == [
+                shard_for(key, n_shards) for key in keys
+            ]
+        assert shard_ids([], 4) == []
+        with pytest.raises(APIError):
+            shard_ids(keys, 0)
 
 
 class TestPartition:

@@ -388,6 +388,17 @@ class TestCanonicalNaming:
         with pytest.raises(APIError, match="sequence"):
             service.get_entities_batch("歌手")
 
+    @pytest.mark.parametrize("bad", ["", 5, None, ["华仔"], b"hua"])
+    def test_batch_refuses_a_bad_member_as_its_single_would(
+        self, service, bad
+    ):
+        with pytest.raises(APIError) as single:
+            service.men2ent(bad)
+        with pytest.raises(APIError) as batch:
+            service.men2ent_batch(["华仔", bad, "周杰伦"])
+        assert str(batch.value) == str(single.value)
+        assert service.metrics.total_calls == 0
+
     def test_batch_rejects_empty_member_upfront(self, service):
         with pytest.raises(APIError, match="non-empty"):
             service.men2ent_batch(["华仔", ""])

@@ -1,5 +1,11 @@
 """Tests for the cn-probase command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -62,6 +68,29 @@ class TestBuild:
         ])
         assert code == 2
         assert f"error: {dump_path}:1: " in capsys.readouterr().err
+
+    def test_build_on_a_wrong_typed_page_field_exits_2(
+        self, artefacts, tmp_path, capsys
+    ):
+        # refused at load, with its place: not a traceback from save
+        # after a whole build
+        dump_path, _ = artefacts
+        lines = dump_path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record["page_id"] = 5
+        lines[2] = json.dumps(record, ensure_ascii=False)
+        bad_dump = tmp_path / "dump.jsonl"
+        bad_dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "t.jsonl"
+        code = main([
+            "build", "--dump", str(bad_dump), "--out", str(out),
+            "--no-abstract",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_dump}:3: page page_id must be a")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestStats:
@@ -202,6 +231,26 @@ class TestTraceSidecar:
 
 class TestServe:
     """cn-probase serve + TaxonomyClient: the acceptance round trip."""
+
+    def test_serve_imports_leave_the_build_stack_out(self):
+        """A serving process loads neither numpy nor the build pipeline."""
+        import repro
+
+        code = (
+            "import sys, repro.cli, repro.serving.server\n"
+            "build = {'repro.core', 'repro.neural', 'repro.nlp',"
+            " 'repro.encyclopedia'}\n"
+            "print(sorted(name for name in sys.modules"
+            " if name.split('.')[0] == 'numpy'"
+            " or '.'.join(name.split('.')[:2]) in build))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
 
     def test_serve_query_swap_query_shutdown(self, artefacts, tmp_path):
         import threading
