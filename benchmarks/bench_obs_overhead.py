@@ -4,10 +4,11 @@ The observability acceptance gate: with the metrics registry, span
 plumbing and event log wired in, the in-process serving hot path stays
 within 5% of its un-instrumented ops/sec.  The only *new* per-call
 cost on an untraced request is the ambient ``current_trace_id()``
-check inside ``TaxonomyService._serve``, so the baseline is measured
-with that hook stubbed to a constant — everything else (the
-``APILatency`` ledgers, snapshot pinning) predates the telemetry
-subsystem and is identical on both sides.
+check inside ``ShardedSnapshotStore._serve``, so the baseline is
+measured with that hook stubbed to a constant in the module that
+defines it — everything else (the ``APILatency`` ledgers, snapshot
+pinning) predates the telemetry subsystem and is identical on both
+sides.
 
 Also reports (without asserting) the fully-traced worst case — every
 call inside a trace context recording a span — so the sampling stride
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from time import perf_counter
 
-import repro.taxonomy.service as service_module
+import repro.serving.sharding as serving_module
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table
 from repro.obs import fresh_hub, trace_context
-from repro.taxonomy.service import TaxonomyService
+from repro.serving import ShardedSnapshotStore
 from repro.workloads import ArgumentPools, TableIICallStream
 from trajectory import merge_bench_json
 
@@ -66,7 +67,10 @@ def test_obs_overhead_benchmark(record):
     ).generate(N_CALLS)
 
     with fresh_hub():
-        service = TaxonomyService(taxonomy)
+        service = ShardedSnapshotStore(taxonomy)
+        # the stub below must reach the loop that serves these calls,
+        # or the gate would compare the path with itself
+        assert type(service)._serve.__module__ == serving_module.__name__
         handlers = _handlers(service)
 
         # Warm every cache with a full pass so all timings run
@@ -83,12 +87,12 @@ def test_obs_overhead_benchmark(record):
             # The trace hook stubbed out — the pre-telemetry hot
             # path, with the unavoidable function call kept so the
             # comparison is conservative.
-            real_hook = service_module.current_trace_id
-            service_module.current_trace_id = lambda: None
+            real_hook = serving_module.current_trace_id
+            serving_module.current_trace_id = lambda: None
             try:
                 return _timed_pass(calls, handlers)
             finally:
-                service_module.current_trace_id = real_hook
+                serving_module.current_trace_id = real_hook
 
         def _measure():
             instrumented_best = baseline_best = float("inf")

@@ -1,19 +1,19 @@
-"""Serving cluster — sharded/replicated/HTTP paths vs the in-process facade.
+"""Serving cluster — sharded/replicated/HTTP paths vs one shard.
 
 Replays one Table-II-mix workload over the same built taxonomy through
 every layer of the :mod:`repro.serving` stack:
 
-1. **unsharded facade** — :class:`TaxonomyService` singles (the PR-2
-   baseline every cluster path must answer identically to),
-2. **sharded store** — :class:`ShardedSnapshotStore` singles at 1, 2
-   and 4 shards, plus batched fan-out/merge at 4 shards,
-3. **replicated router** — 2 replicas per shard with health tracking,
-4. **real HTTP** — the ThreadingHTTPServer + ``TaxonomyClient`` wire,
+1. **sharded store** — :class:`ShardedSnapshotStore` singles at 1, 2
+   and 4 shards (one shard is the baseline the other rows are compared
+   with), plus batched fan-out/merge at 4 shards,
+2. **replicated router** — 2 replicas per shard with health tracking,
+3. **real HTTP** — the ThreadingHTTPServer + ``TaxonomyClient`` wire,
    singles vs batched (fewer, larger round trips).
 
-Asserts the sharded store answers **byte-identically** to the unsharded
-facade at every shard count (the acceptance bar for the cluster), and
-that HTTP batching beats HTTP singles.  Numbers land in
+Asserts every path answers **byte-identically** to the source
+taxonomy's own lookups, whose memoised sorted path shares no code with
+the serving read views (the acceptance bar for the cluster), and that
+HTTP batching beats HTTP singles.  Numbers land in
 ``benchmarks/out/BENCH_parallel.json`` under ``"serving_cluster"``.
 """
 
@@ -30,7 +30,6 @@ from repro.serving import (
     TaxonomyClient,
     start_server,
 )
-from repro.taxonomy.service import TaxonomyService
 from repro.workloads import ArgumentPools, TableIICallStream
 from trajectory import merge_bench_json
 
@@ -78,8 +77,7 @@ def _timed_singles(calls, front):
     return best, results
 
 
-def _timed_batched(calls, front, batch_size=BATCH_SIZE):
-    batched = _batch_handlers(front)
+def _timed_batched(calls, batched, batch_size=BATCH_SIZE):
     best = float("inf")
     results = []
     for _ in range(2):
@@ -106,43 +104,46 @@ def test_serving_cluster_benchmark(record):
     ).generate(N_CALLS)
     ops = lambda n, seconds: n / seconds  # noqa: E731
 
-    facade = TaxonomyService(taxonomy)
-    facade_seconds, facade_results = _timed_singles(calls, facade)
-    rows = [
-        ["unsharded facade (singles)",
-         f"{ops(N_CALLS, facade_seconds):,.0f}", "1.00x"]
-    ]
+    source = _handlers(taxonomy)
+    expected = [source[call.api](call.argument) for call in calls]
+    # Batched results come back in buffer-flush order, so the identity
+    # checks batch the source lookups the same way.
+    source_batches = {
+        api: lambda keys, lookup=lookup: list(map(lookup, keys))
+        for api, lookup in source.items()
+    }
+    rows = []
     payload: dict[str, float | int | bool] = {
         "n_calls": N_CALLS,
         "batch_size": BATCH_SIZE,
-        "facade_single_ops": ops(N_CALLS, facade_seconds),
     }
 
     # -- sharded store: byte-identical answers at every shard count ------
-    store4 = None
+    base_seconds = store4 = None
     for n_shards in SHARD_COUNTS:
         store = ShardedSnapshotStore(taxonomy, n_shards=n_shards)
         seconds, results = _timed_singles(calls, store)
-        assert results == facade_results, (
-            f"sharded answers diverged from the facade at {n_shards} shards"
+        assert results == expected, (
+            f"sharded answers diverged from the source at {n_shards} shards"
         )
+        base_seconds = base_seconds or seconds
         rows.append([
             f"sharded store, {n_shards} shard(s) (singles)",
             f"{ops(N_CALLS, seconds):,.0f}",
-            f"{facade_seconds / seconds:.2f}x",
+            f"{base_seconds / seconds:.2f}x",
         ])
         payload[f"sharded_{n_shards}_single_ops"] = ops(N_CALLS, seconds)
         store4 = store
 
-    # Batched results come back in buffer-flush order, so the identity
-    # check is against the facade served through the same batching.
-    _, facade_batched_results = _timed_batched(calls, facade)
-    batched_seconds, batched_results = _timed_batched(calls, store4)
-    assert batched_results == facade_batched_results
+    _, expected_batched = _timed_batched(calls, source_batches)
+    batched_seconds, batched_results = _timed_batched(
+        calls, _batch_handlers(store4)
+    )
+    assert batched_results == expected_batched
     rows.append([
         f"sharded store, 4 shards (batched {BATCH_SIZE})",
         f"{ops(N_CALLS, batched_seconds):,.0f}",
-        f"{facade_seconds / batched_seconds:.2f}x",
+        f"{base_seconds / batched_seconds:.2f}x",
     ])
     payload["sharded_4_batched_ops"] = ops(N_CALLS, batched_seconds)
 
@@ -151,11 +152,11 @@ def test_serving_cluster_benchmark(record):
         ShardedSnapshotStore(taxonomy, n_shards=4), replicas=REPLICAS
     )
     router_seconds, router_results = _timed_singles(calls, router)
-    assert router_results == facade_results
+    assert router_results == expected
     rows.append([
         f"router, 4 shards x {REPLICAS} replicas (singles)",
         f"{ops(N_CALLS, router_seconds):,.0f}",
-        f"{facade_seconds / router_seconds:.2f}x",
+        f"{base_seconds / router_seconds:.2f}x",
     ])
     payload["router_single_ops"] = ops(N_CALLS, router_seconds)
 
@@ -168,15 +169,15 @@ def test_serving_cluster_benchmark(record):
             http_single_seconds, http_single_results = _timed_singles(
                 calls[:N_HTTP_SINGLE], client
             )
-        assert http_single_results == facade_results[:N_HTTP_SINGLE]
-        _, facade_http_expected = _timed_batched(
-            calls[:N_HTTP_BATCHED], facade
+        assert http_single_results == expected[:N_HTTP_SINGLE]
+        _, http_expected = _timed_batched(
+            calls[:N_HTTP_BATCHED], source_batches
         )
         with TaxonomyClient(server.url) as client:
             http_batched_seconds, http_batched_results = _timed_batched(
-                calls[:N_HTTP_BATCHED], client
+                calls[:N_HTTP_BATCHED], _batch_handlers(client)
             )
-        assert http_batched_results == facade_http_expected
+        assert http_batched_results == http_expected
     finally:
         server.close()
     http_single_ops = ops(N_HTTP_SINGLE, http_single_seconds)
@@ -195,7 +196,7 @@ def test_serving_cluster_benchmark(record):
     payload["identical_answers_all_shard_counts"] = True
 
     record(render_table(
-        ["serving path", "ops/sec", "vs facade"],
+        ["serving path", "ops/sec", "vs 1 shard"],
         rows,
         title=(
             f"Serving cluster — {N_CALLS:,} Table-II-mix calls, "

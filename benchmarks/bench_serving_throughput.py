@@ -8,11 +8,12 @@ same built taxonomy:
    memoises),
 2. **store (memoised)** — ``Taxonomy`` lookups with the per-key sorted
    cache warm,
-3. **service singles / batched** — the full :class:`TaxonomyService`
-   path (snapshot pin + latency metrics per call),
+3. **service singles / batched** — the one-shard
+   :class:`ShardedSnapshotStore`, the in-process serving front (set pin
+   + latency ledger per served group),
 4. **read-optimized view** — the frozen
-   :class:`ReadOptimizedTaxonomy` a snapshot serves from: dict hit +
-   list copy.
+   :class:`ReadOptimizedTaxonomy` a shard serves from: dict hit + list
+   copy.
 
 Asserts the read-optimized path answers identically to the seed path
 and is at least 2x its ops/sec; numbers land in
@@ -26,7 +27,7 @@ from time import perf_counter
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table
-from repro.taxonomy.service import TaxonomyService
+from repro.serving import ShardedSnapshotStore
 from repro.workloads import ArgumentPools, TableIICallStream
 from trajectory import merge_bench_json
 
@@ -82,8 +83,8 @@ def test_serving_throughput_benchmark(record):
     calls = TableIICallStream(
         ArgumentPools.from_taxonomy(taxonomy), seed=13
     ).generate(N_CALLS)
-    service = TaxonomyService(taxonomy)
-    read_view = service.snapshot.read_view
+    service = ShardedSnapshotStore(taxonomy)
+    read_view = taxonomy.freeze()
 
     baseline_seconds, baseline_results = _timed(
         calls, _per_call_sorted_handlers(taxonomy)

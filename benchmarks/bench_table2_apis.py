@@ -3,8 +3,9 @@
 Paper (six months on Aliyun): men2ent 43,896,044 calls, getConcept
 13,815,076, getEntity 25,793,372 — a 0.53 / 0.17 / 0.31 mix.  The
 Table II call stream replays that mix at reduced volume against a
-``TaxonomyService`` over the built taxonomy, whose metrics ledger
-counts the calls; the benchmarked unit is serving throughput.
+one-shard ``ShardedSnapshotStore`` over the built taxonomy, whose
+metrics ledger counts the calls; the benchmarked unit is serving
+throughput.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 
 from repro.eval.report import format_count, format_percent, render_table
 from repro.taxonomy.api import PAPER_API_MIX
-from repro.taxonomy.service import TaxonomyService
+from repro.serving import ShardedSnapshotStore
 from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
 
 N_CALLS = 30_000
@@ -26,12 +27,12 @@ def _calls(taxonomy, seed: int, n_calls: int):
 
 @pytest.fixture(scope="module")
 def served(cn_probase):
-    service = TaxonomyService(cn_probase.taxonomy)
+    service = ShardedSnapshotStore(cn_probase.taxonomy)
     return replay_calls(service, _calls(cn_probase.taxonomy, 2, N_CALLS))
 
 
 def test_table2_benchmark(benchmark, cn_probase, served, record):
-    service = TaxonomyService(cn_probase.taxonomy)
+    service = ShardedSnapshotStore(cn_probase.taxonomy)
     calls = _calls(cn_probase.taxonomy, 3, 5_000)
 
     def serve() -> int:

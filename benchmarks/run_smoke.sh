@@ -9,8 +9,8 @@
 # before pushing pipeline or serving changes: stage-registry overhead,
 # serving throughput (read-optimized snapshots >= 2x the
 # per-call-sorted path), the serving cluster (sharded answers
-# byte-identical to the unsharded facade at 1/2/4 shards, HTTP batched
-# > HTTP singles), the incremental rebuild contract (delta-applied
+# byte-identical to the source taxonomy's own lookups at 1/2/4 shards,
+# HTTP batched > HTTP singles), the incremental rebuild contract (delta-applied
 # taxonomy byte-identical to a full rebuild, small-change refresh
 # faster than a full build) and two real server round trips
 # (cn-probase serve subprocess: start -> query -> swap -> query ->

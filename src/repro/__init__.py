@@ -8,11 +8,9 @@ The package is organised as one subpackage per subsystem:
   the synthetic world generator that replaces the proprietary 2017 dump.
 - :mod:`repro.neural` — numpy CopyNet-style seq2seq used by the abstract
   source of the generation module.
-- :mod:`repro.taxonomy` — taxonomy data model, graph, indexed store, the
-  three public serving APIs (men2ent / getConcept / getEntity) and the
-  versioned :class:`~repro.taxonomy.service.TaxonomyService` facade
-  (immutable snapshots, atomic swap-on-rebuild, batched variants,
-  per-API latency accounting).
+- :mod:`repro.taxonomy` — taxonomy data model, graph, indexed store,
+  the three public serving APIs (men2ent / getConcept / getEntity),
+  their batched serving surface and the per-API latency ledger.
 - :mod:`repro.core` — the paper's contribution as an open, composable
   pipeline.  :mod:`repro.core.stages` defines the stage architecture: a
   ``GenerationSource`` / ``Verifier`` protocol pair, a named, ordered
@@ -27,13 +25,14 @@ The package is organised as one subpackage per subsystem:
   by registering against the builder's registry, no core edits needed.
 - :mod:`repro.serving` — the deployment shape of the paper's shared
   service: a :class:`~repro.serving.sharding.ShardedSnapshotStore`
-  (N key-hashed shards of one read-optimized taxonomy, swapped
-  all-or-nothing so no batch ever spans two versions), a
+  (the versioned in-process front: N key-hashed shards of one
+  read-optimized taxonomy, one by default, swapped all-or-nothing so
+  no batch ever spans two versions; ``TaxonomyService`` names it), a
   replication-aware :class:`~repro.serving.router.ReplicatedRouter`
   (R replicas per shard, failover + health probes), a stdlib HTTP/JSON
   server with hot-swap admin endpoints, and the
-  :class:`~repro.serving.client.TaxonomyClient` SDK — all behind the
-  same canonical serving surface as the in-process facade
+  :class:`~repro.serving.client.TaxonomyClient` SDK — all behind one
+  canonical serving surface
   (``cn-probase serve <taxonomy> --shards N --replicas R``).
 - :mod:`repro.workloads` — seeded inputs for serving measurements and
   chaos tests: :class:`~repro.workloads.spec.WorldSpec` worlds and
@@ -74,7 +73,7 @@ _LAZY_EXPORTS = {
     "SyntheticWorld": "repro.encyclopedia",
     "Taxonomy": "repro.taxonomy",
     "TaxonomyDelta": "repro.taxonomy",
-    "TaxonomyService": "repro.taxonomy",
+    "TaxonomyService": "repro.taxonomy.service",
     "ReplicatedRouter": "repro.serving",
     "ShardedSnapshotStore": "repro.serving",
     "TaxonomyClient": "repro.serving",

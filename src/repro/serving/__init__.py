@@ -3,8 +3,9 @@
 The paper's system runs as a shared Aliyun service answering the
 Table-II workload (tens of millions of ``men2ent`` / ``getConcept`` /
 ``getEntity`` calls) while the taxonomy behind it is periodically
-rebuilt.  This package turns the PR-1/2 in-process facade into that
-deployment shape, stdlib-only:
+rebuilt.  This package is that deployment shape, stdlib-only, from the
+versioned in-process front (:class:`ShardedSnapshotStore`, one shard by
+default) up to the HTTP client:
 
 Architecture (request path, top to bottom)::
 
@@ -24,12 +25,13 @@ Architecture (request path, top to bottom)::
 - **Sharding** (:mod:`repro.serving.sharding`): each serving index is
   keyed independently (mention / page_id / concept), so splitting every
   index by ``crc32(key) % N`` preserves per-key answers exactly —
-  sharded responses are byte-identical to the unsharded facade at any
-  shard count.  Batches pin one :class:`~repro.serving.sharding.ShardSet`,
-  fan out one ordered group per shard and merge by position; a swap
-  partitions the *whole* replacement set before one atomic reference
-  assignment, so a failed rebuild keeps the old version serving and no
-  batch ever spans two versions.  A
+  sharded responses are byte-identical to the source taxonomy's own
+  lookups at any shard count.  Batches pin one
+  :class:`~repro.serving.sharding.ShardSet`, fan out one ordered group
+  per shard and merge by position; a swap partitions the *whole*
+  replacement set before one atomic reference assignment, so a failed
+  rebuild keeps the old version serving and no batch ever spans two
+  versions.  A
   :class:`~repro.taxonomy.delta.TaxonomyDelta` publishes incrementally
   through :meth:`~repro.serving.sharding.ShardedSnapshotStore.publish_delta`:
   only shards owning a touched key are rebuilt (touched-keys-only

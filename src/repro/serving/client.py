@@ -2,9 +2,10 @@
 
 The client exposes the same canonical
 :class:`~repro.taxonomy.service.BatchedServingAPI` surface as the
-in-process service, so anything written against ``TaxonomyService`` —
-including :func:`~repro.workloads.sampling.replay_calls` — drives a
-remote cluster unchanged.  Singles go over
+in-process store, so anything written against
+:class:`~repro.serving.sharding.ShardedSnapshotStore` — including
+:func:`~repro.workloads.sampling.replay_calls` — drives a remote
+cluster unchanged.  Singles go over
 ``GET /v1/{api}?q=...``, batches over ``POST /v1/{api}``; transient
 transport failures and 5xx responses are retried with capped, jittered
 exponential backoff (seeded, so retry schedules are reproducible),

@@ -68,9 +68,9 @@ class ReplicaBackend(Protocol):
     Everything else is optional and discovered by ``getattr``:
 
     - ``healthcheck() -> bool`` — probed instead of a benign lookup;
-    - ``pinned()`` / ``pinned_in(shard_set)`` — snapshot pinning hooks
-      for backends that report no version (in-process store views), so
-      a batch group never spans two published versions;
+    - ``pinned_in(shard_set)`` — the snapshot pinning hook for
+      backends that report no version (in-process store views), so a
+      batch group never spans two published versions;
     - ``versioned_reader()`` — for backends that track their own
       published version (:class:`LocalReplica`, :class:`RemoteReplica`):
       a lookup ``(api_name, argument) -> (result, version)`` for one

@@ -116,10 +116,6 @@ class StoreShardReplica:
     def get_entities(self, concept: str) -> list[str]:
         return self._view().get_entities(concept)
 
-    def pinned(self):
-        """One snapshot view for a whole batch group (swap-proof)."""
-        return self._view()
-
     def pinned_in(self, shard_set):
         """This replica's view inside an explicitly pinned shard set.
 
@@ -901,9 +897,9 @@ class ReplicatedRouter(BatchedServingAPI):
 
         The replica is pinned for the whole group — against *pin* (the
         shard set a batch captured up front) via the backend's
-        ``pinned_in()`` hook when both exist, else via its ``pinned()``
-        hook — so a concurrent swap cannot tear the group.  A
-        version-reporting replica answers through its
+        ``pinned_in()`` hook when both exist — so a concurrent swap
+        cannot tear the group; a single-key group reads the backend's
+        current view.  A version-reporting replica answers through its
         ``versioned_reader`` instead (see :meth:`_read_versioned`).  A
         replica failure marks it unhealthy and the *entire* group fails
         over to the next one.  The group is answered in one pass timed
@@ -930,11 +926,8 @@ class ReplicatedRouter(BatchedServingAPI):
                     # the replica — a failure here is a replica failure
                     # and must fail over, not escape the group
                     pinned_in = getattr(state.backend, "pinned_in", None)
-                    pinned = getattr(state.backend, "pinned", None)
                     if pin is not None and pinned_in is not None:
                         target = pinned_in(pin)
-                    elif pinned is not None:
-                        target = pinned()
                     else:
                         target = state.backend
                     served = _timed_lookups(

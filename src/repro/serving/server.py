@@ -1,8 +1,7 @@
 """stdlib HTTP server for the taxonomy serving cluster.
 
-A thin JSON wire over any service-shaped front (the in-process
-:class:`~repro.taxonomy.service.TaxonomyService`, a
-:class:`~repro.serving.sharding.ShardedSnapshotStore`, or a
+A thin JSON wire over any service-shaped front (a
+:class:`~repro.serving.sharding.ShardedSnapshotStore` or a
 :class:`~repro.serving.router.ReplicatedRouter`).  One thread per
 connection (:class:`ThreadingHTTPServer`), which the snapshot/shard-set
 pinning underneath is already built to serve safely.  Connections are

@@ -13,7 +13,7 @@ each of the three serving indexes is keyed independently:
 
 and a key's complete (already sorted) result tuple lives wholly in the
 shard :func:`shard_for` maps it to — so a sharded answer is the same
-bytes the unsharded facade returns, at any shard count.
+bytes the source taxonomy's own lookup returns, at any shard count.
 
 Versioning is all-or-nothing: a swap partitions the *entire* rebuilt
 taxonomy into a fresh :class:`ShardSet` first and only then publishes it
@@ -126,10 +126,10 @@ class ShardSet:
 
         Works from the frozen view (a mutable :class:`Taxonomy` is
         frozen first), so a published shard set is immune to later
-        mutation of the builder's taxonomy, exactly like an unsharded
-        snapshot.  *content_hash* stamps the set; when omitted it is
-        computed from a mutable :class:`Taxonomy` source (a frozen view
-        cannot reproduce the canonical bytes, so it stays ``None``).
+        mutation of the builder's taxonomy.  *content_hash* stamps the
+        set; when omitted it is computed from a mutable
+        :class:`Taxonomy` source (a frozen view cannot reproduce the
+        canonical bytes, so it stays ``None``).
         """
         if n_shards < 1:
             raise APIError(f"n_shards must be >= 1, got {n_shards}")
@@ -251,12 +251,14 @@ def _validate_delta_base(shard_set: ShardSet, delta, keep=None) -> None:
 
 
 class ShardedSnapshotStore(BatchedServingAPI):
-    """N key-hashed shards behind the exact ``TaxonomyService`` surface.
+    """The versioned in-process serving front: N key-hashed shards.
 
-    Every call routes by key hash into the currently published
-    :class:`ShardSet`; batch calls pin one set up front and answer in
-    argument order (the per-shard sub-batch grouping that decides which
-    *replica* serves a group belongs to the
+    One shard by default (``repro.taxonomy.service.TaxonomyService``
+    names the class); the router, the HTTP server and every replica
+    serve through it.  Every call routes by key hash into the currently
+    published :class:`ShardSet`; batch calls pin one set up front and
+    answer in argument order (the per-shard sub-batch grouping that
+    decides which *replica* serves a group belongs to the
     :class:`~repro.serving.router.ReplicatedRouter`).
 
     :meth:`swap` is atomic and all-or-nothing: the full replacement
@@ -269,7 +271,7 @@ class ShardedSnapshotStore(BatchedServingAPI):
         self,
         taxonomy: "Taxonomy | ReadOptimizedTaxonomy",
         *,
-        n_shards: int = 4,
+        n_shards: int = 1,
         version: int = 1,
         metrics: ServiceMetrics | None = None,
         hub=None,
@@ -480,16 +482,14 @@ class ShardedSnapshotStore(BatchedServingAPI):
     ) -> list[list[str]]:
         """Answer a group of keys from the pinned *shard_set*, timed once.
 
-        The one serving loop, as in
-        :meth:`~repro.taxonomy.service.TaxonomyService._serve`: a batch
-        is one group and a single a group of one.  Each shard's lookup
-        is resolved once per group and the keys are placed in one
-        :func:`shard_ids` call; the lookups then run in one pass
-        between two clock reads, and the group's calls land in the
-        ledger at its per-call mean.  Inside a trace context each key
-        is timed alone instead, to record its own span.  Probes
-        exercise the lookup path but stay out of the ledger and the
-        spans.
+        The one serving loop: a batch is one group and a single a
+        group of one.  Each shard's lookup is resolved once per group
+        and the keys are placed in one :func:`shard_ids` call; the
+        lookups then run in one pass between two clock reads, and the
+        group's calls land in the ledger at its per-call mean.  Inside
+        a trace context each key is timed alone instead, to record its
+        own span.  Probes exercise the lookup path but stay out of the
+        ledger and the spans.
         """
         lookup_name = _API_LOOKUPS[api_name]
         calls = [

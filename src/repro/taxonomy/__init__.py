@@ -9,9 +9,11 @@ paper's three public APIs need (Table II):
 - ``getEntity``  concept → hyponym list.
 
 :mod:`~repro.taxonomy.api` keeps the Table II call mix, and
-:class:`~repro.taxonomy.service.TaxonomyService` is the production
-facade on top: immutable versioned snapshots with atomic
-swap-on-rebuild, batched API variants and per-API latency accounting.
+:mod:`~repro.taxonomy.service` the serving surface every front shares:
+batched API variants and per-API latency accounting.  The versioned
+front itself, with atomic swap-on-rebuild, is
+:class:`~repro.serving.sharding.ShardedSnapshotStore`; this package
+imports nothing from :mod:`repro.serving`.
 """
 
 from repro.taxonomy.model import (
@@ -26,19 +28,13 @@ from repro.taxonomy.model import (
 from repro.taxonomy.graph import TaxonomyGraph
 from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 from repro.taxonomy.delta import TaxonomyDelta, load_delta, save_delta
-from repro.taxonomy.service import (
-    ServiceMetrics,
-    TaxonomyService,
-    TaxonomySnapshot,
-)
+from repro.taxonomy.service import ServiceMetrics
 
 __all__ = [
     "TaxonomyDelta",
     "load_delta",
     "save_delta",
     "ServiceMetrics",
-    "TaxonomyService",
-    "TaxonomySnapshot",
     "Entity",
     "IsARelation",
     "SOURCE_ABSTRACT",

@@ -9,10 +9,9 @@ taxonomies: entities and isA relations *added*, *removed* and *changed*
 - the store applies one with :meth:`~repro.taxonomy.store.Taxonomy.apply_delta`
   (mutable) and :meth:`~repro.taxonomy.store.ReadOptimizedTaxonomy.apply_delta`
   (frozen, touched-keys-only),
-- the service publishes one with
-  :meth:`~repro.taxonomy.service.TaxonomyService.publish_delta`,
-- the sharded store republishes only the shards whose keys the delta
-  touches (:meth:`~repro.serving.sharding.ShardedSnapshotStore.publish_delta`),
+- the sharded store, the one in-process serving front, republishes
+  only the shards whose keys the delta touches
+  (:meth:`~repro.serving.sharding.ShardedSnapshotStore.publish_delta`),
 - the HTTP cluster accepts one at ``POST /admin/apply-delta`` — by
   server-side path or inline as the :meth:`TaxonomyDelta.to_wire` JSON
   object the replication layer ships to remote replicas.
@@ -546,7 +545,7 @@ def bump_version(current: int, requested: int | None) -> int:
     """The version a publish produces: ``current + 1``, or an explicit
     newer stamp.
 
-    Every publishing front (service, sharded store, router) shares
+    Every publishing front (sharded store, router) shares
     this rule, so a stale explicit stamp — e.g. an orchestration layer
     re-sending last night's publish — is refused identically
     everywhere instead of silently rewinding one front's lineage.
@@ -571,8 +570,8 @@ def publish_handshake(
     """The one merge-or-409 decision every publishing front makes.
 
     *published* is anything with ``version``, ``version_id`` and
-    ``content_hash`` (a snapshot, a shard set, a storeless router's
-    published value); callers hold their publish lock, so two
+    ``content_hash`` (a shard set, or a storeless router's published
+    value); callers hold their publish lock, so two
     concurrent publishes naming the same base can never both pass.
     Returns ``"proceed"`` when *base_version* and the delta's
     ``base_content_hash`` match; ``"merge"`` on a mismatch when the

@@ -1,34 +1,31 @@
-"""Versioned serving facade: snapshots, batching, latency accounting.
+"""The serving surface and its ledger: batching, validation, latency.
 
 The paper's deployment serves tens of millions of calls (Table II)
-while the taxonomy behind them is periodically rebuilt.
-:class:`TaxonomyService` keeps the two concerns apart:
+while the taxonomy behind them is periodically rebuilt.  Every serving
+front shares what this module defines:
 
-- requests are served from an immutable :class:`TaxonomySnapshot` with
-  a version id; a rebuild is published with :meth:`TaxonomyService.swap`,
-  which replaces the snapshot atomically — in-flight batches keep
-  reading the snapshot they pinned, so a swap never tears a batch;
-- each snapshot serves from a
-  :class:`~repro.taxonomy.store.ReadOptimizedTaxonomy` frozen at publish
-  time: the sorted result lists of all three APIs are precomputed, so a
-  served call is a dict hit plus a list copy — no per-call ``sorted()``
-  and no answer drift if someone mutates the builder's taxonomy after
-  publishing;
-- the canonical serving surface is :class:`BatchedServingAPI` — singles
-  ``men2ent`` / ``get_concepts`` / ``get_entities``, batched variants
-  ``men2ent_batch`` / ``get_concepts_batch`` / ``get_entities_batch``
-  that pin one snapshot for the whole batch and answer
-  position-for-position — the same mixin the :mod:`repro.serving`
-  cluster (sharded store, replica router, HTTP client) implements;
-- every call is validated once and measured once: per-API call/hit
-  counts, wall-clock and a recent-window latency reservoir land in a
-  :class:`ServiceMetrics` ledger that survives snapshot swaps and
-  reports p50/p95/p99 tail latency, which is what the API-service
+- the canonical serving surface, :class:`BatchedServingAPI` — singles
+  ``men2ent`` / ``get_concepts`` / ``get_entities`` and batched
+  variants ``men2ent_batch`` / ``get_concepts_batch`` /
+  ``get_entities_batch`` that answer position-for-position from one
+  pinned version — which the sharded store, the replica router and
+  the HTTP client implement;
+- the wire names of the three APIs (:data:`WIRE_API_METHODS`) and the
+  health probes' reserved key (:data:`PROBE_KEY`);
+- the per-API ledger: every call is validated once and measured once,
+  and call/hit counts, wall-clock and a recent-window latency
+  reservoir land in a :class:`ServiceMetrics` that survives publishes
+  and reports p50/p95/p99 tail latency, which is what the API-service
   example and the cluster's ``/metrics`` endpoint report.  A serving
   front times a group of calls (a batch, or one shard group of it)
   once and records each of its calls at the group's per-call mean, in
   one ledger update (:meth:`ServiceMetrics.observe_served`); a single
   is a group of one, timed alone.
+
+The versioned in-process front — snapshots, atomic swap, delta
+publishes — is :class:`~repro.serving.sharding.ShardedSnapshotStore`,
+one shard by default.  ``TaxonomyService`` remains importable from
+here as a name for that class.
 """
 
 from __future__ import annotations
@@ -37,11 +34,9 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from repro.obs.clock import elapsed
 from typing import Sequence
 
-from repro.errors import APIError, TaxonomyError
-from repro.obs import current_trace_id, get_hub
+from repro.errors import APIError
 from repro.obs.metrics import (
     RESERVOIR_SIZE,
     MetricSnapshot,
@@ -49,9 +44,6 @@ from repro.obs.metrics import (
     SummarySample,
     summary_quantiles,
 )
-from repro.taxonomy.delta import DeltaHistory, bump_version, publish_handshake
-from repro.taxonomy.model import TaxonomyStats
-from repro.taxonomy.store import ReadOptimizedTaxonomy, Taxonomy
 
 #: The reserved lookup key health probes use.  Guaranteed to miss (real
 #: keys never start with ``__``), and excluded from the per-API metrics
@@ -65,41 +57,6 @@ PROBE_KEY = "__probe__"
 #: today's p99), and production traffic is unbounded so the ledger must
 #: not grow with it.  The registry's summaries keep the same window.
 LATENCY_RESERVOIR_SIZE = RESERVOIR_SIZE
-
-
-@dataclass(frozen=True)
-class TaxonomySnapshot:
-    """One immutable published version of the taxonomy.
-
-    ``read_view`` is the frozen :class:`ReadOptimizedTaxonomy` the
-    snapshot's lookups answer from; ``taxonomy`` keeps the full store
-    for closure queries and persistence.
-    """
-
-    version: int
-    taxonomy: Taxonomy
-    read_view: ReadOptimizedTaxonomy
-    #: sha256 of the canonical saved bytes — the content-addressed
-    #: version id probes and the publish handshake converge on.
-    content_hash: str | None = None
-
-    @classmethod
-    def publish(cls, version: int, taxonomy: Taxonomy) -> "TaxonomySnapshot":
-        """Freeze *taxonomy* into a servable snapshot."""
-        read_view = taxonomy.freeze()
-        return cls(
-            version=version,
-            taxonomy=taxonomy,
-            read_view=read_view,
-            content_hash=taxonomy.content_hash(),
-        )
-
-    @property
-    def version_id(self) -> str:
-        return f"v{self.version}"
-
-    def stats(self) -> TaxonomyStats:
-        return self.read_view.stats()
 
 
 @dataclass
@@ -195,8 +152,8 @@ class APILatency:
 class ServiceMetrics:
     """Cumulative per-API accounting; survives snapshot swaps.
 
-    Observation is lock-protected: the service serves concurrent
-    callers across swaps, and unsynchronised ``+=`` on the counters
+    Observation is lock-protected: a front serves concurrent callers
+    across swaps, and unsynchronised ``+=`` on the counters
     would silently drop increments under that load.  Serving fronts
     update it once per group (:meth:`observe_served`: one
     :meth:`observe_group`, so one lock acquisition, for a batch or for
@@ -346,9 +303,9 @@ WIRE_API_METHODS = {
 class BatchedServingAPI:
     """The canonical serving surface shared by every service-shaped front.
 
-    :class:`TaxonomyService`, the sharded store, the replica router and
-    the HTTP client SDK all expose the same methods by mixing this in
-    and implementing two hooks:
+    The sharded store, the replica router and the HTTP client SDK all
+    expose the same methods by mixing this in and implementing two
+    hooks:
 
     - ``_single(api_name, argument) -> list[str]``
     - ``_batch(api_name, arguments) -> list[list[str]]`` (one pinned
@@ -445,207 +402,12 @@ class BatchedServingAPI:
         raise NotImplementedError
 
 
-class TaxonomyService(BatchedServingAPI):
-    """Serve a taxonomy's read view: versioned, batched, measured."""
+def __getattr__(name: str):
+    # ``TaxonomyService`` names the one-shard store.  Resolved on first
+    # use (PEP 562): repro.serving.sharding imports this module, so a
+    # load-time import would cycle.
+    if name == "TaxonomyService":
+        from repro.serving.sharding import ShardedSnapshotStore
 
-    def __init__(
-        self, taxonomy: Taxonomy, *, version: int = 1, hub=None
-    ) -> None:
-        self._lock = threading.Lock()
-        self._snapshot = TaxonomySnapshot.publish(version, taxonomy)
-        self.metrics = ServiceMetrics()
-        #: Bounded ring of applied deltas + the versions they produced,
-        #: so a late-joining replica can catch up by chain (compose the
-        #: missed deltas) instead of pulling a full snapshot.
-        self.delta_history = DeltaHistory()
-        self._hub = hub if hub is not None else get_hub()
-        self._hub.registry.register_collector("service", self.metrics)
-
-    # -- snapshots -------------------------------------------------------------
-
-    @property
-    def snapshot(self) -> TaxonomySnapshot:
-        """The currently published snapshot (a single atomic read)."""
-        # lint: allow[lock-discipline] atomic reference read; swap publishes
-        return self._snapshot
-
-    @property
-    def version_id(self) -> str:
-        # lint: allow[lock-discipline] atomic reference read
-        return self._snapshot.version_id
-
-    @property
-    def content_hash(self) -> str | None:
-        """The published snapshot's canonical-bytes sha256."""
-        # lint: allow[lock-discipline] atomic reference read
-        return self._snapshot.content_hash
-
-    def version_lineage(self) -> list[str]:
-        """Version ids the delta publishes produced, oldest first.
-
-        A full :meth:`swap` records nothing (it breaks the delta
-        chain), so gaps in the lineage mark where a chain catch-up
-        must fall back to a snapshot.
-        """
-        return self.delta_history.lineage_ids()
-
-    def swap(
-        self, taxonomy: Taxonomy, *, version: int | None = None
-    ) -> TaxonomySnapshot:
-        """Publish a rebuilt taxonomy; returns the new snapshot.
-
-        The swap is a single reference assignment under a lock: callers
-        holding the previous snapshot (e.g. mid-batch) keep a fully
-        consistent view, new calls see only the new version.  *version*
-        stamps the snapshot explicitly (must be newer than the current
-        one) — how a replica healed from a snapshot rejoins the
-        cluster's version lineage.
-        """
-        with self._lock:
-            snapshot = TaxonomySnapshot.publish(
-                bump_version(self._snapshot.version, version), taxonomy
-            )
-            previous = self._snapshot
-            self._snapshot = snapshot
-            self.metrics.swaps += 1
-            self._hub.emit(
-                "swap", component="service",
-                from_version=previous.version_id,
-                version=snapshot.version_id,
-                content_hash=snapshot.content_hash,
-            )
-            return snapshot
-
-    def publish_delta(
-        self,
-        delta,
-        *,
-        version: int | None = None,
-        base_version: int | None = None,
-    ) -> TaxonomySnapshot:
-        """Publish a :class:`~repro.taxonomy.delta.TaxonomyDelta`.
-
-        The refresh-cost-proportional-to-change version of :meth:`swap`:
-        the delta is applied to a *copy* of the current taxonomy
-        (:meth:`Taxonomy.apply_delta` validates it against the base
-        first) and the read view is advanced touched-keys-only — but
-        the publish guarantees are identical.  Version lineage
-        continues (``version + 1``), the new snapshot lands in one
-        atomic reference assignment, and a failed validation leaves the
-        old version serving with its snapshot — taxonomy included —
-        completely untouched, so readers pinned to it never observe a
-        half-published state and a corrected delta can still be
-        retried.
-
-        *base_version* and the delta's hash stamps go through
-        :func:`~repro.taxonomy.delta.publish_handshake` under the
-        publish lock: a mismatch raises
-        :class:`~repro.errors.DeltaConflictError`, unless this front
-        already holds the exact bytes the delta produces — then the
-        publish is a **merge**, a no-op returning the current snapshot.
-        """
-        with self._lock:
-            current = self._snapshot
-            if publish_handshake(
-                current, delta, base_version, self._hub, "service"
-            ) == "merge":
-                return current
-            target = bump_version(current.version, version)
-            taxonomy = current.taxonomy.copy().apply_delta(delta)
-            content_hash = taxonomy.content_hash()
-            if (
-                delta.new_content_hash is not None
-                and content_hash != delta.new_content_hash
-            ):
-                # the base matched but applying did not land on the
-                # stamped bytes — refuse before publishing divergence
-                raise TaxonomyError(
-                    "delta application diverged: expected content hash "
-                    f"{delta.new_content_hash}, got {content_hash}"
-                )
-            # Headline numbers come from the applied store itself — the
-            # same source a full freeze() would use — so they are right
-            # even for a hand-built delta whose header omits them.
-            read_view = current.read_view.apply_delta(
-                delta,
-                stats=taxonomy.stats(),
-                n_relations=len(taxonomy),
-                name=taxonomy.name,
-            )
-            snapshot = TaxonomySnapshot(
-                version=target,
-                taxonomy=taxonomy,
-                read_view=read_view,
-                content_hash=content_hash,
-            )
-            self._snapshot = snapshot
-            self.metrics.swaps += 1
-            self.delta_history.record(
-                current.version,
-                target,
-                delta,
-                base_content_hash=current.content_hash,
-                content_hash=content_hash,
-            )
-            self._hub.emit(
-                "publish", component="service",
-                from_version=current.version_id,
-                version=snapshot.version_id,
-                content_hash=content_hash,
-            )
-            return snapshot
-
-    # -- internals -------------------------------------------------------------
-
-    def _serve(
-        self,
-        snapshot: TaxonomySnapshot,
-        api_name: str,
-        arguments: Sequence[str],
-    ) -> list[list[str]]:
-        """Answer a group of keys from *snapshot*, timed once.
-
-        The one serving loop: a batch is one group and a single is a
-        group of one.  The lookups run as one ``map`` between two clock
-        reads, and the group's calls land in the ledger at its per-call
-        mean (:meth:`ServiceMetrics.observe_served`).  Inside a trace
-        context each key is timed alone instead, to record its own
-        span, and the group's time is the sum of its keys'.  Probes
-        are answered but stay out of the ledger and the spans.
-        """
-        call = getattr(snapshot.read_view, WIRE_API_METHODS[api_name][0])
-        trace_id = current_trace_id()
-        if trace_id is None:
-            started = elapsed()
-            results = list(map(call, arguments))
-            seconds = elapsed() - started
-        else:
-            results = []
-            seconds = 0.0
-            for argument in arguments:
-                started = elapsed()
-                result = call(argument)
-                took = elapsed() - started
-                results.append(result)
-                seconds += took
-                if argument == PROBE_KEY:
-                    continue
-                self._hub.record_span(
-                    trace_id, "service", api_name, took,
-                    outcome="hit" if result else "miss",
-                    version=snapshot.version_id,
-                    content_hash=snapshot.content_hash,
-                )
-        self.metrics.observe_served(api_name, arguments, results, seconds)
-        return results
-
-    def _single(self, api_name: str, argument: str) -> list[str]:
-        # lint: allow[lock-discipline] atomic reference read of the snapshot
-        return self._serve(self._snapshot, api_name, (argument,))[0]
-
-    def _batch(
-        self, api_name: str, arguments: Sequence[str]
-    ) -> list[list[str]]:
-        # pin one version for the whole batch
-        # lint: allow[lock-discipline] atomic reference read pins one version
-        return self._serve(self._snapshot, api_name, arguments)
+        return ShardedSnapshotStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,8 @@ memoise their sorted result per key and invalidate exactly the keys a
 mutation touches, so repeated hot-key traffic stops paying ``sorted()``
 per call.  For pure serving, :class:`ReadOptimizedTaxonomy` freezes a
 built taxonomy into precomputed sorted tuples — every lookup becomes a
-plain dict hit, which is what
-:class:`~repro.taxonomy.service.TaxonomySnapshot` serves from.
+plain dict hit, which is what each shard of
+:class:`~repro.serving.sharding.ShardedSnapshotStore` serves from.
 """
 
 from __future__ import annotations
@@ -304,8 +304,7 @@ class Taxonomy:
 
         Entity and relation records are immutable and shared; every
         index is rebuilt, so mutating either taxonomy afterwards never
-        leaks into the other.  This is what lets a service publish a
-        delta without touching the taxonomy a pinned snapshot holds.
+        leaks into the other.
         """
         duplicate = Taxonomy(name=self.name)
         duplicate._entities = dict(self._entities)
@@ -428,7 +427,8 @@ class ReadOptimizedTaxonomy:
     ``get_entities`` are pure dict hits plus a cheap ``list()`` copy —
     no per-call ``sorted()``, no set materialisation, no shared mutable
     state.  That makes the view safe to serve from any number of threads
-    and is what :class:`~repro.taxonomy.service.TaxonomySnapshot` wraps.
+    and is what each :class:`~repro.serving.sharding.ShardSnapshot`
+    wraps.
 
     The view is deliberately decoupled from its source: mutating the
     original :class:`Taxonomy` after freezing never changes answers a

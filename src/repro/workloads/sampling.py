@@ -172,8 +172,7 @@ def replay_calls(front, calls, *, batch_size: int = 1):
 
     *front* is anything exposing the canonical
     :class:`~repro.taxonomy.service.BatchedServingAPI` surface — the
-    in-process service, the sharded store, the replica router or the
-    HTTP client.  *calls* is any iterable of objects with ``api`` and
+    sharded store, the replica router or the HTTP client.  *calls* is any iterable of objects with ``api`` and
     ``argument`` attributes (e.g. :class:`SampledCall`).  With
     ``batch_size > 1`` requests are buffered per API and served through
     the ``*_batch`` variants, the way a real gateway amortises round

@@ -1,7 +1,7 @@
 """Every serving front against one reference model.
 
-A hypothesis ``RuleBasedStateMachine`` drives five fronts — the
-in-process :class:`TaxonomyService`, a sharded store, a store-backed
+A hypothesis ``RuleBasedStateMachine`` drives five fronts — a
+one-shard store (``TaxonomyService``), a sharded store, a store-backed
 replica router, a chaos cluster of fault-wrapped local replicas and a
 loopback HTTP server — through reads, nightly publishes, a composed
 catch-up publish, a second publisher's republish, full swaps, replica

@@ -539,8 +539,9 @@ class TestGroupLedger:
                 for key, answer in zip(LEDGER_BATCH, LEDGER_ANSWERS)
                 if key != PROBE_KEY
             ]
+            # the one-shard store records a shard span per key
             assert spans("ledger-service") == [
-                ("service", "men2ent", outcome, None, "v1",
+                ("shard", "men2ent", outcome, 0, "v1",
                  service.content_hash)
                 for _, outcome in served
             ]
@@ -597,24 +598,33 @@ class TestGroupRule:
     """Each in-process front times a served group once and records its
     counted calls at the group's per-call mean; a single is timed alone."""
 
+    #: the modules whose ``elapsed`` the fake clock replaces
+    CLOCKED = ("repro.serving.sharding", "repro.serving.router")
+
     @pytest.fixture
     def clock(self, monkeypatch):
-        import repro.serving.router as router_module
-        import repro.serving.sharding as sharding_module
-        import repro.taxonomy.service as service_module
+        import importlib
 
         fake = CountingClock()
-        for module in (service_module, sharding_module, router_module):
-            monkeypatch.setattr(module, "elapsed", fake)
+        for name in self.CLOCKED:
+            monkeypatch.setattr(importlib.import_module(name), "elapsed", fake)
         return fake
 
-    @staticmethod
-    def fronts(hub):
-        return [
+    @classmethod
+    def fronts(cls, hub):
+        fronts = [
             TaxonomyService(make_taxonomy(), hub=hub),
             ShardedSnapshotStore(make_taxonomy(), n_shards=2, hub=hub),
             build_cluster(make_taxonomy(), shards=2, replicas=2, hub=hub),
         ]
+        # each front's timing loop must read the fake clock, or the
+        # counts below would fail, or pass, for the wrong reason
+        for front in fronts:
+            loop = "_serve_group" if isinstance(
+                front, ReplicatedRouter
+            ) else "_serve"
+            assert getattr(type(front), loop).__module__ in cls.CLOCKED
+        return fronts
 
     def test_a_batch_reads_the_clock_twice_per_group(self, clock):
         assert GROUP_BATCH[0] != GROUP_BATCH[-1]

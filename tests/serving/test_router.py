@@ -253,7 +253,7 @@ class TestStoreBackedRouter:
     def test_store_shard_replica_pins_batches(self, taxonomy):
         store = ShardedSnapshotStore(taxonomy, n_shards=1)
         replica = StoreShardReplica(store, 0)
-        pinned = replica.pinned()
+        pinned = replica.pinned_in(store.shard_set)
         store.swap(Taxonomy())
         # the pinned view still answers from the old version
         assert pinned.men2ent("华仔") == ["刘德华#0"]

@@ -14,7 +14,6 @@ import pytest
 from repro.errors import APIError, DeltaConflictError
 from repro.serving import TaxonomyClient, build_cluster, start_server
 from repro.taxonomy.model import Entity, IsARelation
-from repro.taxonomy.service import TaxonomyService
 from repro.taxonomy.store import Taxonomy
 from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
 
@@ -73,9 +72,9 @@ class TestInfoEndpoints:
 
 
 class TestQueries:
-    def test_singles_match_in_process_service(self, cluster):
+    def test_singles_match_the_source_taxonomy(self, cluster):
         _, client = cluster
-        reference = TaxonomyService(make_taxonomy())
+        reference = make_taxonomy()
         assert client.men2ent("华仔") == reference.men2ent("华仔")
         assert client.get_concepts("刘德华#0") == \
             reference.get_concepts("刘德华#0")
@@ -297,7 +296,7 @@ class TestKeepAlive:
             ("get_concepts", "刘德华#0"), ("get_concepts", "周杰伦#0"),
             ("get_entities", "歌手"), ("get_entities", "演员"),
         ]
-        reference = TaxonomyService(make_taxonomy())
+        reference = make_taxonomy()
         expected = [getattr(reference, api)(arg) for api, arg in calls]
         server = start_server(build_cluster(make_taxonomy(), shards=2))
         client = TaxonomyClient(server.url)

@@ -106,8 +106,8 @@ class TestReadOptimizedView:
 class TestSnapshotServesReadView:
     def test_snapshot_wraps_view(self, taxonomy):
         service = TaxonomyService(taxonomy)
-        snapshot = service.snapshot
-        assert isinstance(snapshot.read_view, ReadOptimizedTaxonomy)
+        [shard] = service.shard_set.shards
+        assert isinstance(shard.read_view, ReadOptimizedTaxonomy)
 
     def test_served_answers_frozen_at_publish(self, taxonomy):
         service = TaxonomyService(taxonomy)
@@ -123,7 +123,11 @@ class TestSnapshotServesReadView:
 
     def test_snapshot_stats_from_view(self, taxonomy):
         service = TaxonomyService(taxonomy)
-        assert service.snapshot.stats().n_isa_total == 4
+        # the serving indexes' stats: the concept-layer relation
+        # (歌手 → 人物) has no serving index and is not counted
+        [stats] = service.stats()
+        assert stats.n_isa_total == 3
+        assert taxonomy.stats().n_isa_total == 4
 
 
 # -- apply_delta against the code its kernels replaced -------------------------

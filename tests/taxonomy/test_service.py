@@ -1,4 +1,5 @@
-"""Tests for the versioned serving facade (repro.taxonomy.service)."""
+"""Tests for the serving surface and ledger (repro.taxonomy.service),
+driven through ``TaxonomyService``, the one-shard store."""
 
 import dataclasses
 import threading
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import APIError, WorkloadError
+from repro.serving.sharding import ShardSnapshot
 from repro.taxonomy.model import Entity, IsARelation
 from repro.taxonomy.service import (
     LATENCY_RESERVOIR_SIZE,
@@ -15,7 +17,6 @@ from repro.taxonomy.service import (
     BatchedServingAPI,
     ServiceMetrics,
     TaxonomyService,
-    TaxonomySnapshot,
 )
 from repro.taxonomy.store import Taxonomy
 from repro.workloads import ArgumentPools, TableIICallStream, replay_calls
@@ -91,8 +92,8 @@ class TestSingleCalls:
         )
         assert service.get_concepts("刘德华#0") == ["歌手", "演员"]
         assert checked == observed == ["getConcept"]
-        # the snapshot carries the read view, no second ledger
-        fields = {field.name for field in dataclasses.fields(TaxonomySnapshot)}
+        # the shard carries the read view, no second ledger
+        fields = {field.name for field in dataclasses.fields(ShardSnapshot)}
         assert "api" not in fields
 
 
@@ -122,17 +123,19 @@ class TestBatchedCalls:
 class TestSnapshots:
     def test_initial_version(self, service):
         assert service.version_id == "v1"
-        assert service.snapshot.version == 1
-        assert service.snapshot.stats().n_isa_total == 3
+        assert service.shard_set.version == 1
+        assert [s.n_isa_total for s in service.stats()] == [3]
 
     def test_swap_bumps_version_atomically(self, service, rebuilt):
-        old = service.snapshot
-        snapshot = service.swap(rebuilt)
-        assert snapshot.version == 2 and service.version_id == "v2"
+        old = service.shard_set
+        shard_set = service.swap(rebuilt)
+        assert shard_set.version == 2 and service.version_id == "v2"
         assert service.metrics.swaps == 1
-        # new snapshot serves the rebuild, pinned old snapshot unchanged
+        # new set serves the rebuild, pinned old set unchanged
         assert service.get_concepts("刘德华#0") == ["导演"]
-        assert old.taxonomy.get_concepts("刘德华#0") == ["歌手", "演员"]
+        assert old.shard_of("刘德华#0").lookup("getConcept", "刘德华#0") == [
+            "歌手", "演员",
+        ]
 
     def test_metrics_survive_swap(self, service, rebuilt):
         service.men2ent("华仔")
@@ -455,24 +458,24 @@ class TestPublishDelta:
     def test_publishes_new_version_with_delta_content(self, taxonomy):
         service = TaxonomyService(taxonomy)
         delta = self._delta(taxonomy, self._target())
-        snapshot = service.publish_delta(delta)
-        assert snapshot.version_id == "v2"
+        shard_set = service.publish_delta(delta)
+        assert shard_set.version_id == "v2"
         assert service.men2ent("王菲") == ["王菲#0"]
         assert service.get_entities("歌手") == \
-            TaxonomyService(self._target()).get_entities("歌手")
+            self._target().get_entities("歌手")
         assert service.metrics.swaps == 1
-        assert snapshot.stats() == self._target().stats()
+        assert service.stats() == [self._target().stats()]
 
-    def test_pinned_snapshot_taxonomy_is_never_mutated(self, taxonomy):
+    def test_pinned_shard_set_is_never_mutated(self, taxonomy):
         service = TaxonomyService(taxonomy)
-        pinned = service.snapshot
+        pinned = service.shard_set
         service.publish_delta(self._delta(taxonomy, self._target()))
-        # the old snapshot's taxonomy object kept its v1 content
-        assert pinned.taxonomy.men2ent("王菲") == []
-        assert len(pinned.taxonomy) == 3
-        assert pinned.read_view.men2ent("王菲") == []
-        # and the new snapshot owns an independent store
-        assert service.snapshot.taxonomy is not pinned.taxonomy
+        # the old set's view kept its v1 content
+        [old] = pinned.shards
+        assert old.read_view.men2ent("王菲") == []
+        assert len(old.read_view) == 3
+        # and the new set serves from an independent view
+        assert service.shard_set.shards[0].read_view is not old.read_view
 
     def test_failed_publish_leaves_service_untouched_and_retryable(
         self, taxonomy
@@ -490,7 +493,7 @@ class TestPublishDelta:
             service.publish_delta(bad_delta)
         assert service.version_id == "v1"
         assert service.metrics.swaps == 0
-        assert len(service.snapshot.taxonomy) == 3  # base untouched
+        assert len(service.shard_set.shards[0].read_view) == 3  # untouched
         # a correct delta still applies afterwards
         service.publish_delta(self._delta(taxonomy, self._target()))
         assert service.version_id == "v2"
@@ -507,7 +510,7 @@ class TestPublishDelta:
 
     def test_headline_numbers_survive_a_statless_delta(self, taxonomy):
         """A hand-built delta without new_stats/new_n_relations must not
-        zero the published snapshot's headline numbers."""
+        zero the published view's headline numbers."""
         from repro.taxonomy.delta import TaxonomyDelta
 
         target = self._target()
@@ -518,9 +521,9 @@ class TestPublishDelta:
             relations_added=computed.relations_added,
         )
         service = TaxonomyService(taxonomy)
-        snapshot = service.publish_delta(bare)
-        assert len(snapshot.read_view) == len(target)
-        assert snapshot.stats() == target.stats()
+        [shard] = service.publish_delta(bare).shards
+        assert len(shard.read_view) == len(target)
+        assert shard.read_view.stats() == target.stats()
 
 
 class TestMetricsSerializability:

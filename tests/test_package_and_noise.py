@@ -1,5 +1,10 @@
 """Package-level exports and noise-channel behaviour tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,27 @@ class TestLazyExports:
         names = dir(repro)
         assert "build_cn_probase" in names
         assert "SyntheticWorld" in names
+
+    def test_taxonomy_service_names_the_one_shard_store(self):
+        """``repro.taxonomy`` loads no serving module, and its
+        ``TaxonomyService`` resolves on first use to the store."""
+        code = (
+            "import sys, repro.taxonomy\n"
+            "print(sorted(n for n in sys.modules"
+            " if n.startswith('repro.serving')))\n"
+            "from repro.taxonomy.service import TaxonomyService\n"
+            "import repro.serving\n"
+            "print(TaxonomyService is repro.serving.ShardedSnapshotStore"
+            " is repro.TaxonomyService)\n"
+            "print(TaxonomyService(repro.taxonomy.Taxonomy()).n_shards)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        printed = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert printed.split("\n") == ["[]", "True", "1", ""]
 
 
 class TestNoiseChannels:
